@@ -525,6 +525,12 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: the input nests too deeply to process", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory on this input", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,0 +1,210 @@
+"""Formulas compiled once into flat instruction programs.
+
+compile_formula walks a formula once, iteratively and in post-order, and
+lays its values out in slots: one per atom of the signature (in signature
+order), then one per constant and one per connective.  Each connective
+becomes an instruction (slot, fn, left slot, right slot, family); a
+negation reads its one argument from both argument slots.
+
+Values live in one of two domains, chosen from the formula:
+
+- integer numerators 0..D over the lattice denominator D, when every
+  connective is lattice-closed and every constant is a lattice point.
+  Each such connective maps k/D values to k'/D values, so integer
+  arithmetic on the numerators is exact;
+- exact Fractions through the registry's own connectives otherwise (the
+  product pair, or a constant off the lattice).
+
+The reduct of f by I, in fuzzy_reduct's simplified form, needs no formula
+of its own: it is the same program with every negation frozen to its value
+at I and every implication capped at its value at I.  A node that reads
+no moving atom, other than through a negation, keeps its value at I, so
+the reduct program runs only the instructions that can change.
+
+semantics.evaluate and semantics.fuzzy_reduct stay the reference
+definitions; the compiled-evaluation-agreement suite checks this module
+against both.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
+
+from .algebra import OPERATORS, Lattice, OpFamily
+from .semantics import SignatureError, StrongNegationError
+from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg
+
+Instruction = tuple  # (slot, fn, left slot, right slot, OpFamily)
+
+
+def _numerator_fns(d: int) -> dict[str, Callable]:
+    """The lattice-closed connectives on numerators over d."""
+
+    def conj_luk(x, y):
+        s = x + y - d
+        return s if s > 0 else 0
+
+    def disj_luk(x, y):
+        s = x + y
+        return s if s < d else d
+
+    def impl_luk(x, y):
+        s = d - x + y
+        return s if s < d else d
+
+    def impl_kleene_dienes(x, y):
+        s = d - x
+        return s if s > y else y
+
+    return {
+        "&l": conj_luk,
+        "&m": lambda x, y: x if x < y else y,
+        "|l": disj_luk,
+        "|m": lambda x, y: x if x > y else y,
+        "not_s": lambda x, _: d - x,
+        "->r": lambda x, y: d if x <= y else y,
+        "->s": impl_kleene_dienes,
+        "->l": impl_luk,
+    }
+
+
+def _fraction_fn(token: str) -> Callable:
+    op = OPERATORS[token]
+    if op.arity == 1:
+        fn = op.fn
+        return lambda x, _: fn(x)
+    return op.fn
+
+
+@dataclass(frozen=True)
+class Program:
+    """A formula as instructions over value slots; see the module docstring."""
+    signature: tuple[str, ...]
+    lattice: Lattice
+    integer: bool  # numerators over the lattice denominator, else Fractions
+    points: tuple  # the domain value of each lattice point k/D, k = 0..D
+    slots: tuple  # initial slot values: constants set, the rest at 0
+    code: tuple[Instruction, ...]
+    root: int
+
+    def value(self, x) -> Fraction:
+        """A domain value as the degree it stands for."""
+        return Fraction(x, self.lattice.denominator) if self.integer else x
+
+    def level(self, y: Fraction):
+        """The least domain value reaching threshold y: exact, since on the
+        integer domain every value is a multiple of 1/D."""
+        if not self.integer:
+            return y
+        scaled = y * self.lattice.denominator
+        return -(-scaled.numerator // scaled.denominator)
+
+    def evaluate(self, digits: Sequence[int]) -> list:
+        """Every slot's value with atom k at lattice point digits[k]/D."""
+        vals = list(self.slots)
+        for k, d in enumerate(digits):
+            vals[k] = self.points[d]
+        run(self.code, vals)
+        return vals
+
+    def reduct_code(self, moving: Iterable[int]) -> tuple[Instruction, ...]:
+        """The instructions of the reduct whose value can differ from their
+        value at I when only the atom slots in `moving` go below I."""
+        varies = [False] * len(self.slots)
+        for k in moving:
+            varies[k] = True
+        out = []
+        for ins in self.code:
+            k, _, a, b, family = ins
+            if family is not OpFamily.NEGATION and (varies[a] or varies[b]):
+                varies[k] = True
+                out.append(ins)
+        return tuple(out)
+
+    def evaluate_reduct(
+        self, code: Sequence[Instruction], at_i: Sequence, digits: Sequence[int]
+    ) -> list:
+        """Every slot's value in the reduct by I, at J given by digits;
+        at_i is evaluate() at I and code is reduct_code() of the atoms
+        where J may differ from I."""
+        vals = list(at_i)
+        for k, d in enumerate(digits):
+            vals[k] = self.points[d]
+        run_reduct(code, vals, at_i)
+        return vals
+
+
+def run(code: Sequence[Instruction], vals: list) -> None:
+    """Execute instructions in place over the slot values."""
+    for k, fn, a, b, _ in code:
+        vals[k] = fn(vals[a], vals[b])
+
+
+def run_reduct(code: Sequence[Instruction], vals: list, caps: Sequence) -> None:
+    """run(), with each implication capped at its value in caps."""
+    impl = OpFamily.IMPLICATION
+    for k, fn, a, b, family in code:
+        x = fn(vals[a], vals[b])
+        if family is impl and x > caps[k]:
+            x = caps[k]
+        vals[k] = x
+
+
+def compile_formula(f: Formula, signature: Sequence[str], lattice: Lattice) -> Program:
+    """Compile f over the atoms of `signature` (slot k holds signature[k])."""
+    slot_of = {a: k for k, a in enumerate(signature)}
+    n_slots = len(signature)
+    constants: list[tuple[int, Fraction]] = []
+    ops: list[tuple[int, str, int, int]] = []
+    results: list[int] = []
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, Atom):
+            try:
+                results.append(slot_of[node.name])
+            except KeyError:
+                raise SignatureError(f"atom {node.name!r} is not interpreted") from None
+        elif isinstance(node, Const):
+            constants.append((n_slots, node.value))
+            results.append(n_slots)
+            n_slots += 1
+        elif isinstance(node, StrongNeg):
+            raise StrongNegationError(
+                "strong negation has no direct evaluation; "
+                "eliminate it first with transforms.nneg")
+        elif not ready:
+            stack.append((node, True))
+            if isinstance(node, Bin):
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+            elif isinstance(node, Neg):
+                stack.append((node.body, False))
+            else:
+                raise TypeError(f"not a formula: {node!r}")
+        else:
+            if isinstance(node, Bin):
+                b = results.pop()
+                a = results.pop()
+            else:
+                a = b = results.pop()
+            ops.append((n_slots, node.op, a, b))
+            results.append(n_slots)
+            n_slots += 1
+
+    d = lattice.denominator
+    integer = (all(OPERATORS[op].lattice_closed for _, op, _, _ in ops)
+               and all(c in lattice for _, c in constants))
+    if integer:
+        fns = _numerator_fns(d)
+        points: tuple = tuple(range(d + 1))
+    else:
+        fns = {op: _fraction_fn(op) for _, op, _, _ in ops}
+        points = tuple(lattice.points())
+    slots = [points[0]] * n_slots
+    for k, c in constants:
+        slots[k] = int(c * d) if integer else c
+    code = tuple((k, fns[op], a, b, OPERATORS[op].family) for k, op, a, b in ops)
+    return Program(tuple(signature), lattice, integer, points, tuple(slots),
+                   code, results.pop())

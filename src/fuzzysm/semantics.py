@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import ONE, ZERO, check_truth, format_truth, op_apply, parse_truth
-from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg
+from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, walk
 
 
 class SignatureError(ValueError):
@@ -231,25 +231,13 @@ def _crisp_map(x: BoolInterpretation) -> dict[str, Fraction]:
 def check_boolean_shaped(f: Formula) -> None:
     """Reject formulas that are not two-valued material: constants other
     than 0/1 or strong negation."""
-    for node in _walk(f):
+    for node in walk(f):
         if isinstance(node, Const) and node.value not in (ZERO, ONE):
             raise ValueError(
                 f"constant {format_truth(node.value)} is not Boolean")
         if isinstance(node, StrongNeg):
             raise StrongNegationError(
                 "strong negation is not part of the Boolean fragment")
-
-
-def _walk(f: Formula):
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Neg):
-            stack.append(node.body)
-        elif isinstance(node, Bin):
-            stack.append(node.right)
-            stack.append(node.left)
 
 
 def classical_reduct(f: Formula, x: BoolInterpretation) -> Formula:

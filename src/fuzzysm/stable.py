@@ -10,12 +10,19 @@ order: minimized atoms in signature order, candidate values ascending,
 earlier atoms varying more slowly.  A seeded sampling strategy is
 available for signatures too large to scan; it is sound (a reported
 witness is real) but incomplete, and says so in the verdict.
+
+check_stable and find_witness work on formulas and Fractions directly and
+are the reference definitions.  enumerate_stable compiles the formula once
+(see compiled.py) and scans every lattice point and its witness candidates
+in the same orders on the compiled program: exact over integer numerators
+on the lattice-closed fragment, and over Fractions elsewhere.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -29,6 +36,7 @@ from .algebra import (
     format_truth,
     get_operator,
 )
+from .compiled import Program, compile_formula, run, run_reduct
 from .semantics import (
     BoolInterpretation,
     Interpretation,
@@ -60,9 +68,30 @@ from .syntax import (
 DEFAULT_CANDIDATE_CAP = 10 ** 7
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
+def _pool_size(jobs: int) -> int:
+    """Worker processes for `jobs`: never more than the machine's cores."""
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _process_pool(workers: int):
+    # Imported on first use: most runs start no pool, and the module costs
+    # every process about 20 ms of start-up and 2 MiB of memory.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 @dataclass(frozen=True)
 class Exhaustive:
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        _check_jobs(self.jobs)
 
 
 @dataclass(frozen=True)
@@ -224,13 +253,14 @@ def _witness_search_exhaustive(
         hit = _scan_chunk(
             (reduct, conjuncts, base, scan, pools, threshold, 0, total, tuple(i.items())))
         return None if hit is None else hit[1]
-    chunk = -(-total // (jobs * 4))
+    workers = _pool_size(jobs)
+    chunk = -(-total // (workers * 4))
     tasks = [
         (reduct, conjuncts, base, scan, pools, threshold, lo, min(lo + chunk, total),
          tuple(i.items()))
         for lo in range(0, total, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with _process_pool(workers) as pool:
         for hit in pool.map(_scan_chunk, tasks):
             if hit is not None:
                 return hit[1]
@@ -335,25 +365,76 @@ def check_stable(
         note=_strategy_note(strategy, lattice, False))
 
 
-def _enumerate_chunk(args: tuple) -> list[tuple]:
-    (f, sig, pools, minimized, threshold, lattice, start, stop) = args
+def _has_witness(
+    prog: Program,
+    code: tuple,
+    moving: Sequence[int],
+    at_i: list,
+    digits: Sequence[int],
+    cut,
+) -> bool:
+    """find_witness on the compiled program: candidates J below the point
+    on the moving slots, in find_witness's order, tested against the
+    reduct by the point (code is prog.reduct_code(moving))."""
+    bounds = [digits[k] for k in moving]
+    total = math.prod(b + 1 for b in bounds)
+    if total > DEFAULT_CANDIDATE_CAP:
+        raise ResourceLimitError(
+            f"{total} candidate interpretations exceed the cap of "
+            f"{DEFAULT_CANDIDATE_CAP}; raise the cap or use a sampled strategy")
+    points, root = prog.points, prog.root
+    work = list(at_i)
+    cand = [0] * len(bounds)
+    last = len(bounds) - 1
+    while True:
+        if cand != bounds:
+            for k, c in zip(moving, cand):
+                work[k] = points[c]
+            run_reduct(code, work, at_i)
+            if work[root] >= cut:
+                return True
+        # odometer increment, last digit fastest
+        t = last
+        while t >= 0 and cand[t] == bounds[t]:
+            cand[t] = 0
+            t -= 1
+        if t < 0:
+            return False
+        cand[t] += 1
+
+
+def _stable_points(
+    prog: Program, moving: tuple[int, ...], cut, start: int, stop: int
+) -> list[tuple[int, ...]]:
+    """The lattice points with scan index in [start, stop), as digits, that
+    reach `cut` and have no witness on the moving slots."""
+    code, root, points = prog.code, prog.root, prog.points
+    reduct = prog.reduct_code(moving)
+    n, size = len(prog.signature), len(points)
+    digits = _digits_of(start, [size] * n)
+    vals = list(prog.slots)
     out = []
-    sizes = [len(p) for p in pools]
-    digits = _digits_of(start, sizes)
-    idx = start
-    while idx < stop:
-        i = Interpretation(
-            zip(sig, (pools[k][digits[k]] for k in range(len(pools)))))
-        verdict = check_stable(f, i, minimized, threshold, lattice, Exhaustive())
-        if verdict.status == "stable":
-            out.append(tuple(i.items()))
-        idx += 1
-        for k in range(len(pools) - 1, -1, -1):
+    for _ in range(start, stop):
+        for k in range(n):
+            vals[k] = points[digits[k]]
+        run(code, vals)
+        if vals[root] >= cut and not (
+                moving and _has_witness(prog, reduct, moving, vals, digits, cut)):
+            out.append(tuple(digits))
+        for k in range(n - 1, -1, -1):
             digits[k] += 1
-            if digits[k] < sizes[k]:
+            if digits[k] < size:
                 break
             digits[k] = 0
     return out
+
+
+def _enumerate_chunk(args: tuple) -> list[tuple[int, ...]]:
+    """_stable_points in a worker process, which compiles its own program
+    (the compiled connectives are closures and do not pickle)."""
+    (f, sig, moving, threshold, lattice, start, stop) = args
+    prog = compile_formula(f, sig, lattice)
+    return _stable_points(prog, moving, prog.level(threshold), start, stop)
 
 
 def enumerate_stable(
@@ -364,7 +445,10 @@ def enumerate_stable(
     jobs: int = 1,
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[Interpretation]:
-    """All stable models over the lattice, in lexicographic scan order."""
+    """All stable models over the lattice, in lexicographic scan order:
+    the points whose check_stable verdict is "stable", found on the
+    compiled program."""
+    _check_jobs(jobs)
     y = check_truth(threshold)
     sig = signature_of(f)
     if minimized is None:
@@ -379,20 +463,22 @@ def enumerate_stable(
         raise ResourceLimitError(
             f"{total} interpretations exceed the cap of {cap}; "
             "raise the cap to scan anyway")
-    points = list(lattice.points())
-    pools = [points] * len(sig)
+    prog = compile_formula(f, sig, lattice)
+    mset = set(minimized)
+    moving = tuple(k for k, a in enumerate(sig) if a in mset)
     if jobs <= 1 or total < 1024:
-        results = [_enumerate_chunk(
-            (f, sig, pools, tuple(minimized), y, lattice, 0, total))]
+        found = _stable_points(prog, moving, prog.level(y), 0, total)
     else:
-        size = -(-total // (jobs * 4))
+        workers = _pool_size(jobs)
+        size = -(-total // (workers * 4))
         chunks = [
-            (f, sig, pools, tuple(minimized), y, lattice, lo, min(lo + size, total))
+            (f, sig, moving, y, lattice, lo, min(lo + size, total))
             for lo in range(0, total, size)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_enumerate_chunk, chunks))
-    return [Interpretation(items) for part in results for items in part]
+        with _process_pool(workers) as pool:
+            found = [d for part in pool.map(_enumerate_chunk, chunks) for d in part]
+    points = list(lattice.points())
+    return [Interpretation(zip(sig, (points[k] for k in digits))) for digits in found]
 
 
 # Shadow-atom route: an independent stability check ------------------

@@ -30,6 +30,7 @@ from .algebra import (
     op_check_axioms,
     residual_condition,
 )
+from .compiled import compile_formula
 from .equilibrium import (
     Interval,
     Valuation,
@@ -270,6 +271,38 @@ def _suite_reduct_wrapper_counterexample(trials: int, seed: int, lattice: Lattic
     if variant != Fraction(1, 5):
         return _cx(problem="the '&l'-wrapper regression moved",
                    expected="1/5", value=variant)
+    return None
+
+
+def _suite_compiled_evaluation_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
+    rng = _master("compiled-evaluation-agreement", seed)
+    # Constants from the finer lattice are partly off this one, which
+    # sends those formulas to the Fraction domain.
+    finer = Lattice(3 * lattice.denominator)
+    d = lattice.denominator
+    for _ in range(trials):
+        f = gen_formula(rng.randrange(2 ** 63), SIG2, max_depth=3,
+                        operator_pool=ALL_OPERATORS,
+                        lattice=rng.choice((lattice, finer)))
+        i = gen_interpretation(rng.randrange(2 ** 63), SIG2, lattice)
+        minimized = tuple(a for a in SIG2 if rng.random() < 0.6)
+        j = gen_lower_interpretation(rng.randrange(2 ** 63), i, minimized, lattice)
+        prog = compile_formula(f, SIG2, lattice)
+        at_i = prog.evaluate([int(i[a] * d) for a in SIG2])
+        value = prog.value(at_i[prog.root])
+        if value != evaluate(f, i):
+            return _cx(formula=print_formula(f), i=format_interpretation(i),
+                       compiled=value, reference=evaluate(f, i),
+                       integer=prog.integer)
+        code = prog.reduct_code(k for k, a in enumerate(SIG2) if a in minimized)
+        at_j = prog.evaluate_reduct(code, at_i, [int(j[a] * d) for a in SIG2])
+        value = prog.value(at_j[prog.root])
+        reference = evaluate(fuzzy_reduct(f, i), j)
+        if value != reference:
+            return _cx(formula=print_formula(f), i=format_interpretation(i),
+                       j=format_interpretation(j), minimized=minimized,
+                       compiled_reduct=value, reference=reference,
+                       integer=prog.integer)
     return None
 
 
@@ -613,6 +646,7 @@ _SUITES: dict[str, tuple[Callable[[int, int, Lattice], str | None], str]] = {
     "reduct-wrapper-counterexample": (
         _suite_reduct_wrapper_counterexample,
         "pinned negative control; the trial count is ignored"),
+    "compiled-evaluation-agreement": (_suite_compiled_evaluation_agreement, ""),
     "empty-minimization": (_suite_empty_minimization, ""),
     "threshold-guard-agreement": (_suite_threshold_guard_agreement, ""),
     "shadow-rewrite-agreement": (_suite_shadow_rewrite_agreement, ""),

@@ -63,6 +63,11 @@ class TestParse:
         assert code == 2
         assert "error:" in err and "line 1" in err
 
+    def test_deep_nesting_is_an_input_error(self, capsys):
+        code, _, err = run(capsys, "parse", "--expr", "(" * 5000 + "p" + ")" * 5000)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestEvalReduct:
     def test_eval(self, capsys):
@@ -219,6 +224,13 @@ class TestEnumerate:
         assert data["count"] == 1
         assert data["models"] == [{"q": "0", "p": "1"}]
 
+    def test_jobs_below_one_is_an_input_error(self, capsys):
+        for argv in (("enumerate", "--expr", "p"),
+                     ("check", "--expr", "p", "--interp", "p=1")):
+            code, _, err = run(capsys, *argv, "--jobs", "0")
+            assert code == 2
+            assert "jobs must be at least 1" in err
+
 
 class TestTranslate:
     def test_nneg_comments_then_formula(self, capsys):
@@ -327,7 +339,7 @@ class TestProps:
         code, out, _ = run(capsys, "props", "--list")
         assert code == 0
         names = out.strip().splitlines()
-        assert "operator-axioms" in names and len(names) == 27
+        assert "operator-axioms" in names and len(names) == 28
 
     def test_single_suite(self, capsys):
         code, out, _ = run(capsys, "props", "--suite", "operator-axioms",

@@ -1,6 +1,11 @@
+import concurrent.futures
+import itertools
+import os
 from fractions import Fraction
 
 import pytest
+
+import fuzzysm.stable
 
 from fuzzysm import (
     BoolInterpretation,
@@ -178,6 +183,92 @@ class TestEnumerate:
         f = parse_formula("not_s p ->r q")
         models = enumerate_stable(f, threshold=F(6, 10), lattice=Lattice(5))
         assert Interpretation({"p": F(0), "q": F(3, 5)}) in models
+
+    @pytest.mark.parametrize("text, minimized, threshold, denominator", [
+        # product connectives: the Fraction domain
+        ("(not_s q ->r p) &p (p |p not_s r)", None, F(1, 2), 3),
+        # a constant off the lattice: the Fraction domain
+        ("(0.3 ->l p) &m (not_s p ->r q)", None, F(1), 4),
+        # a threshold off the lattice on the integer domain
+        ("(not_s q ->l p) &l (not_s p ->s q)", None, F(2, 3), 4),
+        ("(not_s q ->r p) &m (not_s p ->r q) &m (r |m not_s r)", ("p", "r"), F(1), 3),
+        ("(not_s q ->r p) &m (not_s p ->r q)", (), F(3, 4), 4),
+        # constant-only formulas: the empty signature
+        ("0.5 ->r 1", None, F(1), 4),
+        ("0.5 ->r 0.25", None, F(1), 4),
+    ])
+    def test_matches_check_stable(self, text, minimized, threshold, denominator):
+        f = parse_formula(text)
+        lattice = Lattice(denominator)
+        sig = signature_of(f)
+        points = itertools.product(list(lattice.points()), repeat=len(sig))
+        candidates = [Interpretation(zip(sig, combo)) for combo in points]
+        expected = [
+            i for i in candidates
+            if check_stable(f, i, minimized, threshold, lattice).status == "stable"]
+        assert enumerate_stable(f, minimized, threshold, lattice) == expected
+
+    def test_errors_unchanged(self, monkeypatch):
+        with pytest.raises(StrongNegationError):
+            enumerate_stable(parse_formula("~p ->r q"), lattice=D2)
+        with pytest.raises(SignatureError):
+            enumerate_stable(parse_formula("p ->r q"), minimized=("r",), lattice=D2)
+
+        def no_scan(*args):
+            raise AssertionError("scanned past the cap")
+
+        monkeypatch.setattr(fuzzysm.stable, "_stable_points", no_scan)
+        with pytest.raises(ResourceLimitError):
+            enumerate_stable(parse_formula("p &m q &m r &m s"), lattice=D10, cap=1000)
+
+    def test_pool_matches_sequential(self):
+        # 6^4 = 1296 points: past the size where the pool is used.
+        f = parse_formula("(not_s q ->r p) &m (not_s p ->r q) &m (s |p not_s r)")
+        lattice = Lattice(5)
+        sequential = enumerate_stable(f, ("p", "q", "r"), F(1, 2), lattice)
+        assert sequential
+        assert enumerate_stable(f, ("p", "q", "r"), F(1, 2), lattice, jobs=2) == sequential
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestJobs:
+    def test_rejects_fewer_than_one(self):
+        with pytest.raises(ValueError, match="jobs"):
+            Exhaustive(jobs=0)
+        with pytest.raises(ValueError, match="jobs"):
+            enumerate_stable(parse_formula("p"), lattice=D2, jobs=0)
+
+    def test_pool_size_clamped_to_cores(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        f = parse_formula("(not_s q ->r p) &m (not_s p ->r q) &m (r |m s)")
+        assert enumerate_stable(f, lattice=Lattice(5), jobs=64) == \
+            enumerate_stable(f, lattice=Lattice(5))
+        # 11^4 candidates below the all-ones point: past the pool threshold.
+        g = parse_formula("p &m q &m r &m s")
+        i = parse_interpretation("p=1, q=1, r=1, s=1")
+        assert check_stable(g, i, lattice=D10,
+                            strategy=Exhaustive(jobs=64)).status == "stable"
+        assert _RecordingPool.sizes == [2, 2]
 
 
 class TestStarTransform:
