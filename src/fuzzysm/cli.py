@@ -133,9 +133,9 @@ def _parse_minimize(text: str | None) -> tuple[str, ...] | None:
     return parts
 
 
-def _parse_strategy(text: str, seed: int, jobs: int):
+def _parse_strategy(text: str, seed: int):
     if text == "exhaustive":
-        return Exhaustive(jobs=jobs)
+        return Exhaustive()
     if text.startswith("sampled:"):
         try:
             n = int(text.split(":", 1)[1])
@@ -199,7 +199,7 @@ def _cmd_check(args) -> int:
             raise UsageError("the star engine is exhaustive only")
         verdict = check_stable_via_star(f, i, minimized, lattice, cap=args.cap)
     else:
-        strategy = _parse_strategy(args.strategy, args.seed, args.jobs)
+        strategy = _parse_strategy(args.strategy, args.seed)
         verdict = check_stable(f, i, minimized, threshold, lattice,
                                strategy, cap=args.cap)
     if args.json:
@@ -434,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="exhaustive",
                    help="'exhaustive' or 'sampled:N'")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--cap", type=int, default=10 ** 7,
                    help="candidate limit before the search refuses to run")
     p.add_argument("--engine", choices=("direct", "star"), default="direct",
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimize", default=None)
     p.add_argument("--threshold", default="1")
     p.add_argument("--denominator", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--cap", type=int, default=10 ** 7)
     p.add_argument("--count", action="store_true", help="print only the count")
     _add_json(p)

@@ -6,14 +6,16 @@ order), then one per constant and one per connective.  Each connective
 becomes an instruction (slot, fn, left slot, right slot, family); a
 negation reads its one argument from both argument slots.
 
-Values live in one of two domains, chosen from the formula:
+Values live in one of two domains, chosen from the formula and, when the
+caller passes them, the atoms' values:
 
 - integer numerators 0..D over the lattice denominator D, when every
-  connective is lattice-closed and every constant is a lattice point.
+  connective is lattice-closed and every constant and value is a lattice
+  point.
   Each such connective maps k/D values to k'/D values, so integer
   arithmetic on the numerators is exact;
 - exact Fractions through the registry's own connectives otherwise (the
-  product pair, or a constant off the lattice).
+  product pair, or a constant or an atom's value off the lattice).
 
 The reduct of f by I, in fuzzy_reduct's simplified form, needs no formula
 of its own: it is the same program with every negation frozen to its value
@@ -21,9 +23,14 @@ at I and every implication capped at its value at I.  A node that reads
 no moving atom, other than through a negation, keeps its value at I, so
 the reduct program runs only the instructions that can change.
 
+first_witness is the witness kernel of stable.py: it runs the reduct by I
+on each candidate J and keeps the first that reaches the threshold.  At
+the top value the test stops at the first top-level t-norm conjunct below
+the top (Program.reduct_checks).
+
 semantics.evaluate and semantics.fuzzy_reduct stay the reference
-definitions; the compiled-evaluation-agreement suite checks this module
-against both.
+definitions; the compiled-evaluation-agreement suite checks this module,
+the kernel's reduct test included, against both.
 """
 from __future__ import annotations
 
@@ -36,6 +43,7 @@ from .semantics import SignatureError, StrongNegationError
 from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg
 
 Instruction = tuple  # (slot, fn, left slot, right slot, OpFamily)
+Check = tuple  # (slot, instructions): see Program.reduct_checks
 
 
 def _numerator_fns(d: int) -> dict[str, Callable]:
@@ -100,39 +108,81 @@ class Program:
         scaled = y * self.lattice.denominator
         return -(-scaled.numerator // scaled.denominator)
 
-    def evaluate(self, digits: Sequence[int]) -> list:
-        """Every slot's value with atom k at lattice point digits[k]/D."""
+    def domain(self, x: Fraction):
+        """A degree as a domain value; on the integer domain x must be a
+        lattice point."""
+        return int(x * self.lattice.denominator) if self.integer else x
+
+    def evaluate(self, values: Sequence) -> list:
+        """Every slot's value with atom k at domain value values[k]."""
         vals = list(self.slots)
-        for k, d in enumerate(digits):
-            vals[k] = self.points[d]
+        vals[:len(values)] = values
         run(self.code, vals)
         return vals
 
-    def reduct_code(self, moving: Iterable[int]) -> tuple[Instruction, ...]:
-        """The instructions of the reduct whose value can differ from their
-        value at I when only the atom slots in `moving` go below I."""
+    def reduct_checks(self, moving: Sequence[int], cut) -> tuple[Check, ...]:
+        """The reduct test "value at J >= cut" as (slot, instructions)
+        pairs, for J below I on the atom slots in `moving`: J passes when,
+        running each pair's instructions in turn with run_reduct, every
+        slot reaches cut (see first_witness).  Only instructions that read
+        a moving atom, other than through a negation, are run; the rest
+        keep their value at I.
+
+        Below the top value the one pair is the whole reduct and its root.
+        At the top a t-norm is top only when both arguments are, so the
+        reduct splits into its top-level t-norm conjuncts, left to right,
+        each with the varying instructions beneath it (post-order keeps a
+        subtree's instructions contiguous).  A conjunct that reads no
+        moving atom keeps its value at I and is left out: the test is only
+        asked of points I whose value reaches cut, so that value is top.
+        """
         varies = [False] * len(self.slots)
         for k in moving:
             varies[k] = True
-        out = []
-        for ins in self.code:
-            k, _, a, b, family = ins
+        for k, _, a, b, family in self.code:
             if family is not OpFamily.NEGATION and (varies[a] or varies[b]):
                 varies[k] = True
-                out.append(ins)
-        return tuple(out)
+        code = tuple(ins for ins in self.code if varies[ins[0]])
+        if cut != self.points[-1]:
+            return ((self.root, code),)
+        position = {ins[0]: p for p, ins in enumerate(self.code)}
+        first = {}  # instruction slot -> position where its subtree starts
+        for p, (k, _, a, b, _) in enumerate(self.code):
+            first[k] = min(first.get(a, p), first.get(b, p))
+        checks = []
+        stack = [self.root]
+        while stack:
+            k = stack.pop()
+            p = position.get(k)
+            if p is not None and self.code[p][4] is OpFamily.CONJUNCTION:
+                stack.append(self.code[p][3])
+                stack.append(self.code[p][2])
+            elif varies[k]:
+                below = () if p is None else self.code[first[k]:p + 1]
+                checks.append((k, tuple(ins for ins in below if varies[ins[0]])))
+        return tuple(checks)
 
-    def evaluate_reduct(
-        self, code: Sequence[Instruction], at_i: Sequence, digits: Sequence[int]
-    ) -> list:
-        """Every slot's value in the reduct by I, at J given by digits;
-        at_i is evaluate() at I and code is reduct_code() of the atoms
-        where J may differ from I."""
-        vals = list(at_i)
-        for k, d in enumerate(digits):
-            vals[k] = self.points[d]
-        run_reduct(code, vals, at_i)
-        return vals
+
+def first_witness(checks: Sequence[Check], moving: Sequence[int], at_i: Sequence,
+                  cut, candidates: Iterable[tuple]) -> tuple | None:
+    """The witness kernel: the first candidate, a tuple of domain values
+    for the `moving` atom slots other than I's own, whose J passes the
+    reduct test `checks` (reduct_checks(moving, cut)); None when no
+    candidate does.  at_i is evaluate() at I, whose root must reach cut."""
+    work = list(at_i)
+    base = tuple(at_i[k] for k in moving)
+    for values in candidates:
+        if values == base:
+            continue
+        for k, v in zip(moving, values):
+            work[k] = v
+        for slot, code in checks:
+            run_reduct(code, work, at_i)
+            if work[slot] < cut:
+                break
+        else:
+            return values
+    return None
 
 
 def run(code: Sequence[Instruction], vals: list) -> None:
@@ -151,8 +201,13 @@ def run_reduct(code: Sequence[Instruction], vals: list, caps: Sequence) -> None:
         vals[k] = x
 
 
-def compile_formula(f: Formula, signature: Sequence[str], lattice: Lattice) -> Program:
-    """Compile f over the atoms of `signature` (slot k holds signature[k])."""
+def compile_formula(
+    f: Formula, signature: Sequence[str], lattice: Lattice,
+    values: Iterable[Fraction] = (),
+) -> Program:
+    """Compile f over the atoms of `signature` (slot k holds signature[k]).
+    `values` are the degrees the atoms will take, when the caller knows
+    them: like a constant, one off the lattice keeps the Fraction domain."""
     slot_of = {a: k for k, a in enumerate(signature)}
     n_slots = len(signature)
     constants: list[tuple[int, Fraction]] = []
@@ -195,7 +250,8 @@ def compile_formula(f: Formula, signature: Sequence[str], lattice: Lattice) -> P
 
     d = lattice.denominator
     integer = (all(OPERATORS[op].lattice_closed for _, op, _, _ in ops)
-               and all(c in lattice for _, c in constants))
+               and all(c in lattice for _, c in constants)
+               and all(v in lattice for v in values))
     if integer:
         fns = _numerator_fns(d)
         points: tuple = tuple(range(d + 1))

@@ -11,11 +11,17 @@ earlier atoms varying more slowly.  A seeded sampling strategy is
 available for signatures too large to scan; it is sound (a reported
 witness is real) but incomplete, and says so in the verdict.
 
-check_stable and find_witness work on formulas and Fractions directly and
-are the reference definitions.  enumerate_stable compiles the formula once
-(see compiled.py) and scans every lattice point and its witness candidates
-in the same orders on the compiled program: exact over integer numerators
-on the lattice-closed fragment, and over Fractions elsewhere.
+find_witness (and with it check_stable) and enumerate_stable compile the
+formula once (see compiled.py) and share one witness kernel on the
+compiled program, exact over integer numerators when the formula is
+lattice-closed and I lies on the lattice, and over Fractions otherwise.
+Only the source of candidates differs: the product of the per-atom pools
+for an exhaustive search, seeded draws from the same pools for a sampled
+one, and for enumeration a slice of the lattice grid, each of whose
+points scans the product below it.  check_stable's model test stays
+semantics.satisfies.  semantics.evaluate and fuzzy_reduct remain the
+reference definitions, and the shadow-atom route, the Boolean oracle and
+the program oracle below share no code with the kernel.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ from .algebra import (
     format_truth,
     get_operator,
 )
-from .compiled import Program, compile_formula, run, run_reduct
+from .compiled import Program, compile_formula, first_witness, run
 from .semantics import (
     BoolInterpretation,
     Interpretation,
@@ -46,7 +52,6 @@ from .semantics import (
     check_boolean_shaped,
     classical_reduct,
     evaluate,
-    fuzzy_reduct,
     interpretation_to_json,
     satisfies,
     value_is_one,
@@ -68,36 +73,20 @@ from .syntax import (
 DEFAULT_CANDIDATE_CAP = 10 ** 7
 
 
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
-def _pool_size(jobs: int) -> int:
-    """Worker processes for `jobs`: never more than the machine's cores."""
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _process_pool(workers: int):
-    # Imported on first use: most runs start no pool, and the module costs
-    # every process about 20 ms of start-up and 2 MiB of memory.
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 @dataclass(frozen=True)
 class Exhaustive:
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        _check_jobs(self.jobs)
+    """Scan every candidate below I, in scan order."""
 
 
 @dataclass(frozen=True)
 class Sampled:
+    """Test `samples` seeded random draws of candidates below I."""
     samples: int
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
 
 
 Strategy = Union[Exhaustive, Sampled]
@@ -152,9 +141,11 @@ def lt_p(
     return leq_p(j, i, minimized) and dict(j) != dict(i)
 
 
-def _scan_order(f: Formula, i: Mapping[str, Fraction], minimized: Sequence[str]) -> list[str]:
-    """Minimized atoms in signature order: formula first-occurrence order,
-    then any remaining interpreted atoms."""
+def _scan_order(
+    f: Formula, i: Mapping[str, Fraction], minimized: Sequence[str]
+) -> tuple[tuple[str, ...], list[str]]:
+    """The signature (formula first-occurrence order, then any remaining
+    interpreted atoms) and the minimized atoms in its order."""
     sig = signature_of(f, extra=tuple(i))
     mset = set(minimized)
     missing = mset - set(sig)
@@ -163,7 +154,7 @@ def _scan_order(f: Formula, i: Mapping[str, Fraction], minimized: Sequence[str])
     for a in atoms(f):
         if a not in i:
             raise SignatureError(f"atom {a!r} is not interpreted")
-    return [a for a in sig if a in mset]
+    return sig, [a for a in sig if a in mset]
 
 
 def _conjunct_list(f: Formula) -> list[Formula]:
@@ -180,13 +171,6 @@ def _conjunct_list(f: Formula) -> list[Formula]:
     return out
 
 
-def _reduct_holds(conjuncts: list[Formula], j: Mapping[str, Fraction],
-                  reduct: Formula, threshold: Fraction) -> bool:
-    if threshold == ONE:
-        return all(value_is_one(c, j) for c in conjuncts)
-    return evaluate(reduct, j) >= threshold
-
-
 def _exhaustive_pools(
     i: Mapping[str, Fraction], scan: Sequence[str], lattice: Lattice
 ) -> list[list[Fraction]]:
@@ -197,103 +181,6 @@ def _exhaustive_pools(
                 f"1/{lattice.denominator} lattice; exhaustive search needs "
                 "lattice values (use a sampled strategy otherwise)")
     return [lattice.points_up_to(i[a]) for a in scan]
-
-
-def _digits_of(index: int, sizes: Sequence[int]) -> list[int]:
-    digits = []
-    for k in range(len(sizes) - 1, -1, -1):
-        index, d = divmod(index, sizes[k])
-        digits.append(d)
-    digits.reverse()
-    return digits
-
-
-def _scan_chunk(args: tuple) -> tuple[int, dict] | None:
-    """Scan candidate indices [start, stop) for the first reduct witness."""
-    (reduct, conjuncts, base, scan, pools, threshold, start, stop, i_items) = args
-    j = dict(i_items)
-    sizes = [len(p) for p in pools]
-    digits = _digits_of(start, sizes)
-    idx = start
-    while idx < stop:
-        values = tuple(pools[k][digits[k]] for k in range(len(pools)))
-        if values != base:
-            j.update(zip(scan, values))
-            if _reduct_holds(conjuncts, j, reduct, threshold):
-                return idx, dict(zip(scan, values))
-        # odometer increment, last digit fastest
-        idx += 1
-        for k in range(len(pools) - 1, -1, -1):
-            digits[k] += 1
-            if digits[k] < sizes[k]:
-                break
-            digits[k] = 0
-    return None
-
-
-def _witness_search_exhaustive(
-    reduct: Formula,
-    i: Mapping[str, Fraction],
-    scan: list[str],
-    pools: list[list[Fraction]],
-    threshold: Fraction,
-    jobs: int,
-    cap: int,
-) -> dict | None:
-    total = 1
-    for p in pools:
-        total *= len(p)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} candidate interpretations exceed the cap of {cap}; "
-            "raise the cap or use a sampled strategy")
-    conjuncts = _conjunct_list(reduct)
-    base = tuple(i[a] for a in scan)
-    if jobs <= 1 or total < 4096:
-        hit = _scan_chunk(
-            (reduct, conjuncts, base, scan, pools, threshold, 0, total, tuple(i.items())))
-        return None if hit is None else hit[1]
-    workers = _pool_size(jobs)
-    chunk = -(-total // (workers * 4))
-    tasks = [
-        (reduct, conjuncts, base, scan, pools, threshold, lo, min(lo + chunk, total),
-         tuple(i.items()))
-        for lo in range(0, total, chunk)
-    ]
-    with _process_pool(workers) as pool:
-        for hit in pool.map(_scan_chunk, tasks):
-            if hit is not None:
-                return hit[1]
-    return None
-
-
-def _witness_search_sampled(
-    reduct: Formula,
-    i: Mapping[str, Fraction],
-    scan: list[str],
-    lattice: Lattice,
-    threshold: Fraction,
-    samples: int,
-    seed: int,
-) -> dict | None:
-    pools = []
-    for a in scan:
-        pool = lattice.points_up_to(i[a])
-        if i[a] not in lattice:
-            pool.append(i[a])  # keep J = I on that coordinate reachable
-        pools.append(pool)
-    conjuncts = _conjunct_list(reduct)
-    base = tuple(i[a] for a in scan)
-    rng = random.Random(seed)
-    j = dict(i)
-    for _ in range(samples):
-        values = tuple(rng.choice(pool) for pool in pools)
-        if values == base:
-            continue
-        j.update(zip(scan, values))
-        if _reduct_holds(conjuncts, j, reduct, threshold):
-            return dict(zip(scan, values))
-    return None
 
 
 def find_witness(
@@ -308,25 +195,42 @@ def find_witness(
     """First J strictly below i on the minimized atoms that satisfies the
     reduct of f by i to the threshold; None when the search finds none."""
     y = check_truth(threshold)
-    scan = _scan_order(f, i, minimized)
+    sig, scan = _scan_order(f, i, minimized)
     # Nothing strictly below i exists when no atom is minimized.
     if not scan:
         return None
+    prog = compile_formula(f, sig, lattice, i.values())
+    at_i = prog.evaluate([prog.domain(i[a]) for a in sig])
+    cut = prog.level(y)
     # Reduct values never exceed the original formula's value, so a
     # sub-threshold formula cannot have a witness: skip the scan.
-    if evaluate(f, i) < y:
+    if at_i[prog.root] < cut:
         return None
-    reduct = fuzzy_reduct(f, i)
+    domain = prog.domain
     if isinstance(strategy, Sampled):
-        hit = _witness_search_sampled(
-            reduct, i, scan, lattice, y, strategy.samples, strategy.seed)
+        # An off-lattice value of I joins its own pool, so that J = I on
+        # that coordinate stays reachable.
+        pools = [[domain(v) for v in lattice.points_up_to(i[a])]
+                 + ([] if i[a] in lattice else [i[a]]) for a in scan]
+        choice = random.Random(strategy.seed).choice
+        candidates = (tuple([choice(p) for p in pools])
+                      for _ in range(strategy.samples))
     else:
-        pools = _exhaustive_pools(i, scan, lattice)
-        hit = _witness_search_exhaustive(
-            reduct, i, scan, pools, y, strategy.jobs, cap)
+        pools = [[domain(v) for v in pool]
+                 for pool in _exhaustive_pools(i, scan, lattice)]
+        total = math.prod(len(p) for p in pools)
+        if total > cap:
+            raise ResourceLimitError(
+                f"{total} candidate interpretations exceed the cap of {cap}; "
+                "raise the cap or use a sampled strategy")
+        candidates = itertools.product(*pools)
+    mset = set(scan)
+    moving = tuple(k for k, a in enumerate(sig) if a in mset)
+    hit = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
+                        candidates)
     if hit is None:
         return None
-    return i.updated(hit)
+    return i.updated(dict(zip(scan, map(prog.value, hit))))
 
 
 def _strategy_note(strategy: Strategy, lattice: Lattice, found: bool) -> str:
@@ -365,67 +269,28 @@ def check_stable(
         note=_strategy_note(strategy, lattice, False))
 
 
-def _has_witness(
-    prog: Program,
-    code: tuple,
-    moving: Sequence[int],
-    at_i: list,
-    digits: Sequence[int],
-    cut,
-) -> bool:
-    """find_witness on the compiled program: candidates J below the point
-    on the moving slots, in find_witness's order, tested against the
-    reduct by the point (code is prog.reduct_code(moving))."""
-    bounds = [digits[k] for k in moving]
-    total = math.prod(b + 1 for b in bounds)
-    if total > DEFAULT_CANDIDATE_CAP:
-        raise ResourceLimitError(
-            f"{total} candidate interpretations exceed the cap of "
-            f"{DEFAULT_CANDIDATE_CAP}; raise the cap or use a sampled strategy")
-    points, root = prog.points, prog.root
-    work = list(at_i)
-    cand = [0] * len(bounds)
-    last = len(bounds) - 1
-    while True:
-        if cand != bounds:
-            for k, c in zip(moving, cand):
-                work[k] = points[c]
-            run_reduct(code, work, at_i)
-            if work[root] >= cut:
-                return True
-        # odometer increment, last digit fastest
-        t = last
-        while t >= 0 and cand[t] == bounds[t]:
-            cand[t] = 0
-            t -= 1
-        if t < 0:
-            return False
-        cand[t] += 1
-
-
 def _stable_points(
     prog: Program, moving: tuple[int, ...], cut, start: int, stop: int
 ) -> list[tuple[int, ...]]:
     """The lattice points with scan index in [start, stop), as digits, that
     reach `cut` and have no witness on the moving slots."""
     code, root, points = prog.code, prog.root, prog.points
-    reduct = prog.reduct_code(moving)
-    n, size = len(prog.signature), len(points)
-    digits = _digits_of(start, [size] * n)
+    checks = prog.reduct_checks(moving, cut)
+    n = len(prog.signature)
     vals = list(prog.slots)
     out = []
-    for _ in range(start, stop):
+    grid = itertools.product(range(len(points)), repeat=n)
+    for digits in itertools.islice(grid, start, stop):
         for k in range(n):
             vals[k] = points[digits[k]]
         run(code, vals)
-        if vals[root] >= cut and not (
-                moving and _has_witness(prog, reduct, moving, vals, digits, cut)):
-            out.append(tuple(digits))
-        for k in range(n - 1, -1, -1):
-            digits[k] += 1
-            if digits[k] < size:
-                break
-            digits[k] = 0
+        # No cap check here: a point has at most as many candidates as the
+        # grid has points, and enumerate_stable has checked those against
+        # its cap.
+        if vals[root] >= cut and first_witness(
+                checks, moving, vals, cut,
+                itertools.product(*[points[:digits[k] + 1] for k in moving])) is None:
+            out.append(digits)
     return out
 
 
@@ -448,7 +313,8 @@ def enumerate_stable(
     """All stable models over the lattice, in lexicographic scan order:
     the points whose check_stable verdict is "stable", found on the
     compiled program."""
-    _check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     y = check_truth(threshold)
     sig = signature_of(f)
     if minimized is None:
@@ -469,13 +335,17 @@ def enumerate_stable(
     if jobs <= 1 or total < 1024:
         found = _stable_points(prog, moving, prog.level(y), 0, total)
     else:
-        workers = _pool_size(jobs)
+        # Imported here: most runs start no pool, and the module costs
+        # every process about 20 ms of start-up and 2 MiB of memory.
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = min(jobs, os.cpu_count() or 1)  # never more than the cores
         size = -(-total // (workers * 4))
         chunks = [
             (f, sig, moving, y, lattice, lo, min(lo + size, total))
             for lo in range(0, total, size)
         ]
-        with _process_pool(workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             found = [d for part in pool.map(_enumerate_chunk, chunks) for d in part]
     points = list(lattice.points())
     return [Interpretation(zip(sig, (points[k] for k in digits))) for digits in found]
@@ -551,12 +421,12 @@ def check_stable_via_star(
         return StabilityVerdict(
             "not_a_model", ONE, lattice.denominator, strategy,
             note="the interpretation is not a model")
-    scan = _scan_order(f, i, minimized)
+    sig, scan = _scan_order(f, i, minimized)
     if not scan:
         return StabilityVerdict(
             "stable", ONE, lattice.denominator, strategy,
             note=_strategy_note(strategy, lattice, False))
-    fresh = shadow_names(signature_of(f, extra=tuple(i)), scan)
+    fresh = shadow_names(sig, scan)
     star = star_transform(f, scan, fresh)
     pools = _exhaustive_pools(i, scan, lattice)
     total = 1
@@ -709,14 +579,16 @@ def fasp_answer_sets(rules: Sequence[Rule], lattice: Lattice) -> list[Interpreta
 def strategy_to_json(strategy: Strategy) -> dict:
     if isinstance(strategy, Sampled):
         return {"kind": "sampled", "samples": strategy.samples, "seed": strategy.seed}
-    return {"kind": "exhaustive", "jobs": strategy.jobs}
+    # "jobs" is what the exhaustive record carried when the search had a
+    # process pool; it stays at 1 so that verdict JSON keeps its form.
+    return {"kind": "exhaustive", "jobs": 1}
 
 
 def strategy_from_json(data: dict) -> Strategy:
     if data["kind"] == "sampled":
         return Sampled(int(data["samples"]), int(data["seed"]))
     if data["kind"] == "exhaustive":
-        return Exhaustive(int(data.get("jobs", 1)))
+        return Exhaustive()
     raise ValueError(f"unknown strategy kind {data.get('kind')!r}")
 
 

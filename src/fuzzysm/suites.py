@@ -30,7 +30,7 @@ from .algebra import (
     op_check_axioms,
     residual_condition,
 )
-from .compiled import compile_formula
+from .compiled import compile_formula, first_witness
 from .equilibrium import (
     Interval,
     Valuation,
@@ -276,33 +276,42 @@ def _suite_reduct_wrapper_counterexample(trials: int, seed: int, lattice: Lattic
 
 def _suite_compiled_evaluation_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
     rng = _master("compiled-evaluation-agreement", seed)
-    # Constants from the finer lattice are partly off this one, which
-    # sends those formulas to the Fraction domain.
+    # Constants and values of I from the finer lattice are partly off this
+    # one, which sends those formulas and interpretations to the Fraction
+    # domain.
     finer = Lattice(3 * lattice.denominator)
-    d = lattice.denominator
     for _ in range(trials):
         f = gen_formula(rng.randrange(2 ** 63), SIG2, max_depth=3,
                         operator_pool=ALL_OPERATORS,
                         lattice=rng.choice((lattice, finer)))
-        i = gen_interpretation(rng.randrange(2 ** 63), SIG2, lattice)
+        i = gen_interpretation(rng.randrange(2 ** 63), SIG2,
+                               rng.choice((lattice, finer)))
         minimized = tuple(a for a in SIG2 if rng.random() < 0.6)
         j = gen_lower_interpretation(rng.randrange(2 ** 63), i, minimized, lattice)
-        prog = compile_formula(f, SIG2, lattice)
-        at_i = prog.evaluate([int(i[a] * d) for a in SIG2])
+        prog = compile_formula(f, SIG2, lattice, i.values())
+        at_i = prog.evaluate([prog.domain(i[a]) for a in SIG2])
         value = prog.value(at_i[prog.root])
         if value != evaluate(f, i):
             return _cx(formula=print_formula(f), i=format_interpretation(i),
                        compiled=value, reference=evaluate(f, i),
                        integer=prog.integer)
-        code = prog.reduct_code(k for k, a in enumerate(SIG2) if a in minimized)
-        at_j = prog.evaluate_reduct(code, at_i, [int(j[a] * d) for a in SIG2])
-        value = prog.value(at_j[prog.root])
-        reference = evaluate(fuzzy_reduct(f, i), j)
-        if value != reference:
+        # The witness kernel's reduct test on J, at a threshold that I
+        # reaches (the kernel's precondition): half the time I's own value,
+        # which is the top whenever I is a model.
+        y = value if rng.random() < 0.5 else rng.choice(lattice.points_up_to(value))
+        moving = tuple(k for k, a in enumerate(SIG2) if a in minimized)
+        candidate = tuple(prog.domain(j[a]) for a in minimized)
+        if candidate == tuple(at_i[k] for k in moving):
+            continue  # the kernel never tests J = I
+        cut = prog.level(y)
+        passed = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
+                               [candidate]) is not None
+        reference = evaluate(fuzzy_reduct(f, i), j) >= y
+        if passed != reference:
             return _cx(formula=print_formula(f), i=format_interpretation(i),
                        j=format_interpretation(j), minimized=minimized,
-                       compiled_reduct=value, reference=reference,
-                       integer=prog.integer)
+                       threshold=format_truth(y), kernel=passed,
+                       reference=reference, integer=prog.integer)
     return None
 
 

@@ -225,11 +225,9 @@ class TestEnumerate:
         assert data["models"] == [{"q": "0", "p": "1"}]
 
     def test_jobs_below_one_is_an_input_error(self, capsys):
-        for argv in (("enumerate", "--expr", "p"),
-                     ("check", "--expr", "p", "--interp", "p=1")):
-            code, _, err = run(capsys, *argv, "--jobs", "0")
-            assert code == 2
-            assert "jobs must be at least 1" in err
+        code, _, err = run(capsys, "enumerate", "--expr", "p", "--jobs", "0")
+        assert code == 2
+        assert "jobs must be at least 1" in err
 
 
 class TestTranslate:

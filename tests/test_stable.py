@@ -28,6 +28,7 @@ from fuzzysm import (
     parse_fasp_program,
     parse_formula,
     parse_interpretation,
+    parse_truth,
     print_formula,
     program_to_formula,
     shadow_names,
@@ -144,13 +145,51 @@ class TestCheckStable:
         assert v.status == "stable"
         assert "not exhaustive" in v.note
 
-    def test_parallel_matches_sequential(self):
-        f = parse_formula("(not_s q ->r p) &m (not_s p ->r q) &m (p |l not_s p)")
-        i = parse_interpretation("p=0.5, q=0.5")
-        seq = check_stable(f, i, lattice=D10, strategy=Exhaustive(jobs=1))
-        par = check_stable(f, i, lattice=D10, strategy=Exhaustive(jobs=2))
-        assert seq.status == par.status
-        assert seq.witness == par.witness
+    def test_sampled_needs_a_sample(self):
+        # With no draw the hunt finds nothing and would call an unstable
+        # pair stable.
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="samples"):
+                Sampled(samples=n)
+        with pytest.raises(ValueError, match="samples"):
+            strategy_from_json({"kind": "sampled", "samples": 0, "seed": 0})
+        f = parse_formula("p ->r p")
+        i = parse_interpretation("p=1")
+        assert check_stable(f, i, lattice=D10,
+                            strategy=Sampled(samples=1)).status == "unstable"
+
+    # Sampled verdicts recorded before the hunt moved to the compiled
+    # program: each seed must keep drawing the same candidates in the same
+    # order.  They cover the integer domain, product connectives, I off
+    # the lattice (the Fraction domain) and thresholds below 1.
+    @pytest.mark.parametrize("text, interp, threshold, denominator, runs", [
+        ("(not_s q ->r p) &m (not_s p ->r q) &m (r ->r r)", "p=1, q=1, r=0.7", "1", 10,
+         [(3, 0, "p=3/5, q=3/5, r=0"), (8, 1, "p=9/10, q=1/5, r=1/10"),
+          (50, 7, "p=1/5, q=1/2, r=3/5"), (400, 11, "p=4/5, q=7/10, r=7/10")]),
+        ("(p &p q ->r r) &m (0.5 ->r p) &m (0.5 ->r q) &m (0.25 ->r r)",
+         "p=0.5, q=0.5, r=0.5", "1", 10,
+         [(50, 7, None), (400, 11, "p=1/2, q=1/2, r=2/5")]),
+        ("p ->r p", "p=1/3", "1", 10,
+         [(3, 0, "p=3/10"), (8, 1, "p=1/10"), (50, 7, "p=1/5"), (400, 11, "p=3/10")]),
+        ("(1/3 ->r p) &m (not_s p ->r q)", "p=1/3, q=2/3", "1", 10, [(400, 11, None)]),
+        ("(p &p p ->r q) &m (0.25 ->r p) &m (not_s q ->r r)", "p=1/3, q=0.2, r=0.9",
+         "0.5", 10,
+         [(3, 0, "p=3/10, q=1/10, r=7/10"), (8, 1, "p=3/10, q=1/10, r=3/5"),
+          (400, 11, "p=3/10, q=1/5, r=7/10")]),
+        ("not_s p ->r q", "p=0, q=0.6", "0.6", 10, [(400, 11, None)]),
+        ("(not_s q ->l p) &l (not_s p ->s q)", "p=0.5, q=0.75", "2/3", 4,
+         [(3, 0, "p=1/4, q=3/4"), (400, 11, "p=1/4, q=3/4")]),
+    ])
+    def test_sampled_pins(self, text, interp, threshold, denominator, runs):
+        f = parse_formula(text)
+        i = parse_interpretation(interp)
+        for samples, seed, witness in runs:
+            v = check_stable(f, i, threshold=parse_truth(threshold),
+                             lattice=Lattice(denominator),
+                             strategy=Sampled(samples, seed))
+            assert v.status == ("stable" if witness is None else "unstable")
+            assert v.witness == (None if witness is None
+                                 else parse_interpretation(witness))
 
 
 class TestEnumerate:
@@ -203,10 +242,24 @@ class TestEnumerate:
         sig = signature_of(f)
         points = itertools.product(list(lattice.points()), repeat=len(sig))
         candidates = [Interpretation(zip(sig, combo)) for combo in points]
-        expected = [
-            i for i in candidates
-            if check_stable(f, i, minimized, threshold, lattice).status == "stable"]
+        verdicts = [check_stable(f, i, minimized, threshold, lattice)
+                    for i in candidates]
+        expected = [i for i, v in zip(candidates, verdicts) if v.status == "stable"]
         assert enumerate_stable(f, minimized, threshold, lattice) == expected
+        # check_stable shares its witness kernel with enumerate_stable, so
+        # the shadow rewrite, which shares neither, checks both.
+        guarded = y_to_one(f, threshold)
+        for i, v in zip(candidates, verdicts):
+            star = check_stable_via_star(guarded, i, minimized, lattice)
+            assert (v.status, v.witness) == (star.status, star.witness)
+
+    def test_cap_bounds_the_witness_search(self, monkeypatch):
+        # The per-point witness search once used the module's default cap
+        # instead of the cap passed in.
+        f = parse_formula("(not_s q ->r p) &m (not_s p ->r q) &m (r ->r r)")
+        expected = enumerate_stable(f, lattice=D2, cap=1000)
+        monkeypatch.setattr(fuzzysm.stable, "DEFAULT_CANDIDATE_CAP", 5)
+        assert enumerate_stable(f, lattice=D2, cap=1000) == expected
 
     def test_errors_unchanged(self, monkeypatch):
         with pytest.raises(StrongNegationError):
@@ -252,8 +305,6 @@ class _RecordingPool:
 class TestJobs:
     def test_rejects_fewer_than_one(self):
         with pytest.raises(ValueError, match="jobs"):
-            Exhaustive(jobs=0)
-        with pytest.raises(ValueError, match="jobs"):
             enumerate_stable(parse_formula("p"), lattice=D2, jobs=0)
 
     def test_pool_size_clamped_to_cores(self, monkeypatch):
@@ -263,12 +314,7 @@ class TestJobs:
         f = parse_formula("(not_s q ->r p) &m (not_s p ->r q) &m (r |m s)")
         assert enumerate_stable(f, lattice=Lattice(5), jobs=64) == \
             enumerate_stable(f, lattice=Lattice(5))
-        # 11^4 candidates below the all-ones point: past the pool threshold.
-        g = parse_formula("p &m q &m r &m s")
-        i = parse_interpretation("p=1, q=1, r=1, s=1")
-        assert check_stable(g, i, lattice=D10,
-                            strategy=Exhaustive(jobs=64)).status == "stable"
-        assert _RecordingPool.sizes == [2, 2]
+        assert _RecordingPool.sizes == [2]
 
 
 class TestStarTransform:
@@ -369,8 +415,11 @@ class TestProgramOracle:
 
 class TestJsonRoundTrips:
     def test_strategy(self):
-        for s in (Exhaustive(), Exhaustive(jobs=4), Sampled(samples=10, seed=2)):
+        for s in (Exhaustive(), Sampled(samples=10, seed=2)):
             assert strategy_from_json(strategy_to_json(s)) == s
+        # Verdict JSON written while the exhaustive search had a process
+        # pool still loads.
+        assert strategy_from_json({"kind": "exhaustive", "jobs": 2}) == Exhaustive()
 
     def test_verdicts(self):
         f = parse_formula("p ->r p")
