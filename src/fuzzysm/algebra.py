@@ -8,14 +8,19 @@ depend on exact equality against 1.
 The registry covers three t-norm/t-conorm pairs (Lukasiewicz, minimum,
 product), the standard negator, and three implications (residual a.k.a.
 Goedel, S-implication a.k.a. Kleene-Dienes, Lukasiewicz).
+
+candidates() is the capped product scan that every exhaustive search
+outside the compiled kernel iterates; it knows nothing of what a
+candidate means, so the routes that share it share no semantics.
 """
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 Truth = Fraction
 
@@ -232,6 +237,27 @@ class Lattice:
 
 
 BOOLEAN = Lattice(1)
+
+
+def candidates(
+    pools: Sequence[Sequence], cap: int, skip: tuple | None = None
+) -> Iterator[tuple]:
+    """Every combination of one value per pool, in itertools.product order
+    (earlier pools varying more slowly), leaving out `skip`.
+
+    Raises ResourceLimitError here, before anything is scanned, when the
+    pools have more than `cap` combinations.  The caller decides what a
+    combination means and which one it accepts.
+    """
+    total = math.prod(len(p) for p in pools)
+    if total > cap:
+        raise ResourceLimitError(
+            f"{total} candidates exceed the cap of {cap}; "
+            "raise the cap to scan them all")
+    combos = itertools.product(*pools)
+    if skip is None:
+        return combos
+    return (c for c in combos if c != skip)
 
 
 def op_check_axioms(token: str, lattice: Lattice) -> list[str]:

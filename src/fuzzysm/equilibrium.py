@@ -12,14 +12,21 @@ stable.py: the two are developed from different definitions and used to
 cross-validate each other in the test suite.  Only the shared formula AST
 and operator registry are common ground.
 
-The interval clauses are implemented exactly as stated; constructing an
-empty interval (lower above upper) is a hard error, not something to be
+The interval clauses are implemented exactly as stated; an empty interval
+(lower above upper) from any clause is a hard error, not something to be
 repaired.  For valuations that respect the containment invariant the
 clauses never produce one.
+
+Inside evaluation and the h-minimality scan an interval is a plain
+(lower, upper) pair of Fractions, and a valuation a dict from each atom to
+its (h, t) pairs.  Interval and Valuation objects, with their validation,
+are built only at the public boundary: the valuations passed in, the
+counters and models returned, and the intervals that n5_evaluate returns.
+Candidates come from algebra.candidates, the capped product scan that
+knows nothing of what a candidate means.
 """
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +36,7 @@ from .algebra import (
     ONE,
     Lattice,
     OpFamily,
-    ResourceLimitError,
+    candidates,
     check_truth,
     format_truth,
     get_operator,
@@ -123,55 +130,72 @@ class Valuation(Mapping[tuple[str, str], Interval]):
         return f"Valuation({format_valuation(self)!r})"
 
 
-def _pair(v: Valuation, f: Formula) -> tuple[Interval, Interval]:
-    """Intervals of f at (h, t)."""
+def _env(v: Valuation) -> dict:
+    """v as the scans read it: atom -> ((h-lower, h-upper), (t-lower, t-upper))."""
+    env = {}
+    for a in v.atoms():
+        h, t = v.at("h", a), v.at("t", a)
+        env[a] = ((h.lower, h.upper), (t.lower, t.upper))
+    return env
+
+
+def _at(env: dict, name: str) -> tuple:
+    try:
+        return env[name]
+    except KeyError:
+        # A valuation holds both worlds of every atom it has, so the
+        # h-world is the one found missing first.
+        raise KeyError(f"no interval for atom {name!r} in world 'h'") from None
+
+
+def _span(lower: Fraction, upper: Fraction) -> tuple[Fraction, Fraction]:
+    if lower > upper:
+        raise ValueError(f"empty interval: lower {lower} above upper {upper}")
+    return lower, upper
+
+
+def _pair(env: dict, f: Formula) -> tuple[tuple, tuple]:
+    """The (lower, upper) pairs of f at (h, t)."""
     if isinstance(f, Atom):
-        return v.at("h", f.name), v.at("t", f.name)
+        return _at(env, f.name)
     if isinstance(f, Const):
-        point = Interval(f.value, f.value)
+        point = (f.value, f.value)
         return point, point
     if isinstance(f, StrongNeg):
-        out = []
-        for world in WORLDS:
-            iv = v.at(world, f.name)
-            out.append(Interval(1 - iv.upper, 1 - iv.lower))
-        return out[0], out[1]
+        (hl, hu), (tl, tu) = _at(env, f.name)
+        return _span(1 - hu, 1 - hl), _span(1 - tu, 1 - tl)
     if isinstance(f, Neg):
         if f.op != "not_s":
             raise ValueError(
                 "the two-world interval semantics is defined for the "
                 "standard negator only")
-        bh, bt = _pair(v, f.body)
-        h = Interval(1 - bt.lower, 1 - bh.lower)
-        t = Interval(1 - bt.lower, 1 - bt.lower)
-        return h, t
+        (bhl, _), (btl, _) = _pair(env, f.body)
+        point = (1 - btl, 1 - btl)
+        return _span(1 - btl, 1 - bhl), point
     assert isinstance(f, Bin)
     op = get_operator(f.op)
-    lh, lt = _pair(v, f.left)
-    rh, rt = _pair(v, f.right)
+    (lhl, lhu), (ltl, ltu) = _pair(env, f.left)
+    (rhl, rhu), (rtl, rtu) = _pair(env, f.right)
     fn = op.fn
     if op.family in (OpFamily.CONJUNCTION, OpFamily.DISJUNCTION):
-        h = Interval(fn(lh.lower, rh.lower), fn(lh.upper, rh.upper))
-        t = Interval(fn(lt.lower, rt.lower), fn(lt.upper, rt.upper))
-        return h, t
+        return (_span(fn(lhl, rhl), fn(lhu, rhu)),
+                _span(fn(ltl, rtl), fn(ltu, rtu)))
     # implication
-    h = Interval(
-        min(fn(lh.lower, rh.lower), fn(lt.lower, rt.lower)),
-        fn(lh.lower, rh.upper))
-    t = Interval(fn(lt.lower, rt.lower), fn(lt.lower, rt.upper))
-    return h, t
+    t_lower = fn(ltl, rtl)
+    return (_span(min(fn(lhl, rhl), t_lower), fn(lhl, rhu)),
+            _span(t_lower, fn(ltl, rtu)))
 
 
 def n5_evaluate(v: Valuation, world: str, f: Formula) -> Interval:
     if world not in WORLDS:
         raise ValueError(f"unknown world {world!r}; use 'h' or 't'")
-    h, t = _pair(v, f)
-    return h if world == "h" else t
+    h, t = _pair(_env(v), f)
+    return Interval(*(h if world == "h" else t))
 
 
 def is_n5_model(v: Valuation, f: Formula) -> bool:
     """The h-lower bound of f reaches 1."""
-    return _pair(v, f)[0].lower == ONE
+    return _pair(_env(v), f)[0][0] == ONE
 
 
 def preceq(candidate: Valuation, v: Valuation) -> bool:
@@ -208,16 +232,22 @@ def _check_on_lattice(v: Valuation, lattice: Lattice) -> None:
                     "lattice")
 
 
-def _h_candidates(v: Valuation, lattice: Lattice) -> list[list[Interval]]:
-    """Per atom: the lattice intervals that contain the current h-interval,
-    ordered lower ascending then upper ascending."""
-    pools = []
-    for a in v.atoms():
-        h = v.at("h", a)
-        lows = [x for x in lattice.points() if x <= h.lower]
-        highs = [x for x in lattice.points() if x >= h.upper]
-        pools.append([Interval(lo, hi) for lo in lows for hi in highs])
-    return pools
+def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int) -> tuple | None:
+    """The h-pairs, in env's atom order, of the first strictly h-wider
+    lattice valuation that is still a model; None when there is none.
+
+    Per atom the candidates are the lattice intervals that contain the
+    current h-interval, lower ascending then upper ascending."""
+    points = list(lattice.points())
+    pools = [[(lo, hi) for lo in points if lo <= h[0] for hi in points if hi >= h[1]]
+             for h, _ in env.values()]
+    scan = dict(env)
+    for combo in candidates(pools, cap, skip=tuple(h for h, _ in env.values())):
+        for (a, (_, t)), h in zip(env.items(), combo):
+            scan[a] = (h, t)
+        if _pair(scan, f)[0][0] == ONE:
+            return combo
+    return None
 
 
 def find_h_violation(
@@ -225,24 +255,13 @@ def find_h_violation(
 ) -> Valuation | None:
     """First strictly h-wider lattice valuation that is still a model."""
     _check_on_lattice(v, lattice)
-    pools = _h_candidates(v, lattice)
-    total = 1
-    for p in pools:
-        total *= len(p)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} candidate valuations exceed the cap of {cap}")
-    base = tuple(v.at("h", a) for a in v.atoms())
-    for combo in itertools.product(*pools):
-        if combo == base:
-            continue
-        data = dict(v)
-        for a, iv in zip(v.atoms(), combo):
-            data[("h", a)] = iv
-        candidate = Valuation(data)
-        if is_n5_model(candidate, f):
-            return candidate
-    return None
+    hit = _h_violation(_env(v), f, lattice, cap)
+    if hit is None:
+        return None
+    data = dict(v)
+    for a, h in zip(v.atoms(), hit):
+        data[("h", a)] = Interval(*h)
+    return Valuation(data)
 
 
 def is_equilibrium(
@@ -279,22 +298,17 @@ def enumerate_equilibrium(
     """
     sig = tuple(signature) if signature is not None else signature_of(f)
     points = list(lattice.points())
-    intervals = [Interval(lo, hi) for lo in points for hi in points if lo <= hi]
-    total = len(intervals) ** len(sig)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} candidate valuations exceed the cap of {cap}")
+    intervals = [(lo, hi) for lo in points for hi in points if lo <= hi]
     out = []
-    for combo in itertools.product(intervals, repeat=len(sig)):
-        data = {}
-        for a, iv in zip(sig, combo):
-            data[("h", a)] = iv
-            data[("t", a)] = iv
-        v = Valuation(data)
-        if not is_n5_model(v, f):
+    for combo in candidates([intervals] * len(sig), cap):
+        env = {a: (iv, iv) for a, iv in zip(sig, combo)}
+        if _pair(env, f)[0][0] != ONE:
             continue
-        if find_h_violation(v, f, lattice, cap) is None:
-            out.append(v)
+        if _h_violation(env, f, lattice, cap) is None:
+            data = {}
+            for a, (iv, _) in env.items():
+                data[("h", a)] = data[("t", a)] = Interval(*iv)
+            out.append(Valuation(data))
     return out
 
 

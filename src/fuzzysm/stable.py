@@ -22,11 +22,17 @@ points scans the product below it.  check_stable's model test stays
 semantics.satisfies.  semantics.evaluate and fuzzy_reduct remain the
 reference definitions, and the shadow-atom route, the Boolean oracle and
 the program oracle below share no code with the kernel.
+
+Every exhaustive candidate source here but enumeration's (whose grid is
+capped once, in enumerate_stable) is algebra.candidates: the capped
+product of per-atom pools, minus I's own point where the route asks.
+It knows nothing of what a candidate means; each route keeps its own
+acceptance test.  The Boolean and program oracles are capped at
+DEFAULT_CANDIDATE_CAP.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -38,6 +44,7 @@ from .algebra import (
     Lattice,
     OpFamily,
     ResourceLimitError,
+    candidates,
     check_truth,
     format_truth,
     get_operator,
@@ -64,7 +71,6 @@ from .syntax import (
     Neg,
     Rule,
     StrongNeg,
-    atoms,
     conjoin,
     signature_of,
     walk,
@@ -108,39 +114,6 @@ class BoolStabilityVerdict:
     witness: BoolInterpretation | None = None
 
 
-def _ordering_atoms(
-    j: Mapping[str, Fraction], i: Mapping[str, Fraction], minimized: Sequence[str]
-) -> tuple[set[str], set[str]]:
-    ja, ia = set(j), set(i)
-    if ja != ia:
-        raise SignatureError("interpretations cover different signatures")
-    mset = set(minimized)
-    missing = mset - ia
-    if missing:
-        raise SignatureError(f"minimized atoms outside the signature: {sorted(missing)}")
-    return ia, mset
-
-
-def leq_p(
-    j: Mapping[str, Fraction], i: Mapping[str, Fraction], minimized: Sequence[str]
-) -> bool:
-    """j agrees with i off the minimized atoms and is <= i on them."""
-    sig, mset = _ordering_atoms(j, i, minimized)
-    for a in sig:
-        if a in mset:
-            if j[a] > i[a]:
-                return False
-        elif j[a] != i[a]:
-            return False
-    return True
-
-
-def lt_p(
-    j: Mapping[str, Fraction], i: Mapping[str, Fraction], minimized: Sequence[str]
-) -> bool:
-    return leq_p(j, i, minimized) and dict(j) != dict(i)
-
-
 def _scan_order(
     f: Formula, i: Mapping[str, Fraction], minimized: Sequence[str]
 ) -> tuple[tuple[str, ...], list[str]]:
@@ -151,7 +124,8 @@ def _scan_order(
     missing = mset - set(sig)
     if missing:
         raise SignatureError(f"minimized atoms outside the signature: {sorted(missing)}")
-    for a in atoms(f):
+    # Atoms of sig not in i can only come from the formula.
+    for a in sig:
         if a not in i:
             raise SignatureError(f"atom {a!r} is not interpreted")
     return sig, [a for a in sig if a in mset]
@@ -213,21 +187,15 @@ def find_witness(
         pools = [[domain(v) for v in lattice.points_up_to(i[a])]
                  + ([] if i[a] in lattice else [i[a]]) for a in scan]
         choice = random.Random(strategy.seed).choice
-        candidates = (tuple([choice(p) for p in pools])
-                      for _ in range(strategy.samples))
+        source = (tuple([choice(p) for p in pools])
+                  for _ in range(strategy.samples))
     else:
-        pools = [[domain(v) for v in pool]
-                 for pool in _exhaustive_pools(i, scan, lattice)]
-        total = math.prod(len(p) for p in pools)
-        if total > cap:
-            raise ResourceLimitError(
-                f"{total} candidate interpretations exceed the cap of {cap}; "
-                "raise the cap or use a sampled strategy")
-        candidates = itertools.product(*pools)
+        source = candidates([[domain(v) for v in pool]
+                             for pool in _exhaustive_pools(i, scan, lattice)], cap)
     mset = set(scan)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
     hit = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
-                        candidates)
+                        source)
     if hit is None:
         return None
     return i.updated(dict(zip(scan, map(prog.value, hit))))
@@ -429,18 +397,9 @@ def check_stable_via_star(
     fresh = shadow_names(sig, scan)
     star = star_transform(f, scan, fresh)
     pools = _exhaustive_pools(i, scan, lattice)
-    total = 1
-    for p in pools:
-        total *= len(p)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} candidate interpretations exceed the cap of {cap}")
     conjuncts = _conjunct_list(star)
-    base = tuple(i[a] for a in scan)
     merged = dict(i)
-    for combo in itertools.product(*pools):
-        if combo == base:
-            continue
+    for combo in candidates(pools, cap, skip=tuple(i[a] for a in scan)):
         for a, v in zip(scan, combo):
             merged[fresh[a]] = v
         if all(value_is_one(c, merged) for c in conjuncts):
@@ -485,7 +444,8 @@ def boolean_stable_check(
     missing = set(minimized) - set(sig)
     if missing:
         raise SignatureError(f"minimized atoms outside the signature: {sorted(missing)}")
-    for a in atoms(f):
+    # Atoms of sig outside x's signature can only come from the formula.
+    for a in sig:
         if a not in x.signature:
             raise SignatureError(f"atom {a!r} is not interpreted")
     if not bool_satisfies(f, x):
@@ -494,9 +454,7 @@ def boolean_stable_check(
     scan = [a for a in sig if a in set(minimized)]
     pools = [[False, True] if a in x.true_atoms else [False] for a in scan]
     base = tuple(a in x.true_atoms for a in scan)
-    for combo in itertools.product(*pools):
-        if combo == base:
-            continue
+    for combo in candidates(pools, DEFAULT_CANDIDATE_CAP, skip=base):
         true = (x.true_atoms - set(scan)) | {a for a, v in zip(scan, combo) if v}
         candidate = BoolInterpretation(x.signature, frozenset(true))
         if bool_satisfies(reduct, candidate):
@@ -552,11 +510,9 @@ def fasp_answer_set_check(
         return False
     reduct = program_reduct(rules, i)
     pools = [lattice.points_up_to(i[a]) for a in sig]
-    base = tuple(i[a] for a in sig)
     j = dict(i)
-    for combo in itertools.product(*pools):
-        if combo == base:
-            continue
+    for combo in candidates(pools, DEFAULT_CANDIDATE_CAP,
+                            skip=tuple(i[a] for a in sig)):
         j.update(zip(sig, combo))
         if all(value_is_one(r, j) for r in reduct):
             return False
@@ -566,7 +522,8 @@ def fasp_answer_set_check(
 def fasp_answer_sets(rules: Sequence[Rule], lattice: Lattice) -> list[Interpretation]:
     sig = program_signature(rules)
     out = []
-    for combo in itertools.product(list(lattice.points()), repeat=len(sig)):
+    points = list(lattice.points())
+    for combo in candidates([points] * len(sig), DEFAULT_CANDIDATE_CAP):
         i = Interpretation(zip(sig, combo))
         if fasp_answer_set_check(rules, i, lattice):
             out.append(i)

@@ -84,17 +84,9 @@ def walk(f: Formula) -> Iterator[Formula]:
 def atoms(f: Formula) -> tuple[str, ...]:
     """Atom names in first-occurrence order (strongly negated ones included)."""
     seen: dict[str, None] = {}
-
-    def visit(node: Formula) -> None:
+    for node in walk(f):
         if isinstance(node, (Atom, StrongNeg)):
             seen.setdefault(node.name, None)
-        elif isinstance(node, Neg):
-            visit(node.body)
-        elif isinstance(node, Bin):
-            visit(node.left)
-            visit(node.right)
-
-    visit(f)
     return tuple(seen)
 
 

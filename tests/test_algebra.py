@@ -20,6 +20,7 @@ from fuzzysm import (
     parse_truth,
     residual_condition,
 )
+from fuzzysm.algebra import ResourceLimitError, candidates
 
 F = Fraction
 
@@ -165,3 +166,22 @@ class TestLattice:
         lat = Lattice(6)
         for token, op in OPERATORS.items():
             assert lattice_closed(token, lat) == op.lattice_closed
+
+
+class TestCandidates:
+    def test_product_order(self):
+        assert list(candidates([[0, 1], "abc"], 6)) == [
+            (0, "a"), (0, "b"), (0, "c"), (1, "a"), (1, "b"), (1, "c")]
+
+    def test_skip(self):
+        assert list(candidates([[0, 1], [0, 1]], 4, skip=(1, 0))) == [
+            (0, 0), (0, 1), (1, 1)]
+
+    def test_empty_pool_list(self):
+        assert list(candidates([], 1)) == [()]
+        assert list(candidates([], 1, skip=())) == []
+
+    def test_cap_raised_at_call(self):
+        # The error comes from the call itself, before any iteration.
+        with pytest.raises(ResourceLimitError, match="6 candidates exceed the cap of 5"):
+            candidates([[0, 1], [0, 1, 2]], 5)

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fuzzysm import equilibrium
 from fuzzysm import (
     EquilibriumVerdict,
     Interval,
@@ -150,6 +151,22 @@ class TestEvaluationClauses:
         f = parse_formula("0.4 ->r p")
         assert is_n5_model(shared(p=(4, 10)), f)
         assert not is_n5_model(shared(p=(3, 10)), f)
+
+    def test_atom_outside_the_valuation(self):
+        with pytest.raises(KeyError, match="no interval for atom 'q' in world 'h'"):
+            is_n5_model(shared(p=(4, 10)), parse_formula("p &m not_s q"))
+
+    @pytest.mark.parametrize("text, h, t", [
+        ("not_s p", (F(1, 2), F(1)), (F(0), F(1))),  # t reaches below h
+        ("~p", (F(1), F(0)), (F(1), F(1))),  # h itself empty
+        ("p &m 1", (F(1), F(0)), (F(1), F(1))),
+        ("1 ->r p", (F(1), F(0)), (F(1), F(1))),
+    ])
+    def test_empty_interval_is_a_hard_error(self, text, h, t):
+        # No Valuation breaks containment, so the scans' own form of one
+        # (atom -> (h-pair, t-pair)) is built by hand.
+        with pytest.raises(ValueError, match="empty interval"):
+            equilibrium._pair({"p": (h, t)}, parse_formula(text))
 
 
 class TestOrder:
@@ -319,3 +336,113 @@ class TestTextAndJson:
         data = equilibrium_verdict_to_json(verdict)
         assert data == {"status": "equilibrium", "denominator": 10,
                         "counter": None, "note": ""}
+
+
+# Recorded from the Interval-object scan that the plain-pair scan replaced:
+# (formula, D, models) and (formula, D, valuation, first counter or None).
+PINNED_MODELS = [
+    ("(not_s p ->r q) &m (not_s q ->r p)", 2, [
+        "h:p=[0,1]; h:q=[1,1]; t:p=[0,1]; t:q=[1,1]",
+        "h:p=[0.5,1]; h:q=[0.5,1]; t:p=[0.5,1]; t:q=[0.5,1]",
+        "h:p=[1,1]; h:q=[0,1]; t:p=[1,1]; t:q=[0,1]",
+    ]),
+    ("(not_s p ->r q) &m (not_s q ->r p)", 4, [
+        "h:p=[0,1]; h:q=[1,1]; t:p=[0,1]; t:q=[1,1]",
+        "h:p=[0.25,1]; h:q=[0.75,1]; t:p=[0.25,1]; t:q=[0.75,1]",
+        "h:p=[0.5,1]; h:q=[0.5,1]; t:p=[0.5,1]; t:q=[0.5,1]",
+        "h:p=[0.75,1]; h:q=[0.25,1]; t:p=[0.75,1]; t:q=[0.25,1]",
+        "h:p=[1,1]; h:q=[0,1]; t:p=[1,1]; t:q=[0,1]",
+    ]),
+    ("(p &p q) |p not_s p ->r q", 2, [
+        "h:p=[0,1]; h:q=[1,1]; t:p=[0,1]; t:q=[1,1]",
+    ]),
+    ("(p &p q) |p not_s p ->r q", 4, [
+        "h:p=[0,1]; h:q=[1,1]; t:p=[0,1]; t:q=[1,1]",
+    ]),
+    ("(0.5 ->r p) &m (0.5 ->r ~p)", 2, [
+        "h:p=[0.5,0.5]; t:p=[0.5,0.5]",
+    ]),
+    ("(0.5 ->r p) &m (0.5 ->r ~p)", 4, [
+        "h:p=[0.5,0.5]; t:p=[0.5,0.5]",
+    ]),
+    ("(not_s ~q ->r p) &m (p ->s ~q)", 2, []),
+    ("(not_s ~q ->r p) &m (p ->s ~q)", 4, []),
+    ("~p |m (q ->l ~q)", 2, [
+        "h:p=[0,1]; h:q=[0,1]; t:p=[0,1]; t:q=[0,1]",
+    ]),
+    ("~p |m (q ->l ~q)", 4, [
+        "h:p=[0,1]; h:q=[0,1]; t:p=[0,1]; t:q=[0,1]",
+    ]),
+]
+PINNED_COUNTERS = [
+    ("(not_s p ->r q) &m (not_s q ->r p)", 2,
+     "h:p=[0,0]; h:q=[1,1]; t:p=[0,0]; t:q=[1,1]",
+     "h:p=[0,0.5]; h:q=[1,1]; t:p=[0,0]; t:q=[1,1]"),
+    ("(not_s p ->r q) &m (not_s q ->r p)", 2,
+     "h:p=[0.5,1]; h:q=[0,1]; t:p=[1,1]; t:q=[0.5,0.5]",
+     None),
+    ("(not_s p ->r q) &m (not_s q ->r p)", 4,
+     "h:p=[0.75,1]; h:q=[0.25,1]; t:p=[0.75,1]; t:q=[0.75,1]",
+     "h:p=[0.25,1]; h:q=[0.25,1]; t:p=[0.75,1]; t:q=[0.75,1]"),
+    ("(not_s p ->r q) &m (not_s q ->r p)", 4,
+     "h:p=[1,1]; h:q=[0,1]; t:p=[1,1]; t:q=[0,0.25]",
+     None),
+    ("(p &p q) |p not_s p ->r q", 2,
+     "h:p=[0.5,0.5]; h:q=[1,1]; t:p=[0.5,0.5]; t:q=[1,1]",
+     "h:p=[0,0.5]; h:q=[0.5,1]; t:p=[0.5,0.5]; t:q=[1,1]"),
+    ("(p &p q) |p not_s p ->r q", 2,
+     "h:p=[0,1]; h:q=[1,1]; t:p=[0,0.5]; t:q=[1,1]",
+     None),
+    ("(p &p q) |p not_s p ->r q", 4,
+     "h:p=[0.75,1]; h:q=[1,1]; t:p=[0.75,1]; t:q=[1,1]",
+     "h:p=[0,1]; h:q=[0.25,1]; t:p=[0.75,1]; t:q=[1,1]"),
+    ("(p &p q) |p not_s p ->r q", 4,
+     "h:p=[0,1]; h:q=[1,1]; t:p=[0,0.75]; t:q=[1,1]",
+     None),
+    ("(0.5 ->r p) &m (0.5 ->r ~p)", 2,
+     "h:p=[0.5,0.5]; h:q=[0.5,1]; t:p=[0.5,0.5]; t:q=[0.5,0.5]",
+     "h:p=[0.5,0.5]; h:q=[0,1]; t:p=[0.5,0.5]; t:q=[0.5,0.5]"),
+    ("(0.5 ->r p) &m (0.5 ->r ~p)", 2,
+     "h:p=[0.5,0.5]; h:q=[0,1]; t:p=[0.5,0.5]; t:q=[0.5,0.5]",
+     None),
+    ("(0.5 ->r p) &m (0.5 ->r ~p)", 4,
+     "h:p=[0.5,0.5]; h:q=[1,1]; t:p=[0.5,0.5]; t:q=[1,1]",
+     "h:p=[0.5,0.5]; h:q=[0,1]; t:p=[0.5,0.5]; t:q=[1,1]"),
+    ("(0.5 ->r p) &m (0.5 ->r ~p)", 4,
+     "h:p=[0.5,0.5]; h:q=[0,1]; t:p=[0.5,0.5]; t:q=[0.25,1]",
+     None),
+    ("(not_s ~q ->r p) &m (p ->s ~q)", 2,
+     "h:p=[0.5,0.5]; h:q=[0,0]; t:p=[0.5,0.5]; t:q=[0,0]",
+     "h:p=[0,0.5]; h:q=[0,0]; t:p=[0.5,0.5]; t:q=[0,0]"),
+    ("(not_s ~q ->r p) &m (p ->s ~q)", 2,
+     "h:p=[0,1]; h:q=[0,1]; t:p=[0.5,0.5]; t:q=[0,0]",
+     None),
+    ("(not_s ~q ->r p) &m (p ->s ~q)", 4,
+     "h:p=[0.75,0.75]; h:q=[0,0]; t:p=[0.75,0.75]; t:q=[0,0]",
+     "h:p=[0,0.75]; h:q=[0,0]; t:p=[0.75,0.75]; t:q=[0,0]"),
+    ("~p |m (q ->l ~q)", 2,
+     "h:p=[0,0]; h:q=[1,1]; t:p=[0,0]; t:q=[1,1]",
+     "h:p=[0,0]; h:q=[0,1]; t:p=[0,0]; t:q=[1,1]"),
+    ("~p |m (q ->l ~q)", 2,
+     "h:p=[0,1]; h:q=[0,1]; t:p=[0,0]; t:q=[0.5,0.5]",
+     None),
+    ("~p |m (q ->l ~q)", 4,
+     "h:p=[0.25,0.5]; h:q=[0,0.75]; t:p=[0.5,0.5]; t:q=[0.5,0.5]",
+     "h:p=[0,0.5]; h:q=[0,0.75]; t:p=[0.5,0.5]; t:q=[0.5,0.5]"),
+    ("~p |m (q ->l ~q)", 4,
+     "h:p=[0,0]; h:q=[0,1]; t:p=[0,0]; t:q=[1,1]",
+     None),
+]
+
+
+class TestPinnedScans:
+    @pytest.mark.parametrize("text, d, want", PINNED_MODELS)
+    def test_enumerated_models(self, text, d, want):
+        models = enumerate_equilibrium(parse_formula(text), Lattice(d))
+        assert [format_valuation(m) for m in models] == want
+
+    @pytest.mark.parametrize("text, d, valuation, want", PINNED_COUNTERS)
+    def test_first_counter(self, text, d, valuation, want):
+        counter = find_h_violation(parse_valuation(valuation), parse_formula(text),
+                                   Lattice(d))
+        assert (None if counter is None else format_valuation(counter)) == want

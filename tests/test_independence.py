@@ -1,9 +1,10 @@
 """The independence rule, checked on the code itself: the cross-check
 routes share no semantics with the direct checker, which runs on the
-compiled program."""
+compiled program, and the one scan helper they share knows no semantics."""
 import ast
 import types
 
+import fuzzysm.algebra as algebra
 import fuzzysm.compiled as compiled
 import fuzzysm.equilibrium as equilibrium
 import fuzzysm.stable as stable
@@ -62,3 +63,20 @@ def test_routes_use_no_compiled_kernel():
 
 def test_find_witness_runs_on_the_compiled_program():
     assert not _names(stable.find_witness.__code__) & {"fuzzy_reduct", "value_is_one"}
+
+
+def test_candidates_knows_no_semantics():
+    semantics = {"evaluate", "value_is_one", "_pair", "run", "first_witness"}
+    assert not _names(algebra.candidates.__code__) & semantics
+
+
+def test_exhaustive_routes_scan_through_candidates():
+    for route in ROUTES + (stable.find_witness, stable.fasp_answer_sets,
+                           equilibrium._h_violation,
+                           equilibrium.enumerate_equilibrium):
+        names = _names(route.__code__)
+        assert "candidates" in names and "product" not in names, route.__name__
+
+
+def test_h_violation_scans_plain_pairs():
+    assert not _names(equilibrium._h_violation.__code__) & {"Valuation", "Interval"}

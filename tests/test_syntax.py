@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,20 @@ class TestNodes:
     def test_atoms_first_occurrence_order(self):
         f = parse_formula("q &m p &m q &m ~r")
         assert atoms(f) == ("q", "p", "r")
+
+    def test_atoms_leaves_no_cyclic_garbage(self):
+        f = parse_formula("q &m not_s (p ->r ~r)")
+        gc.collect()
+        gc.disable()
+        try:
+            atoms(f)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_atoms_of_a_deep_conjunction(self):
+        names = [f"a{k}" for k in range(5000)]
+        assert atoms(conjoin("&m", [Atom(a) for a in names])) == tuple(names)
 
     def test_signature_of_merges(self):
         f = parse_formula("p &m q")
