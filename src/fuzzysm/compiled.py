@@ -1,10 +1,11 @@
 """Formulas compiled once into flat instruction programs.
 
-compile_formula walks a formula once, iteratively and in post-order, and
-lays its values out in slots: one per atom of the signature (in signature
-order), then one per constant and one per connective.  Each connective
-becomes an instruction (slot, fn, left slot, right slot, family); a
-negation reads its one argument from both argument slots.
+compile_formula folds a formula once (syntax.fold: post-order, no
+recursion) and lays its values out in slots: one per atom of the
+signature (in signature order), then one per constant and one per
+connective.  Each connective becomes an instruction (slot, fn, left slot,
+right slot, family); a negation reads its one argument from both argument
+slots.
 
 Values live in one of two domains, chosen from the formula and, when the
 caller passes them, the atoms' values:
@@ -34,13 +35,14 @@ the kernel's reduct test included, against both.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .algebra import OPERATORS, Lattice, OpFamily
 from .semantics import SignatureError, StrongNegationError
-from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg
+from .syntax import Atom, Const, Formula, StrongNeg, fold
 
 Instruction = tuple  # (slot, fn, left slot, right slot, OpFamily)
 Check = tuple  # (slot, instructions): see Program.reduct_checks
@@ -209,45 +211,30 @@ def compile_formula(
     `values` are the degrees the atoms will take, when the caller knows
     them: like a constant, one off the lattice keeps the Fraction domain."""
     slot_of = {a: k for k, a in enumerate(signature)}
-    n_slots = len(signature)
     constants: list[tuple[int, Fraction]] = []
     ops: list[tuple[int, str, int, int]] = []
-    results: list[int] = []
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, Atom):
+    free = itertools.count(len(signature))  # the next unused slot
+
+    def leaf(x: Formula) -> int:
+        if isinstance(x, Atom):
             try:
-                results.append(slot_of[node.name])
+                return slot_of[x.name]
             except KeyError:
-                raise SignatureError(f"atom {node.name!r} is not interpreted") from None
-        elif isinstance(node, Const):
-            constants.append((n_slots, node.value))
-            results.append(n_slots)
-            n_slots += 1
-        elif isinstance(node, StrongNeg):
+                raise SignatureError(f"atom {x.name!r} is not interpreted") from None
+        if isinstance(x, Const):
+            constants.append((next(free), x.value))
+            return constants[-1][0]
+        if isinstance(x, StrongNeg):
             raise StrongNegationError(
                 "strong negation has no direct evaluation; "
                 "eliminate it first with transforms.nneg")
-        elif not ready:
-            stack.append((node, True))
-            if isinstance(node, Bin):
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-            elif isinstance(node, Neg):
-                stack.append((node.body, False))
-            else:
-                raise TypeError(f"not a formula: {node!r}")
-        else:
-            if isinstance(node, Bin):
-                b = results.pop()
-                a = results.pop()
-            else:
-                a = b = results.pop()
-            ops.append((n_slots, node.op, a, b))
-            results.append(n_slots)
-            n_slots += 1
+        raise TypeError(f"not a formula: {x!r}")
 
+    def node(x: Formula, a: int, b: int | None = None) -> int:
+        ops.append((next(free), x.op, a, a if b is None else b))
+        return ops[-1][0]
+
+    root = fold(f, leaf, node)
     d = lattice.denominator
     integer = (all(OPERATORS[op].lattice_closed for _, op, _, _ in ops)
                and all(c in lattice for _, c in constants)
@@ -258,9 +245,9 @@ def compile_formula(
     else:
         fns = {op: _fraction_fn(op) for _, op, _, _ in ops}
         points = tuple(lattice.points())
-    slots = [points[0]] * n_slots
+    slots = [points[0]] * next(free)
     for k, c in constants:
         slots[k] = int(c * d) if integer else c
     code = tuple((k, fns[op], a, b, OPERATORS[op].family) for k, op, a, b in ops)
     return Program(tuple(signature), lattice, integer, points, tuple(slots),
-                   code, results.pop())
+                   code, root)

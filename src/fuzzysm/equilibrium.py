@@ -294,9 +294,10 @@ def enumerate_equilibrium(
     """All equilibrium models over the lattice.
 
     Only world-agreeing valuations can qualify, so the scan runs over one
-    interval per atom, shared by both worlds.
+    interval per atom, shared by both worlds.  An atom named twice in
+    `signature` is scanned once, at its first place.
     """
-    sig = tuple(signature) if signature is not None else signature_of(f)
+    sig = tuple(dict.fromkeys(signature)) if signature is not None else signature_of(f)
     points = list(lattice.points())
     intervals = [(lo, hi) for lo in points for hi in points if lo <= hi]
     out = []

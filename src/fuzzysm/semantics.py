@@ -10,7 +10,8 @@ subformula to its current value and, for implication nodes, caps the
 rebuilt subformula at its current value with a minimum-conjunction
 wrapper; with simplified=False the wrapper is kept on conjunctions and
 disjunctions as well, which never changes any evaluation.  The classical
-reduct is the Boolean analogue used by the crisp cross-check oracle.
+reduct is the Boolean analogue used by the crisp cross-check oracle.  Each
+is one pass of syntax.fold in which a node yields its value and reduct.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import ONE, ZERO, check_truth, format_truth, op_apply, parse_truth
-from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, walk
+from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, fold, walk
 
 
 class SignatureError(ValueError):
@@ -200,28 +201,24 @@ def fuzzy_reduct(
     wrapper; in simplified form the wrapper is dropped on conjunction and
     disjunction nodes (their monotone recursion makes it redundant), and
     everywhere the cap value 1 is dropped because 1 is the t-norm unit.
+    Every atom of f must be interpreted: SignatureError otherwise.
     """
     return _reduct(f, i, simplified, "&m")
 
 
 def _reduct(f: Formula, i: Mapping[str, Fraction], simplified: bool, wrapper: str) -> Formula:
-    if isinstance(f, (Atom, Const)):
-        return f
-    if isinstance(f, Neg):
-        return Const(evaluate(f, i))
-    if isinstance(f, Bin):
-        rebuilt = Bin(f.op, _reduct(f.left, i, simplified, wrapper),
-                      _reduct(f.right, i, simplified, wrapper))
-        if simplified and f.op[0] in "&|":
-            return rebuilt
-        cap = evaluate(f, i)
-        if cap == ONE:
-            return rebuilt
-        return Bin(wrapper, rebuilt, Const(cap))
-    if isinstance(f, StrongNeg):
-        raise StrongNegationError(
-            "strong negation has no reduct; eliminate it first with transforms.nneg")
-    raise TypeError(f"not a formula: {f!r}")
+    """One bottom-up pass: each node yields its value under i with its reduct."""
+
+    def node(x: Formula, *parts: tuple[Fraction, Formula]) -> tuple[Fraction, Formula]:
+        value = op_apply(x.op, *(v for v, _ in parts))
+        if isinstance(x, Neg):
+            return value, Const(value)
+        rebuilt = Bin(x.op, parts[0][1], parts[1][1])
+        if (simplified and x.op[0] in "&|") or value == ONE:
+            return value, rebuilt
+        return value, Bin(wrapper, rebuilt, Const(value))
+
+    return fold(f, lambda x: (evaluate(x, i), x), node)[1]
 
 
 def _crisp_map(x: BoolInterpretation) -> dict[str, Fraction]:
@@ -247,18 +244,17 @@ def classical_reduct(f: Formula, x: BoolInterpretation) -> Formula:
     crisp = _crisp_map(x)
     false, true = Const(ZERO), Const(ONE)
 
-    def build(node: Formula) -> Formula:
-        sat = evaluate(node, crisp) == ONE
-        if isinstance(node, (Atom, Const)):
-            return node if sat else false
-        if isinstance(node, Neg):
-            return false if evaluate(node.body, crisp) == ONE else true
-        assert isinstance(node, Bin)
-        if not sat:
-            return false
-        return Bin(node.op, build(node.left), build(node.right))
+    def leaf(y: Formula) -> tuple[Fraction, Formula]:
+        value = evaluate(y, crisp)
+        return value, y if value == ONE else false
 
-    return build(f)
+    def node(y: Formula, *parts: tuple[Fraction, Formula]) -> tuple[Fraction, Formula]:
+        value = op_apply(y.op, *(v for v, _ in parts))
+        if isinstance(y, Neg):
+            return value, false if parts[0][0] == ONE else true
+        return value, Bin(y.op, parts[0][1], parts[1][1]) if value == ONE else false
+
+    return fold(f, leaf, node)[1]
 
 
 def bool_satisfies(f: Formula, x: BoolInterpretation) -> bool:

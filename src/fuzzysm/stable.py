@@ -72,6 +72,7 @@ from .syntax import (
     Rule,
     StrongNeg,
     conjoin,
+    fold,
     signature_of,
     walk,
 )
@@ -129,20 +130,6 @@ def _scan_order(
         if a not in i:
             raise SignatureError(f"atom {a!r} is not interpreted")
     return sig, [a for a in sig if a in mset]
-
-
-def _conjunct_list(f: Formula) -> list[Formula]:
-    """Split nested conjunctions (any t-norm: value 1 needs every part at 1)."""
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Bin) and node.op[0] == "&":
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
 
 
 def _exhaustive_pools(
@@ -355,21 +342,20 @@ def star_transform(
     if clashes:
         raise ValueError(f"fresh atoms collide with the signature: {sorted(clashes)}")
 
-    def build(node: Formula) -> Formula:
-        if isinstance(node, Atom):
-            return Atom(renames[node.name]) if node.name in renames else node
-        if isinstance(node, (Const, Neg)):
-            return node
-        if isinstance(node, StrongNeg):
-            raise StrongNegationError(
-                "strong negation has no shadow rewrite; eliminate it first")
-        assert isinstance(node, Bin)
-        rebuilt = Bin(node.op, build(node.left), build(node.right))
-        if get_operator(node.op).family is OpFamily.IMPLICATION:
-            return Bin("&m", rebuilt, node)
+    def leaf(x: Formula) -> Formula:
+        if isinstance(x, Atom) and x.name in renames:
+            return Atom(renames[x.name])
+        return x
+
+    def node(x: Formula, *parts: Formula) -> Formula:
+        if isinstance(x, Neg):  # negations keep reading the originals
+            return x
+        rebuilt = Bin(x.op, *parts)
+        if get_operator(x.op).family is OpFamily.IMPLICATION:
+            return Bin("&m", rebuilt, x)
         return rebuilt
 
-    return build(f)
+    return fold(f, leaf, node)
 
 
 def check_stable_via_star(
@@ -397,12 +383,11 @@ def check_stable_via_star(
     fresh = shadow_names(sig, scan)
     star = star_transform(f, scan, fresh)
     pools = _exhaustive_pools(i, scan, lattice)
-    conjuncts = _conjunct_list(star)
     merged = dict(i)
     for combo in candidates(pools, cap, skip=tuple(i[a] for a in scan)):
         for a, v in zip(scan, combo):
             merged[fresh[a]] = v
-        if all(value_is_one(c, merged) for c in conjuncts):
+        if value_is_one(star, merged):
             witness = i.updated(dict(zip(scan, combo)))
             return StabilityVerdict(
                 "unstable", ONE, lattice.denominator, strategy, witness=witness,

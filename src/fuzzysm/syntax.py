@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import (
     OpFamily,
@@ -66,6 +66,7 @@ class Bin:
 
 
 Formula = Union[Atom, Const, StrongNeg, Neg, Bin]
+T = TypeVar("T")
 
 
 def walk(f: Formula) -> Iterator[Formula]:
@@ -79,6 +80,31 @@ def walk(f: Formula) -> Iterator[Formula]:
         elif isinstance(node, Bin):
             stack.append(node.right)
             stack.append(node.left)
+
+
+def fold(f: Formula, leaf: Callable[[Formula], T],
+         node: Callable[..., T]) -> T:
+    """Reduce f bottom-up with an explicit stack, no recursion: leaf(x) on
+    atoms, constants and strong negations, node(x, *results) on Neg and
+    Bin with the results of its children, left to right.  Calls come in
+    post-order, so a left subtree is done before its right sibling."""
+    results: list[T] = []
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        x, ready = stack.pop()
+        if ready:
+            if isinstance(x, Bin):
+                right = results.pop()
+                results.append(node(x, results.pop(), right))
+            else:
+                results.append(node(x, results.pop()))
+        elif isinstance(x, Bin):
+            stack += ((x, True), (x.right, False), (x.left, False))
+        elif isinstance(x, Neg):
+            stack += ((x, True), (x.body, False))
+        else:
+            results.append(leaf(x))
+    return results.pop()
 
 
 def atoms(f: Formula) -> tuple[str, ...]:
@@ -235,10 +261,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# How deep parentheses, 'not_s' and right-nested implications may nest.
+# The parser recurses through five frames per parenthesis, so this stays
+# well inside Python's default recursion limit of 1000.
+MAX_NESTING = 150
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -264,6 +297,18 @@ class _Parser:
         except TruthError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None
 
+    def nested(self, parse: Callable[[], Formula]) -> Formula:
+        """Consume the token that opens one more level of nesting, then
+        parse() what it opens."""
+        tok = self.advance()
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"formula nests more than {MAX_NESTING} levels deep", tok.line, tok.col)
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
+
     def expect(self, kind: str, what: str) -> _Token:
         if self.cur.kind != kind:
             raise self.fail(f"expected {what}")
@@ -274,8 +319,8 @@ class _Parser:
     def formula(self) -> Formula:
         left = self.disjunction()
         if self.cur.kind == "impl":
-            op = self.advance().text
-            right = self.formula()  # right-associative
+            op = self.cur.text
+            right = self.nested(self.formula)  # right-associative
             return Bin(op, left, right)
         return left
 
@@ -296,8 +341,7 @@ class _Parser:
     def unary(self) -> Formula:
         tok = self.cur
         if tok.kind == "not_s":
-            self.advance()
-            return Neg("not_s", self.unary())
+            return Neg("not_s", self.nested(self.unary))
         if tok.kind == "strongneg":
             self.advance()
             if self.cur.kind != "ident":
@@ -308,8 +352,7 @@ class _Parser:
         if tok.kind == "number":
             return self.constant()
         if tok.kind == "lparen":
-            self.advance()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect("rparen", "')'")
             return inner
         if tok.kind in ("amp", "bar"):
@@ -371,43 +414,30 @@ _PREC_BY_FAMILY = {
 }
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Bin):
-        return _PREC_BY_FAMILY[get_operator(f.op).family]
-    if isinstance(f, Neg):
-        return 3
-    return 4
-
-
 def print_formula(f: Formula) -> str:
-    """Canonical rendering; parse_formula(print_formula(f)) == f."""
+    """Canonical rendering; parse_formula(print_formula(f)) == f when f
+    nests at most MAX_NESTING levels deep."""
 
-    def wrap(sub: Formula, need: int, strict: bool) -> str:
-        p = _prec(sub)
-        if p < need or (strict and p == need):
-            return f"({render(sub)})"
-        return render(sub)
+    def wrap(part: tuple[str, int], need: int, strict: bool) -> str:
+        text, prec = part
+        return f"({text})" if prec < need or (strict and prec == need) else text
 
-    def render(node: Formula) -> str:
-        if isinstance(node, Atom):
-            return node.name
-        if isinstance(node, Const):
-            return format_truth(node.value, decimal=True)
-        if isinstance(node, StrongNeg):
-            return f"~{node.name}"
-        if isinstance(node, Neg):
-            return f"not_s {wrap(node.body, 3, False)}"
-        fam = get_operator(node.op).family
+    def leaf(x: Formula) -> tuple[str, int]:
+        if isinstance(x, Const):
+            return format_truth(x.value, decimal=True), 4
+        return x.name if isinstance(x, Atom) else f"~{x.name}", 4
+
+    def node(x: Formula, *parts: tuple[str, int]) -> tuple[str, int]:
+        if isinstance(x, Neg):
+            return f"not_s {wrap(parts[0], 3, False)}", 3
+        fam = get_operator(x.op).family
         level = _PREC_BY_FAMILY[fam]
-        if fam is OpFamily.IMPLICATION:
-            left = wrap(node.left, level, True)
-            right = wrap(node.right, level, False)
-        else:  # left-associative
-            left = wrap(node.left, level, False)
-            right = wrap(node.right, level, True)
-        return f"{left} {node.op} {right}"
+        right_assoc = fam is OpFamily.IMPLICATION
+        left = wrap(parts[0], level, right_assoc)
+        right = wrap(parts[1], level, not right_assoc)
+        return f"{left} {x.op} {right}", level
 
-    return render(f)
+    return fold(f, leaf, node)[0]
 
 
 # Normal-rule frontend ----------------------------------------------

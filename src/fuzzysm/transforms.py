@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .algebra import ONE, ZERO, OpFamily, get_operator
 from .semantics import BoolInterpretation, Interpretation, check_boolean_shaped
-from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, atoms, conjoin
+from .syntax import Atom, Bin, Formula, Neg, StrongNeg, atoms, conjoin, fold
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,16 @@ def nneg(f: Formula) -> NnegResult:
     sig = atoms(f)
     names = complement_names(sig)
 
-    def build(node: Formula) -> Formula:
-        if isinstance(node, StrongNeg):
-            return Atom(names[node.name])
-        if isinstance(node, (Atom, Const)):
-            return node
-        if isinstance(node, Neg):
-            return Neg(node.op, build(node.body))
-        assert isinstance(node, Bin)
-        return Bin(node.op, build(node.left), build(node.right))
+    def leaf(x: Formula) -> Formula:
+        return Atom(names[x.name]) if isinstance(x, StrongNeg) else x
+
+    def node(x: Formula, *parts: Formula) -> Formula:
+        return Neg(x.op, *parts) if isinstance(x, Neg) else Bin(x.op, *parts)
 
     guards = [
         Neg("not_s", Bin("&l", Atom(a), Atom(names[a]))) for a in sig
     ]
-    formula = conjoin("&m", [build(f)] + guards)
+    formula = conjoin("&m", [fold(f, leaf, node)] + guards)
     extended = sig + tuple(names[a] for a in sig)
     return NnegResult(formula, names, extended)
 
@@ -100,16 +96,12 @@ def boolean_embed(f: Formula, selection: OpSelection = CLASSICAL_SELECTION) -> F
     selection; constants 0 and 1 stay put."""
     check_boolean_shaped(f)
 
-    def build(node: Formula) -> Formula:
-        if isinstance(node, (Atom, Const)):
-            return node
-        if isinstance(node, Neg):
-            return Neg(selection.neg, build(node.body))
-        assert isinstance(node, Bin)
-        token = selection.for_family(get_operator(node.op).family)
-        return Bin(token, build(node.left), build(node.right))
+    def node(x: Formula, *parts: Formula) -> Formula:
+        if isinstance(x, Neg):
+            return Neg(selection.neg, *parts)
+        return Bin(selection.for_family(get_operator(x.op).family), *parts)
 
-    return build(f)
+    return fold(f, lambda x: x, node)
 
 
 def crisp_interp(x: BoolInterpretation) -> Interpretation:

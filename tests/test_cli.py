@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fuzzysm.cli import main
+from fuzzysm.syntax import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -67,6 +68,8 @@ class TestParse:
         code, _, err = run(capsys, "parse", "--expr", "(" * 5000 + "p" + ")" * 5000)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+        assert (f"line 1, column {MAX_NESTING + 1}: formula nests more than "
+                f"{MAX_NESTING} levels") in err
 
 
 class TestEvalReduct:
@@ -123,6 +126,12 @@ class TestEvalReduct:
                            "--interp", "p=0.5, q=0.75", "--full")
         assert code == 0
         assert out.strip() == "p &m q &m 0.5"
+
+    @pytest.mark.parametrize("expr", ["p &m q", "p ->r q"])
+    def test_reduct_needs_every_atom(self, capsys, expr):
+        code, out, err = run(capsys, "reduct", "--expr", expr, "--interp", "p=1")
+        assert code == 2 and out == ""
+        assert err == "error: atom 'q' is not interpreted\n"
 
 
 class TestCheck:
@@ -325,6 +334,12 @@ class TestEquilibrium:
         data = json.loads(out)
         assert data["count"] == 1
         assert data["models"][0]["h"]["p"] == ["1", "1"]
+
+    def test_enumerate_signature_duplicates(self, capsys):
+        code, out, _ = run(capsys, "equilibrium", "--expr", "p ->r p", "--enumerate",
+                           "--signature", "p,p", "--denominator", "2")
+        assert code == 0
+        assert out.splitlines() == ["h:p=[0,1]; t:p=[0,1]"]
 
     def test_needs_some_input(self, capsys):
         code, _, err = run(capsys, "equilibrium", "--expr", "p")

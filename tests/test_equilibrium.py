@@ -248,6 +248,12 @@ class TestEnumerate:
         # q is unconstrained, so only the full interval survives widening
         assert all(m.at("h", "q") == Interval(F(0), F(1)) for m in models)
 
+    def test_signature_duplicates_scanned_once(self):
+        f = parse_formula("p ->r p")
+        models = enumerate_equilibrium(f, D2, signature=("q", "p", "q", "p"))
+        assert models == enumerate_equilibrium(f, D2, signature=("q", "p"))
+        assert len(models) == 1 and models[0].atoms() == ("q", "p")
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_equilibrium(parse_formula("p &m q"), D10, cap=10)

@@ -4,9 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzzysm import semantics
 from fuzzysm import (
+    Atom,
+    Bin,
     BoolInterpretation,
     Const,
+    Formula,
+    Neg,
     Interpretation,
     SignatureError,
     StrongNegationError,
@@ -22,8 +27,10 @@ from fuzzysm import (
     print_formula,
     satisfies,
     value_is_one,
+    walk,
 )
 from fuzzysm.generators import ALL_OPERATORS, gen_formula, gen_interpretation
+from fuzzysm.semantics import _reduct
 
 F = Fraction
 
@@ -148,7 +155,6 @@ class TestFuzzyReduct:
         assert evaluate(lean, j) == evaluate(full, j) == F(2, 10)
 
     def test_wrapper_counterexample(self):
-        from fuzzysm.semantics import _reduct
         f = parse_formula("0.6 ->r (1 ->r p)")
         i = parse_interpretation("p=0.6")
         assert evaluate(fuzzy_reduct(f, i), i) == F(1)
@@ -163,6 +169,56 @@ class TestFuzzyReduct:
     def test_strongneg_refused(self):
         with pytest.raises(StrongNegationError):
             fuzzy_reduct(parse_formula("~p"), Interpretation({"p": F(1)}))
+
+    @pytest.mark.parametrize("text", ["p &m q", "p ->r q", "not_s p |l q"])
+    @pytest.mark.parametrize("simplified", [True, False])
+    def test_every_atom_must_be_interpreted(self, text, simplified):
+        with pytest.raises(SignatureError, match="atom 'q' is not interpreted"):
+            fuzzy_reduct(parse_formula(text), parse_interpretation("p=1"), simplified)
+
+
+def _chain(op: str, n: int, right: bool) -> Formula:
+    """n links of op over atoms a0..an, nested to the right or the left."""
+    out: Formula = Atom(f"a{n}")
+    for k in reversed(range(n)):
+        out = Bin(op, Atom(f"a{k}"), out) if right else Bin(op, out, Atom(f"a{k}"))
+    return out
+
+
+class TestReductsAreOnePass:
+    """Counted, not timed: a one-pass reduct applies each connective once."""
+
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        calls = []
+        real = semantics.op_apply
+
+        def counting(op, *args):
+            calls.append(op)
+            return real(op, *args)
+
+        monkeypatch.setattr(semantics, "op_apply", counting)
+        return calls
+
+    @staticmethod
+    def connectives(f: Formula) -> int:
+        return sum(isinstance(x, (Bin, Neg)) for x in walk(f))
+
+    @pytest.mark.parametrize("right", [True, False])
+    @pytest.mark.parametrize("simplified, wrapper",
+                             [(True, "&m"), (False, "&m"), (True, "&l")])
+    def test_fuzzy_reduct(self, applied, right, simplified, wrapper):
+        f = Bin("&m", Neg("not_s", _chain("->l", 40, right)), _chain("->l", 40, right))
+        i = Interpretation({f"a{k}": F(k % 5, 4) for k in range(41)})
+        _reduct(f, i, simplified, wrapper)
+        assert 0 < len(applied) <= self.connectives(f)
+
+    def test_classical_reduct(self, applied):
+        f = Bin("->s", _chain("|m", 40, False), Neg("not_s", _chain("&m", 40, True)))
+        x = BoolInterpretation(tuple(f"a{k}" for k in range(41)),
+                               frozenset(f"a{k}" for k in range(0, 41, 3)))
+        classical_reduct(f, x)
+        assert 0 < len(applied) <= self.connectives(f)
 
 
 class TestClassicalSide:

@@ -21,6 +21,7 @@ from fuzzysm import (
     signature_of,
 )
 from fuzzysm.generators import ALL_OPERATORS, gen_formula
+from fuzzysm.syntax import MAX_NESTING, fold
 
 F = Fraction
 
@@ -84,6 +85,30 @@ class TestParsing:
     def test_constant_out_of_range(self):
         with pytest.raises(ParseError):
             parse_formula("3/2")
+
+
+class TestNestingGuard:
+    """Parentheses, 'not_s' and right-nested implications share one depth
+    count, refused past MAX_NESTING with the position of the token that
+    opens the level too many."""
+
+    @pytest.mark.parametrize("make, col", [
+        (lambda n: "\n" + "(" * n + "p" + ")" * n, lambda n: n),
+        (lambda n: "\n" + "not_s " * n + "p", lambda n: 6 * (n - 1) + 1),
+        (lambda n: "\n" + " ->r ".join(["p"] * (n + 1)), lambda n: 6 * (n - 1) + 3),
+        (lambda n: "\n" + "not_s (" * (n // 2) + "not_s " * (n % 2) + "p" + ")" * (n // 2),
+         lambda n: 7 * (n // 2) + 1),
+    ])
+    def test_bound(self, make, col):
+        for depth in (MAX_NESTING - 1, MAX_NESTING):
+            parse_formula(make(depth))
+        with pytest.raises(ParseError, match="nests more than") as exc:
+            parse_formula(make(MAX_NESTING + 1))
+        assert (exc.value.line, exc.value.col) == (2, col(MAX_NESTING + 1))
+
+    def test_depth_is_per_branch(self):
+        side = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
+        parse_formula(f"{side} &m {side} |m {side} ->r p")
 
 
 class TestPrinting:
@@ -152,6 +177,22 @@ class TestNodes:
     def test_atoms_of_a_deep_conjunction(self):
         names = [f"a{k}" for k in range(5000)]
         assert atoms(conjoin("&m", [Atom(a) for a in names])) == tuple(names)
+
+    def test_fold_calls_in_post_order(self):
+        f = parse_formula("not_s (p &m ~q) ->r 0.5")
+        calls = []
+
+        def leaf(x):
+            calls.append(print_formula(x))
+            return len(calls)
+
+        def node(x, *parts):
+            calls.append((x.op, parts))
+            return len(calls)
+
+        assert fold(f, leaf, node) == 6
+        assert calls == ["p", "~q", ("&m", (1, 2)), ("not_s", (3,)), "0.5",
+                         ("->r", (4, 5))]
 
     def test_signature_of_merges(self):
         f = parse_formula("p &m q")
