@@ -115,6 +115,12 @@ class Program:
         lattice point."""
         return int(x * self.lattice.denominator) if self.integer else x
 
+    def below(self, x) -> tuple:
+        """The domain values of the lattice points at or below domain
+        value x, ascending."""
+        k = x if self.integer else int(x * self.lattice.denominator)
+        return self.points[:k + 1]
+
     def evaluate(self, values: Sequence) -> list:
         """Every slot's value with atom k at domain value values[k]."""
         vals = list(self.slots)

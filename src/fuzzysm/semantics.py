@@ -51,6 +51,14 @@ class Interpretation(Mapping[str, Fraction]):
         except KeyError:
             raise SignatureError(f"atom {name!r} is not interpreted") from None
 
+    # Mapping's own `in` and get() catch only KeyError, which __getitem__
+    # does not raise.
+    def __contains__(self, name: object) -> bool:
+        return name in self._map
+
+    def get(self, name: str, default=None):
+        return self._map.get(name, default)
+
     def __iter__(self):
         return iter(self._map)
 

@@ -116,32 +116,32 @@ class BoolStabilityVerdict:
 
 
 def _scan_order(
-    f: Formula, i: Mapping[str, Fraction], minimized: Sequence[str]
+    f: Formula, i: Mapping[str, Fraction], minimized: Sequence[str] | None
 ) -> tuple[tuple[str, ...], list[str]]:
     """The signature (formula first-occurrence order, then any remaining
-    interpreted atoms) and the minimized atoms in its order."""
+    interpreted atoms) and the minimized atoms in its order, all of them
+    when minimized is None.  Raises SignatureError for a minimized atom
+    outside the signature and for an atom of f that i leaves out."""
     sig = signature_of(f, extra=tuple(i))
-    mset = set(minimized)
-    missing = mset - set(sig)
+    mset = set(sig if minimized is None else minimized)
+    missing = mset.difference(sig)
     if missing:
         raise SignatureError(f"minimized atoms outside the signature: {sorted(missing)}")
-    # Atoms of sig not in i can only come from the formula.
-    for a in sig:
-        if a not in i:
-            raise SignatureError(f"atom {a!r} is not interpreted")
+    # sig is the union of f's atoms and i's, so it is longer than i
+    # exactly when f has an atom that i leaves out.
+    if len(sig) > len(i):
+        a = next(a for a in sig if a not in i)
+        raise SignatureError(f"atom {a!r} is not interpreted")
     return sig, [a for a in sig if a in mset]
 
 
-def _exhaustive_pools(
-    i: Mapping[str, Fraction], scan: Sequence[str], lattice: Lattice
-) -> list[list[Fraction]]:
+def _require_lattice(i: Mapping[str, Fraction], lattice: Lattice) -> None:
     for a in i:
         if i[a] not in lattice:
             raise ValueError(
                 f"atom {a!r} has value {format_truth(i[a])} outside the "
                 f"1/{lattice.denominator} lattice; exhaustive search needs "
                 "lattice values (use a sampled strategy otherwise)")
-    return [lattice.points_up_to(i[a]) for a in scan]
 
 
 def find_witness(
@@ -167,20 +167,19 @@ def find_witness(
     # sub-threshold formula cannot have a witness: skip the scan.
     if at_i[prog.root] < cut:
         return None
-    domain = prog.domain
+    mset = set(scan)
+    moving = tuple(k for k, a in enumerate(sig) if a in mset)
     if isinstance(strategy, Sampled):
         # An off-lattice value of I joins its own pool, so that J = I on
         # that coordinate stays reachable.
-        pools = [[domain(v) for v in lattice.points_up_to(i[a])]
-                 + ([] if i[a] in lattice else [i[a]]) for a in scan]
+        pools = [prog.below(at_i[k]) + (() if i[sig[k]] in lattice else (at_i[k],))
+                 for k in moving]
         choice = random.Random(strategy.seed).choice
         source = (tuple([choice(p) for p in pools])
                   for _ in range(strategy.samples))
     else:
-        source = candidates([[domain(v) for v in pool]
-                             for pool in _exhaustive_pools(i, scan, lattice)], cap)
-    mset = set(scan)
-    moving = tuple(k for k, a in enumerate(sig) if a in mset)
+        _require_lattice(i, lattice)
+        source = candidates([prog.below(at_i[k]) for k in moving], cap)
     hit = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
                         source)
     if hit is None:
@@ -206,15 +205,15 @@ def check_stable(
     strategy: Strategy = Exhaustive(),
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> StabilityVerdict:
-    """Full verdict: modelhood at the threshold, then witness search."""
+    """Full verdict: the inputs' atoms checked, then modelhood at the
+    threshold, then witness search."""
     y = check_truth(threshold)
-    if minimized is None:
-        minimized = signature_of(f, extra=tuple(i))
+    _, scan = _scan_order(f, i, minimized)
     if not satisfies(f, i, y):
         return StabilityVerdict(
             "not_a_model", y, lattice.denominator, strategy,
             note="the interpretation does not reach the threshold")
-    witness = find_witness(f, i, minimized, y, lattice, strategy, cap)
+    witness = find_witness(f, i, scan, y, lattice, strategy, cap)
     if witness is not None:
         return StabilityVerdict(
             "unstable", y, lattice.denominator, strategy, witness=witness,
@@ -368,21 +367,20 @@ def check_stable_via_star(
     """Stability via the shadow rewrite: look for J strictly below i on the
     minimized atoms whose shadow-extended interpretation satisfies the
     rewritten formula.  Threshold 1 only; cross-checks check_stable."""
-    if minimized is None:
-        minimized = signature_of(f, extra=tuple(i))
     strategy = Exhaustive()
+    sig, scan = _scan_order(f, i, minimized)
     if not satisfies(f, i, ONE):
         return StabilityVerdict(
             "not_a_model", ONE, lattice.denominator, strategy,
             note="the interpretation is not a model")
-    sig, scan = _scan_order(f, i, minimized)
     if not scan:
         return StabilityVerdict(
             "stable", ONE, lattice.denominator, strategy,
             note=_strategy_note(strategy, lattice, False))
     fresh = shadow_names(sig, scan)
     star = star_transform(f, scan, fresh)
-    pools = _exhaustive_pools(i, scan, lattice)
+    _require_lattice(i, lattice)
+    pools = [lattice.points_up_to(i[a]) for a in scan]
     merged = dict(i)
     for combo in candidates(pools, cap, skip=tuple(i[a] for a in scan)):
         for a, v in zip(scan, combo):

@@ -1,13 +1,17 @@
 """Named invariant suites over the random generators.
 
-Each suite checks one law of the semantics on freshly generated material
-and reports the first counterexample it hits.  The registry drives both
-the CLI ('props run --suite NAME') and the acceptance tests; the manifest
-in docs/properties.md lists every name and is itself checked against the
-registry by the test suite.
+Each suite checks one law of the semantics and reports the first
+counterexample it hits.  A suite is a control, run once on the lattice,
+and a trial, run on freshly generated material; it has one or both.
+run_suite owns the loop: it runs the control, then seeds one RNG with the
+suite's registry name and the seed and draws trials from it until one
+returns a counterexample or the trial count is spent.  The registry
+drives both the CLI ('props --suite NAME') and the acceptance tests; the
+manifest in docs/properties.md lists every name and is itself checked
+against the registry by the test suite.
 
-Suites marked exhaustive ignore the trial count and sweep the whole
-lattice instead.
+Suites with a control and no trial (exhaustive sweeps of the lattice and
+a pinned negative control) ignore the trial count.
 """
 from __future__ import annotations
 
@@ -68,9 +72,7 @@ from .stable import (
     y_to_one,
 )
 from .syntax import (
-    Atom,
     Bin,
-    Const,
     Neg,
     StrongNeg,
     atoms,
@@ -85,6 +87,9 @@ from .transforms import OpSelection, boolean_embed, choice, crisp_interp, nneg
 
 SIG2 = ("p", "q")
 SIG3 = ("p", "q", "r")
+
+Control = Callable[[Lattice], str | None]
+Trial = Callable[[random.Random, Lattice], str | None]
 
 
 @dataclass(frozen=True)
@@ -104,575 +109,481 @@ def _cx(**parts: object) -> str:
     return "; ".join(f"{k} = {v}" for k, v in parts.items())
 
 
+def _seed(rng: random.Random) -> int:
+    return rng.randrange(2 ** 63)
+
+
 # algebra ---------------------------------------------------------------
 
 
-def _suite_operator_axioms(trials: int, seed: int, lattice: Lattice) -> str | None:
+def _operator_axioms(lattice: Lattice) -> str | None:
     for token in OPERATORS:
         bad = op_check_axioms(token, lattice)
         if bad:
             return bad[0]
-    return None
 
 
-def _suite_residual_flags(trials: int, seed: int, lattice: Lattice) -> str | None:
+def _residual_flags(lattice: Lattice) -> str | None:
     for token in IMPLICATIONS:
         declared = OPERATORS[token].residual
         actual = residual_condition(token, lattice)
         if declared != actual:
             return _cx(operator=token, declared=declared, lattice_check=actual)
-    return None
 
 
-def _suite_conjunction_bounds(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("conjunction-bounds", seed)
+def _conjunction_bounds(rng: random.Random, lattice: Lattice) -> str | None:
     points = list(lattice.points())
-    for _ in range(trials):
-        token = rng.choice(CONJUNCTIONS)
-        x, y = rng.choice(points), rng.choice(points)
-        v = op_apply(token, x, y)
-        if v > min(x, y):
-            return _cx(op=token, x=x, y=y, value=v, bound=min(x, y))
-        if (v == ONE) != (x == ONE and y == ONE):
-            return _cx(op=token, x=x, y=y, value=v, law="1 only at (1,1)")
-        if (x == ZERO or y == ZERO) and v != ZERO:
-            return _cx(op=token, x=x, y=y, value=v, law="0 absorbs")
-    return None
+    token = rng.choice(CONJUNCTIONS)
+    x, y = rng.choice(points), rng.choice(points)
+    v = op_apply(token, x, y)
+    if v > min(x, y):
+        return _cx(op=token, x=x, y=y, value=v, bound=min(x, y))
+    if (v == ONE) != (x == ONE and y == ONE):
+        return _cx(op=token, x=x, y=y, value=v, law="1 only at (1,1)")
+    if (x == ZERO or y == ZERO) and v != ZERO:
+        return _cx(op=token, x=x, y=y, value=v, law="0 absorbs")
 
 
-def _suite_disjunction_bounds(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("disjunction-bounds", seed)
+def _disjunction_bounds(rng: random.Random, lattice: Lattice) -> str | None:
     points = list(lattice.points())
-    for _ in range(trials):
-        token = rng.choice(DISJUNCTIONS)
-        x, y = rng.choice(points), rng.choice(points)
-        v = op_apply(token, x, y)
-        if v < max(x, y):
-            return _cx(op=token, x=x, y=y, value=v, bound=max(x, y))
-        if (v == ZERO) != (x == ZERO and y == ZERO):
-            return _cx(op=token, x=x, y=y, value=v, law="0 only at (0,0)")
-        if (x == ONE or y == ONE) and v != ONE:
-            return _cx(op=token, x=x, y=y, value=v, law="1 absorbs")
-    return None
+    token = rng.choice(DISJUNCTIONS)
+    x, y = rng.choice(points), rng.choice(points)
+    v = op_apply(token, x, y)
+    if v < max(x, y):
+        return _cx(op=token, x=x, y=y, value=v, bound=max(x, y))
+    if (v == ZERO) != (x == ZERO and y == ZERO):
+        return _cx(op=token, x=x, y=y, value=v, law="0 only at (0,0)")
+    if (x == ONE or y == ONE) and v != ONE:
+        return _cx(op=token, x=x, y=y, value=v, law="1 absorbs")
 
 
-def _suite_lattice_closure(trials: int, seed: int, lattice: Lattice) -> str | None:
+def _lattice_closure(lattice: Lattice) -> str | None:
     for token, op in OPERATORS.items():
         expected = op.lattice_closed or lattice.denominator == 1
         actual = lattice_closed(token, lattice)
         if actual != expected:
             return _cx(op=token, declared=expected, lattice_check=actual)
-    return None
 
 
 # syntax ----------------------------------------------------------------
 
 
-def _suite_parse_print_roundtrip(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("parse-print-roundtrip", seed)
-    for _ in range(trials):
-        f = gen_formula(rng.randrange(2 ** 63), SIG3, max_depth=4,
-                        operator_pool=ALL_OPERATORS, allow_strongneg=True,
-                        lattice=lattice)
-        text = print_formula(f)
-        back = parse_formula(text)
-        if back != f:
-            return _cx(formula=f, printed=text, reparsed=back)
-    return None
+def _parse_print_roundtrip(rng: random.Random, lattice: Lattice) -> str | None:
+    f = gen_formula(_seed(rng), SIG3, max_depth=4, operator_pool=ALL_OPERATORS,
+                    allow_strongneg=True, lattice=lattice)
+    text = print_formula(f)
+    back = parse_formula(text)
+    if back != f:
+        return _cx(formula=f, printed=text, reparsed=back)
 
 
-def _suite_program_translation_shape(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("program-translation-shape", seed)
-    for _ in range(trials):
-        conj = rng.choice(CONJUNCTIONS)
-        rules = gen_program(rng.randrange(2 ** 63), SIG3, max_rules=4,
-                            conj=conj, lattice=lattice)
-        for rule in rules:
-            f = rule_to_formula(rule)
-            if not (isinstance(f, Bin) and f.op == "->r"):
-                return _cx(rule=rule, formula=print_formula(f),
-                           problem="rule formula is not a '->r' implication")
-            negs = [n for n in walk(f) if isinstance(n, Neg)]
-            if len(negs) != len(rule.neg):
-                return _cx(rule=rule, formula=print_formula(f),
-                           problem="wrong number of negations")
-        forward = program_to_formula(rules, conj)
-        backward = program_to_formula(list(reversed(rules)), conj)
-        sig = signature_of(forward, backward)
-        for k in range(3):
-            i = gen_interpretation(rng.randrange(2 ** 63), sig, lattice)
-            if evaluate(forward, i) != evaluate(backward, i):
-                return _cx(program=[print_formula(rule_to_formula(r)) for r in rules],
-                           i=format_interpretation(i),
-                           problem="rule order changed the program value")
-    return None
+def _program_translation_shape(rng: random.Random, lattice: Lattice) -> str | None:
+    conj = rng.choice(CONJUNCTIONS)
+    rules = gen_program(_seed(rng), SIG3, max_rules=4, conj=conj, lattice=lattice)
+    for rule in rules:
+        f = rule_to_formula(rule)
+        if not (isinstance(f, Bin) and f.op == "->r"):
+            return _cx(rule=rule, formula=print_formula(f),
+                       problem="rule formula is not a '->r' implication")
+        if sum(isinstance(n, Neg) for n in walk(f)) != len(rule.neg):
+            return _cx(rule=rule, formula=print_formula(f),
+                       problem="wrong number of negations")
+    forward = program_to_formula(rules, conj)
+    backward = program_to_formula(list(reversed(rules)), conj)
+    sig = signature_of(forward, backward)
+    for _ in range(3):
+        i = gen_interpretation(_seed(rng), sig, lattice)
+        if evaluate(forward, i) != evaluate(backward, i):
+            return _cx(program=[print_formula(rule_to_formula(r)) for r in rules],
+                       i=format_interpretation(i),
+                       problem="rule order changed the program value")
 
 
 # semantics ---------------------------------------------------------------
 
 
 def _gen_fip(rng: random.Random, lattice: Lattice, sig=SIG2, depth=3):
-    f = gen_formula(rng.randrange(2 ** 63), sig, max_depth=depth,
+    f = gen_formula(_seed(rng), sig, max_depth=depth,
                     operator_pool=ALL_OPERATORS, lattice=lattice)
-    i = gen_interpretation(rng.randrange(2 ** 63), sig, lattice)
+    i = gen_interpretation(_seed(rng), sig, lattice)
     minimized = tuple(a for a in sig if rng.random() < 0.6)
     return f, i, minimized
 
 
-def _suite_reduct_value_equality(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("reduct-value-equality", seed)
-    for _ in range(trials):
-        f, i, _ = _gen_fip(rng, lattice)
-        for simplified in (True, False):
-            r = fuzzy_reduct(f, i, simplified=simplified)
-            if evaluate(r, i) != evaluate(f, i):
-                return _cx(formula=print_formula(f), i=format_interpretation(i),
-                           reduct=print_formula(r), simplified=simplified)
-    return None
-
-
-def _suite_reduct_monotonicity(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("reduct-monotonicity", seed)
-    for _ in range(trials):
-        f, i, minimized = _gen_fip(rng, lattice)
-        j = gen_lower_interpretation(rng.randrange(2 ** 63), i, minimized, lattice)
-        r = fuzzy_reduct(f, i)
-        if evaluate(r, j) > evaluate(f, i):
+def _reduct_value_equality(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, _ = _gen_fip(rng, lattice)
+    for simplified in (True, False):
+        r = fuzzy_reduct(f, i, simplified=simplified)
+        if evaluate(r, i) != evaluate(f, i):
             return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       j=format_interpretation(j), reduct_value=evaluate(r, j),
-                       original_value=evaluate(f, i))
-    return None
+                       reduct=print_formula(r), simplified=simplified)
 
 
-def _suite_reduct_simplified_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("reduct-simplified-agreement", seed)
-    for _ in range(trials):
-        f, i, minimized = _gen_fip(rng, lattice)
-        j = gen_lower_interpretation(rng.randrange(2 ** 63), i, minimized, lattice)
-        lean = fuzzy_reduct(f, i, simplified=True)
-        full = fuzzy_reduct(f, i, simplified=False)
-        if evaluate(lean, j) != evaluate(full, j):
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       j=format_interpretation(j),
-                       lean=evaluate(lean, j), full=evaluate(full, j))
-    return None
+def _reduct_monotonicity(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, minimized = _gen_fip(rng, lattice)
+    j = gen_lower_interpretation(_seed(rng), i, minimized, lattice)
+    r = fuzzy_reduct(f, i)
+    if evaluate(r, j) > evaluate(f, i):
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   j=format_interpretation(j), reduct_value=evaluate(r, j),
+                   original_value=evaluate(f, i))
 
 
-def _suite_reduct_wrapper_counterexample(trials: int, seed: int, lattice: Lattice) -> str | None:
+def _reduct_simplified_agreement(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, minimized = _gen_fip(rng, lattice)
+    j = gen_lower_interpretation(_seed(rng), i, minimized, lattice)
+    lean = fuzzy_reduct(f, i, simplified=True)
+    full = fuzzy_reduct(f, i, simplified=False)
+    if evaluate(lean, j) != evaluate(full, j):
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   j=format_interpretation(j),
+                   lean=evaluate(lean, j), full=evaluate(full, j))
+
+
+def _reduct_wrapper_counterexample(lattice: Lattice) -> str | None:
     # Negative control: capping with the Lukasiewicz t-norm instead of the
     # minimum makes the reduct lose value on this pinned formula.
     f = parse_formula("0.6 ->r (1 ->r p)")
     i = parse_interpretation("p=0.6")
     good = evaluate(fuzzy_reduct(f, i), i)
     if good != ONE:
-        return _cx(problem="minimum wrapper no longer keeps the value",
-                   value=good)
+        return _cx(problem="minimum wrapper no longer keeps the value", value=good)
     variant = evaluate(_reduct(f, i, True, "&l"), i)
     if variant != Fraction(1, 5):
         return _cx(problem="the '&l'-wrapper regression moved",
                    expected="1/5", value=variant)
-    return None
 
 
-def _suite_compiled_evaluation_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("compiled-evaluation-agreement", seed)
+def _compiled_evaluation_agreement(rng: random.Random, lattice: Lattice) -> str | None:
     # Constants and values of I from the finer lattice are partly off this
     # one, which sends those formulas and interpretations to the Fraction
     # domain.
     finer = Lattice(3 * lattice.denominator)
-    for _ in range(trials):
-        f = gen_formula(rng.randrange(2 ** 63), SIG2, max_depth=3,
-                        operator_pool=ALL_OPERATORS,
-                        lattice=rng.choice((lattice, finer)))
-        i = gen_interpretation(rng.randrange(2 ** 63), SIG2,
-                               rng.choice((lattice, finer)))
-        minimized = tuple(a for a in SIG2 if rng.random() < 0.6)
-        j = gen_lower_interpretation(rng.randrange(2 ** 63), i, minimized, lattice)
-        prog = compile_formula(f, SIG2, lattice, i.values())
-        at_i = prog.evaluate([prog.domain(i[a]) for a in SIG2])
-        value = prog.value(at_i[prog.root])
-        if value != evaluate(f, i):
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       compiled=value, reference=evaluate(f, i),
-                       integer=prog.integer)
-        # The witness kernel's reduct test on J, at a threshold that I
-        # reaches (the kernel's precondition): half the time I's own value,
-        # which is the top whenever I is a model.
-        y = value if rng.random() < 0.5 else rng.choice(lattice.points_up_to(value))
-        moving = tuple(k for k, a in enumerate(SIG2) if a in minimized)
-        candidate = tuple(prog.domain(j[a]) for a in minimized)
-        if candidate == tuple(at_i[k] for k in moving):
-            continue  # the kernel never tests J = I
-        cut = prog.level(y)
-        passed = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
-                               [candidate]) is not None
-        reference = evaluate(fuzzy_reduct(f, i), j) >= y
-        if passed != reference:
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       j=format_interpretation(j), minimized=minimized,
-                       threshold=format_truth(y), kernel=passed,
-                       reference=reference, integer=prog.integer)
-    return None
+    f = gen_formula(_seed(rng), SIG2, max_depth=3, operator_pool=ALL_OPERATORS,
+                    lattice=rng.choice((lattice, finer)))
+    i = gen_interpretation(_seed(rng), SIG2, rng.choice((lattice, finer)))
+    minimized = tuple(a for a in SIG2 if rng.random() < 0.6)
+    j = gen_lower_interpretation(_seed(rng), i, minimized, lattice)
+    prog = compile_formula(f, SIG2, lattice, i.values())
+    at_i = prog.evaluate([prog.domain(i[a]) for a in SIG2])
+    value = prog.value(at_i[prog.root])
+    if value != evaluate(f, i):
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   compiled=value, reference=evaluate(f, i), integer=prog.integer)
+    # The witness kernel's reduct test on J, at a threshold that I reaches
+    # (the kernel's precondition): half the time I's own value, which is
+    # the top whenever I is a model.
+    y = value if rng.random() < 0.5 else rng.choice(lattice.points_up_to(value))
+    moving = tuple(k for k, a in enumerate(SIG2) if a in minimized)
+    candidate = tuple(prog.domain(j[a]) for a in minimized)
+    if candidate == tuple(at_i[k] for k in moving):
+        return None  # the kernel never tests J = I
+    cut = prog.level(y)
+    passed = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
+                           [candidate]) is not None
+    reference = evaluate(fuzzy_reduct(f, i), j) >= y
+    if passed != reference:
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   j=format_interpretation(j), minimized=minimized,
+                   threshold=format_truth(y), kernel=passed,
+                   reference=reference, integer=prog.integer)
 
 
 # stable ------------------------------------------------------------------
 
 
-def _suite_empty_minimization(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("empty-minimization", seed)
-    points = [v for v in lattice.points() if v > ZERO]
-    for _ in range(trials):
-        f, i, _ = _gen_fip(rng, lattice)
-        y = rng.choice(points)
-        verdict = check_stable(f, i, minimized=(), threshold=y, lattice=lattice)
-        expected = "stable" if satisfies(f, i, y) else "not_a_model"
-        if verdict.status != expected:
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       threshold=y, status=verdict.status, expected=expected)
-    return None
+def _empty_minimization(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, _ = _gen_fip(rng, lattice)
+    y = rng.choice([v for v in lattice.points() if v > ZERO])
+    verdict = check_stable(f, i, minimized=(), threshold=y, lattice=lattice)
+    expected = "stable" if satisfies(f, i, y) else "not_a_model"
+    if verdict.status != expected:
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   threshold=y, status=verdict.status, expected=expected)
 
 
-def _suite_threshold_guard_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("threshold-guard-agreement", seed)
-    points = [v for v in lattice.points() if v > ZERO]
-    for _ in range(trials):
-        f, i, minimized = _gen_fip(rng, lattice)
-        y = rng.choice(points)
-        direct = check_stable(f, i, minimized, y, lattice)
-        guarded = check_stable(y_to_one(f, y), i, minimized, ONE, lattice)
-        if direct.status != guarded.status or direct.witness != guarded.witness:
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       minimized=minimized, threshold=y,
-                       direct=direct.status, guarded=guarded.status)
-    return None
+def _threshold_guard_agreement(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, minimized = _gen_fip(rng, lattice)
+    y = rng.choice([v for v in lattice.points() if v > ZERO])
+    direct = check_stable(f, i, minimized, y, lattice)
+    guarded = check_stable(y_to_one(f, y), i, minimized, ONE, lattice)
+    if direct.status != guarded.status or direct.witness != guarded.witness:
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   minimized=minimized, threshold=y,
+                   direct=direct.status, guarded=guarded.status)
 
 
-def _suite_shadow_rewrite_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("shadow-rewrite-agreement", seed)
-    for _ in range(trials):
-        f, i, minimized = _gen_fip(rng, lattice)
-        direct = check_stable(f, i, minimized, ONE, lattice)
-        starred = check_stable_via_star(f, i, minimized, lattice)
-        if direct.status != starred.status or direct.witness != starred.witness:
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       minimized=minimized, direct=direct.status,
-                       starred=starred.status)
-    return None
+def _shadow_rewrite_agreement(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, minimized = _gen_fip(rng, lattice)
+    direct = check_stable(f, i, minimized, ONE, lattice)
+    starred = check_stable_via_star(f, i, minimized, lattice)
+    if direct.status != starred.status or direct.witness != starred.witness:
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   minimized=minimized, direct=direct.status,
+                   starred=starred.status)
 
 
-def _suite_shadow_merge_value(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("shadow-merge-value", seed)
-    for _ in range(trials):
-        f, i, minimized = _gen_fip(rng, lattice)
-        j = gen_lower_interpretation(rng.randrange(2 ** 63), i, minimized, lattice)
-        fresh = shadow_names(signature_of(f, extra=tuple(i)), minimized)
-        star = star_transform(f, minimized, fresh)
-        merged = dict(i)
-        for a in minimized:
-            merged[fresh[a]] = j[a]
-        if evaluate(star, merged) != evaluate(fuzzy_reduct(f, i), j):
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       j=format_interpretation(j), minimized=minimized,
-                       star=evaluate(star, merged),
-                       reduct=evaluate(fuzzy_reduct(f, i), j))
-    return None
+def _shadow_merge_value(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, minimized = _gen_fip(rng, lattice)
+    j = gen_lower_interpretation(_seed(rng), i, minimized, lattice)
+    fresh = shadow_names(signature_of(f, extra=tuple(i)), minimized)
+    star = star_transform(f, minimized, fresh)
+    merged = dict(i)
+    for a in minimized:
+        merged[fresh[a]] = j[a]
+    if evaluate(star, merged) != evaluate(fuzzy_reduct(f, i), j):
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   j=format_interpretation(j), minimized=minimized,
+                   star=evaluate(star, merged),
+                   reduct=evaluate(fuzzy_reduct(f, i), j))
 
 
-def _suite_boolean_correspondence(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("boolean-correspondence", seed)
-    status_map = {"not_a_model": "not_a_model", "stable": "stable",
-                  "unstable": "unstable"}
-    for _ in range(trials):
-        f = gen_formula(rng.randrange(2 ** 63), SIG3, max_depth=3,
-                        operator_pool=CLASSICAL_OPERATORS, lattice=Lattice(1))
-        x = gen_bool_interpretation(rng.randrange(2 ** 63), SIG3)
-        minimized = tuple(a for a in SIG3 if rng.random() < 0.7)
-        crisp = boolean_stable_check(f, x, minimized)
-        fuzzy = check_stable(boolean_embed(f), crisp_interp(x), minimized,
-                             ONE, lattice)
-        if status_map[crisp.status] != fuzzy.status:
-            return _cx(formula=print_formula(f), true_atoms=sorted(x.true_atoms),
-                       minimized=minimized, crisp=crisp.status, fuzzy=fuzzy.status)
-    return None
+def _boolean_correspondence(rng: random.Random, lattice: Lattice) -> str | None:
+    f = gen_formula(_seed(rng), SIG3, max_depth=3,
+                    operator_pool=CLASSICAL_OPERATORS, lattice=Lattice(1))
+    x = gen_bool_interpretation(_seed(rng), SIG3)
+    minimized = tuple(a for a in SIG3 if rng.random() < 0.7)
+    crisp = boolean_stable_check(f, x, minimized)
+    fuzzy = check_stable(boolean_embed(f), crisp_interp(x), minimized, ONE, lattice)
+    if crisp.status != fuzzy.status:
+        return _cx(formula=print_formula(f), true_atoms=sorted(x.true_atoms),
+                   minimized=minimized, crisp=crisp.status, fuzzy=fuzzy.status)
 
 
-def _suite_crisp_stability_transfer(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("crisp-stability-transfer", seed)
-    for _ in range(trials):
-        f = gen_formula(rng.randrange(2 ** 63), SIG3, max_depth=3,
-                        operator_pool=CLASSICAL_OPERATORS, lattice=Lattice(1))
-        selection = OpSelection(
-            neg="not_s",
-            conj=rng.choice(CONJUNCTIONS),
-            disj=rng.choice(DISJUNCTIONS),
-            impl=rng.choice(IMPLICATIONS),
-        )
-        x = gen_bool_interpretation(rng.randrange(2 ** 63), SIG3)
-        fuzzy = check_stable(boolean_embed(f, selection), crisp_interp(x),
-                             None, ONE, lattice)
-        if fuzzy.status == "stable":
-            crisp = boolean_stable_check(f, x)
-            if crisp.status != "stable":
-                return _cx(formula=print_formula(f), selection=selection,
-                           true_atoms=sorted(x.true_atoms), crisp=crisp.status)
-    return None
+def _crisp_stability_transfer(rng: random.Random, lattice: Lattice) -> str | None:
+    f = gen_formula(_seed(rng), SIG3, max_depth=3,
+                    operator_pool=CLASSICAL_OPERATORS, lattice=Lattice(1))
+    selection = OpSelection(
+        neg="not_s",
+        conj=rng.choice(CONJUNCTIONS),
+        disj=rng.choice(DISJUNCTIONS),
+        impl=rng.choice(IMPLICATIONS),
+    )
+    x = gen_bool_interpretation(_seed(rng), SIG3)
+    fuzzy = check_stable(boolean_embed(f, selection), crisp_interp(x),
+                         None, ONE, lattice)
+    if fuzzy.status == "stable":
+        crisp = boolean_stable_check(f, x)
+        if crisp.status != "stable":
+            return _cx(formula=print_formula(f), selection=selection,
+                       true_atoms=sorted(x.true_atoms), crisp=crisp.status)
 
 
-def _suite_program_oracle_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("program-oracle-agreement", seed)
-    for _ in range(trials):
-        body_conj = rng.choice(CONJUNCTIONS)
-        join_conj = rng.choice(CONJUNCTIONS)
-        rules = gen_program(rng.randrange(2 ** 63), SIG3, max_rules=4,
-                            conj=body_conj, lattice=lattice)
-        formula = program_to_formula(rules, join_conj)
-        sig = signature_of(formula)
-        i = gen_interpretation(rng.randrange(2 ** 63), sig, lattice)
-        direct = fasp_answer_set_check(rules, i, lattice)
-        framed = check_stable(formula, i, None, ONE, lattice).status == "stable"
-        if direct != framed:
-            return _cx(program=[print_formula(rule_to_formula(r)) for r in rules],
-                       i=format_interpretation(i), direct=direct, framed=framed)
-    return None
+def _program_oracle_agreement(rng: random.Random, lattice: Lattice) -> str | None:
+    body_conj = rng.choice(CONJUNCTIONS)
+    join_conj = rng.choice(CONJUNCTIONS)
+    rules = gen_program(_seed(rng), SIG3, max_rules=4, conj=body_conj,
+                        lattice=lattice)
+    formula = program_to_formula(rules, join_conj)
+    i = gen_interpretation(_seed(rng), signature_of(formula), lattice)
+    direct = fasp_answer_set_check(rules, i, lattice)
+    framed = check_stable(formula, i, None, ONE, lattice).status == "stable"
+    if direct != framed:
+        return _cx(program=[print_formula(rule_to_formula(r)) for r in rules],
+                   i=format_interpretation(i), direct=direct, framed=framed)
 
 
-def _suite_constraint_conjunction(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("constraint-conjunction", seed)
-    for _ in range(trials):
-        f, i, _ = _gen_fip(rng, lattice)
-        g = gen_formula(rng.randrange(2 ** 63), SIG2, max_depth=2,
-                        operator_pool=ALL_OPERATORS, lattice=lattice)
-        conj = rng.choice(CONJUNCTIONS)
-        constrained = Bin(conj, f, Neg("not_s", g))
-        minimized = SIG2
-        combined = check_stable(constrained, i, minimized, ONE, lattice)
-        plain = check_stable(f, i, minimized, ONE, lattice)
-        lhs = combined.status == "stable"
-        rhs = plain.status == "stable" and satisfies(Neg("not_s", g), i)
-        if lhs != rhs:
-            return _cx(formula=print_formula(f), constraint=print_formula(g),
-                       conj=conj, i=format_interpretation(i),
-                       combined=combined.status, plain=plain.status,
-                       constraint_holds=satisfies(Neg("not_s", g), i))
-    return None
+def _constraint_conjunction(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, _ = _gen_fip(rng, lattice)
+    g = gen_formula(_seed(rng), SIG2, max_depth=2, operator_pool=ALL_OPERATORS,
+                    lattice=lattice)
+    conj = rng.choice(CONJUNCTIONS)
+    constrained = Bin(conj, f, Neg("not_s", g))
+    combined = check_stable(constrained, i, SIG2, ONE, lattice)
+    plain = check_stable(f, i, SIG2, ONE, lattice)
+    lhs = combined.status == "stable"
+    rhs = plain.status == "stable" and satisfies(Neg("not_s", g), i)
+    if lhs != rhs:
+        return _cx(formula=print_formula(f), constraint=print_formula(g),
+                   conj=conj, i=format_interpretation(i),
+                   combined=combined.status, plain=plain.status,
+                   constraint_holds=satisfies(Neg("not_s", g), i))
 
 
-def _suite_choice_tautology(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("choice-tautology", seed)
-    for _ in range(trials):
-        subset = tuple(a for a in SIG3 if rng.random() < 0.8) or ("p",)
-        conj = rng.choice(CONJUNCTIONS)
-        f = choice(subset, conj)
-        i = gen_interpretation(rng.randrange(2 ** 63), SIG3, lattice)
-        if evaluate(f, i) != ONE:
-            return _cx(choice=print_formula(f), i=format_interpretation(i),
-                       value=evaluate(f, i))
-    return None
+def _choice_tautology(rng: random.Random, lattice: Lattice) -> str | None:
+    subset = tuple(a for a in SIG3 if rng.random() < 0.8) or ("p",)
+    conj = rng.choice(CONJUNCTIONS)
+    f = choice(subset, conj)
+    i = gen_interpretation(_seed(rng), SIG3, lattice)
+    if evaluate(f, i) != ONE:
+        return _cx(choice=print_formula(f), i=format_interpretation(i),
+                   value=evaluate(f, i))
 
 
-def _suite_choice_widening(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("choice-widening", seed)
-    points = [v for v in lattice.points() if v > ZERO]
-    for _ in range(trials):
-        f, i, _ = _gen_fip(rng, lattice)
-        y = rng.choice(points)
-        exempt = tuple(a for a in SIG2 if rng.random() < 0.5)
-        smaller = tuple(a for a in SIG2 if a not in exempt)
-        wide = check_stable(f, i, SIG2, y, lattice)
-        narrow = check_stable(f, i, smaller, y, lattice)
-        if wide.status == "stable" and narrow.status == "unstable":
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       threshold=y, wide="stable", narrow="unstable",
-                       minimized=smaller)
-    return None
+def _choice_widening(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, _ = _gen_fip(rng, lattice)
+    y = rng.choice([v for v in lattice.points() if v > ZERO])
+    exempt = tuple(a for a in SIG2 if rng.random() < 0.5)
+    smaller = tuple(a for a in SIG2 if a not in exempt)
+    wide = check_stable(f, i, SIG2, y, lattice)
+    narrow = check_stable(f, i, smaller, y, lattice)
+    if wide.status == "stable" and narrow.status == "unstable":
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   threshold=y, wide="stable", narrow="unstable",
+                   minimized=smaller)
 
 
-def _suite_choice_exemption(trials: int, seed: int, lattice: Lattice) -> str | None:
-    # Pinned negative control first: below threshold 1 the exemption
+def _choice_exemption_control(lattice: Lattice) -> str | None:
+    # Pinned negative control: below threshold 1 the exemption
     # equivalence is known to break.
-    f0 = parse_formula("not_s not_s q")
-    i0 = parse_interpretation("q=0.5")
+    f = parse_formula("not_s not_s q")
+    i = parse_interpretation("q=0.5")
     half = Fraction(1, 2)
-    bare = check_stable(f0, i0, (), half, Lattice(2))
-    freed = check_stable(Bin("&m", f0, choice(("q",))), i0, ("q",), half, Lattice(2))
+    bare = check_stable(f, i, (), half, Lattice(2))
+    freed = check_stable(Bin("&m", f, choice(("q",))), i, ("q",), half, Lattice(2))
     if bare.status != "stable" or freed.status != "unstable":
         return _cx(problem="the sub-threshold counterexample moved",
                    bare=bare.status, freed=freed.status)
     if freed.witness is None or freed.witness["q"] != ZERO:
         return _cx(problem="expected the witness q=0", witness=freed.witness)
-    rng = _master("choice-exemption", seed)
-    for _ in range(trials):
-        f, i, _ = _gen_fip(rng, lattice)
-        exempt = tuple(a for a in SIG2 if rng.random() < 0.5) or ("q",)
-        kept = tuple(a for a in SIG2 if a not in exempt)
-        plain = check_stable(f, i, kept, ONE, lattice)
-        freed = check_stable(Bin("&m", f, choice(exempt)), i,
-                             kept + exempt, ONE, lattice)
-        if plain.status != freed.status:
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       exempt=exempt, plain=plain.status, freed=freed.status)
-    return None
+
+
+def _choice_exemption(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, _ = _gen_fip(rng, lattice)
+    exempt = tuple(a for a in SIG2 if rng.random() < 0.5) or ("q",)
+    kept = tuple(a for a in SIG2 if a not in exempt)
+    plain = check_stable(f, i, kept, ONE, lattice)
+    freed = check_stable(Bin("&m", f, choice(exempt)), i, kept + exempt, ONE, lattice)
+    if plain.status != freed.status:
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   exempt=exempt, plain=plain.status, freed=freed.status)
 
 
 # transforms --------------------------------------------------------------
 
 
-def _suite_nneg_shape(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("nneg-shape", seed)
-    for _ in range(trials):
-        f = gen_formula(rng.randrange(2 ** 63), SIG2, max_depth=3,
-                        operator_pool=ALL_OPERATORS, allow_strongneg=True,
-                        lattice=lattice)
-        result = nneg(f)
-        if any(isinstance(n, StrongNeg) for n in walk(result.formula)):
-            return _cx(formula=print_formula(f),
-                       problem="strong negation survived")
-        sig = atoms(f)
-        if tuple(result.complements) != sig:
-            return _cx(formula=print_formula(f),
-                       problem="complement map misses atoms",
-                       complements=result.complements)
-        if len(set(result.complements.values())) != len(sig):
-            return _cx(formula=print_formula(f), problem="complement collision",
-                       complements=result.complements)
-        if result.signature != sig + tuple(result.complements[a] for a in sig):
-            return _cx(formula=print_formula(f), problem="signature order",
-                       signature=result.signature)
-        if not set(atoms(result.formula)) <= set(result.signature):
-            return _cx(formula=print_formula(f), problem="atoms left the signature")
-    return None
+def _nneg_shape(rng: random.Random, lattice: Lattice) -> str | None:
+    f = gen_formula(_seed(rng), SIG2, max_depth=3, operator_pool=ALL_OPERATORS,
+                    allow_strongneg=True, lattice=lattice)
+    result = nneg(f)
+    if any(isinstance(n, StrongNeg) for n in walk(result.formula)):
+        return _cx(formula=print_formula(f), problem="strong negation survived")
+    sig = atoms(f)
+    if tuple(result.complements) != sig:
+        return _cx(formula=print_formula(f), problem="complement map misses atoms",
+                   complements=result.complements)
+    if len(set(result.complements.values())) != len(sig):
+        return _cx(formula=print_formula(f), problem="complement collision",
+                   complements=result.complements)
+    if result.signature != sig + tuple(result.complements[a] for a in sig):
+        return _cx(formula=print_formula(f), problem="signature order",
+                   signature=result.signature)
+    if not set(atoms(result.formula)) <= set(result.signature):
+        return _cx(formula=print_formula(f), problem="atoms left the signature")
 
 
 # equilibrium --------------------------------------------------------------
 
 
-def _suite_paired_valuation_values(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("paired-valuation-values", seed)
-    for _ in range(trials):
-        f, i, minimized = _gen_fip(rng, lattice)
-        j = gen_lower_interpretation(rng.randrange(2 ** 63), i, minimized, lattice)
-        v = paired_valuation(j, i)
-        t_lower = n5_evaluate(v, "t", f).lower
-        h_lower = n5_evaluate(v, "h", f).lower
-        if t_lower != evaluate(f, i):
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       j=format_interpretation(j), t_lower=t_lower,
-                       value=evaluate(f, i))
-        if h_lower != evaluate(fuzzy_reduct(f, i), j):
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       j=format_interpretation(j), h_lower=h_lower,
-                       reduct_value=evaluate(fuzzy_reduct(f, i), j))
-    return None
+def _paired_valuation_values(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, minimized = _gen_fip(rng, lattice)
+    j = gen_lower_interpretation(_seed(rng), i, minimized, lattice)
+    v = paired_valuation(j, i)
+    t_lower = n5_evaluate(v, "t", f).lower
+    h_lower = n5_evaluate(v, "h", f).lower
+    if t_lower != evaluate(f, i):
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   j=format_interpretation(j), t_lower=t_lower,
+                   value=evaluate(f, i))
+    if h_lower != evaluate(fuzzy_reduct(f, i), j):
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   j=format_interpretation(j), h_lower=h_lower,
+                   reduct_value=evaluate(fuzzy_reduct(f, i), j))
 
 
 _EQ_STATUS = {"not_a_model": "not_a_model", "stable": "equilibrium",
               "unstable": "not_h_minimal"}
 
 
-def _suite_equilibrium_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("equilibrium-agreement", seed)
-    for _ in range(trials):
-        f, i, _ = _gen_fip(rng, lattice)
-        stable_status = check_stable(f, i, None, ONE, lattice).status
-        eq_status = is_equilibrium(valuation_of(i), f, lattice).status
-        if _EQ_STATUS[stable_status] != eq_status:
-            return _cx(formula=print_formula(f), i=format_interpretation(i),
-                       stable=stable_status, equilibrium=eq_status)
-    return None
+def _equilibrium_agreement(rng: random.Random, lattice: Lattice) -> str | None:
+    f, i, _ = _gen_fip(rng, lattice)
+    stable_status = check_stable(f, i, None, ONE, lattice).status
+    eq_status = is_equilibrium(valuation_of(i), f, lattice).status
+    if _EQ_STATUS[stable_status] != eq_status:
+        return _cx(formula=print_formula(f), i=format_interpretation(i),
+                   stable=stable_status, equilibrium=eq_status)
 
 
-def _suite_equilibrium_strongneg_agreement(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("equilibrium-strongneg-agreement", seed)
+def _equilibrium_strongneg_agreement(rng: random.Random, lattice: Lattice) -> str | None:
     points = list(lattice.points())
-    for _ in range(trials):
-        f = gen_formula(rng.randrange(2 ** 63), SIG2, max_depth=3,
-                        operator_pool=LATTICE_SAFE_OPERATORS,
-                        allow_strongneg=True, lattice=lattice)
-        sig = atoms(f)
-        data = {}
-        values = {}
-        result = nneg(f)
-        for a in sig:
-            lo = rng.choice(points)
-            hi = rng.choice([x for x in points if x >= lo])
-            iv = Interval(lo, hi)
-            data[("h", a)] = iv
-            data[("t", a)] = iv
-            values[a] = lo
-            values[result.complements[a]] = 1 - hi
-        v = Valuation(data)
-        eq_status = is_equilibrium(v, f, lattice).status
-        stable_status = check_stable(
-            result.formula, Interpretation(values), result.signature,
-            ONE, lattice).status
-        if _EQ_STATUS[stable_status] != eq_status:
-            return _cx(formula=print_formula(f), valuation=str(v),
-                       stable=stable_status, equilibrium=eq_status)
-    return None
+    f = gen_formula(_seed(rng), SIG2, max_depth=3,
+                    operator_pool=LATTICE_SAFE_OPERATORS,
+                    allow_strongneg=True, lattice=lattice)
+    data = {}
+    values = {}
+    result = nneg(f)
+    for a in atoms(f):
+        lo = rng.choice(points)
+        hi = rng.choice([x for x in points if x >= lo])
+        data[("h", a)] = data[("t", a)] = Interval(lo, hi)
+        values[a] = lo
+        values[result.complements[a]] = 1 - hi
+    v = Valuation(data)
+    eq_status = is_equilibrium(v, f, lattice).status
+    stable_status = check_stable(result.formula, Interpretation(values),
+                                 result.signature, ONE, lattice).status
+    if _EQ_STATUS[stable_status] != eq_status:
+        return _cx(formula=print_formula(f), valuation=str(v),
+                   stable=stable_status, equilibrium=eq_status)
 
 
-def _suite_equilibrium_upper_bounds(trials: int, seed: int, lattice: Lattice) -> str | None:
-    rng = _master("equilibrium-upper-bounds", seed)
+def _equilibrium_upper_bounds(rng: random.Random, lattice: Lattice) -> str | None:
     points = list(lattice.points())
-    for _ in range(trials):
-        f = gen_formula(rng.randrange(2 ** 63), SIG2, max_depth=3,
-                        operator_pool=LATTICE_SAFE_OPERATORS, lattice=lattice)
-        sig = atoms(f)
-        data = {}
-        clipped = False
-        for a in sig:
-            lo = rng.choice(points)
-            hi = rng.choice([x for x in points if x >= lo])
-            clipped = clipped or hi != ONE
-            iv = Interval(lo, hi)
-            data[("h", a)] = iv
-            data[("t", a)] = iv
-        if not clipped:
-            continue
-        v = Valuation(data)
-        if is_equilibrium(v, f, lattice).status == "equilibrium":
-            return _cx(formula=print_formula(f), valuation=str(v),
-                       problem="equilibrium with an upper bound below 1 "
-                               "on a strong-negation-free formula")
-    return None
+    f = gen_formula(_seed(rng), SIG2, max_depth=3,
+                    operator_pool=LATTICE_SAFE_OPERATORS, lattice=lattice)
+    data = {}
+    clipped = False
+    for a in atoms(f):
+        lo = rng.choice(points)
+        hi = rng.choice([x for x in points if x >= lo])
+        clipped = clipped or hi != ONE
+        data[("h", a)] = data[("t", a)] = Interval(lo, hi)
+    if not clipped:
+        return None
+    v = Valuation(data)
+    if is_equilibrium(v, f, lattice).status == "equilibrium":
+        return _cx(formula=print_formula(f), valuation=str(v),
+                   problem="equilibrium with an upper bound below 1 "
+                           "on a strong-negation-free formula")
 
 
 # registry ----------------------------------------------------------------
 
 _EXHAUSTIVE_NOTE = "exhaustive over the lattice; the trial count is ignored"
 
-_SUITES: dict[str, tuple[Callable[[int, int, Lattice], str | None], str]] = {
-    "operator-axioms": (_suite_operator_axioms, _EXHAUSTIVE_NOTE),
-    "residual-flags": (_suite_residual_flags, _EXHAUSTIVE_NOTE),
-    "conjunction-bounds": (_suite_conjunction_bounds, ""),
-    "disjunction-bounds": (_suite_disjunction_bounds, ""),
-    "lattice-closure": (_suite_lattice_closure, _EXHAUSTIVE_NOTE),
-    "parse-print-roundtrip": (_suite_parse_print_roundtrip, ""),
-    "program-translation-shape": (_suite_program_translation_shape, ""),
-    "reduct-value-equality": (_suite_reduct_value_equality, ""),
-    "reduct-monotonicity": (_suite_reduct_monotonicity, ""),
-    "reduct-simplified-agreement": (_suite_reduct_simplified_agreement, ""),
+# name -> (control, trial, note)
+_SUITES: dict[str, tuple[Control | None, Trial | None, str]] = {
+    "operator-axioms": (_operator_axioms, None, _EXHAUSTIVE_NOTE),
+    "residual-flags": (_residual_flags, None, _EXHAUSTIVE_NOTE),
+    "conjunction-bounds": (None, _conjunction_bounds, ""),
+    "disjunction-bounds": (None, _disjunction_bounds, ""),
+    "lattice-closure": (_lattice_closure, None, _EXHAUSTIVE_NOTE),
+    "parse-print-roundtrip": (None, _parse_print_roundtrip, ""),
+    "program-translation-shape": (None, _program_translation_shape, ""),
+    "reduct-value-equality": (None, _reduct_value_equality, ""),
+    "reduct-monotonicity": (None, _reduct_monotonicity, ""),
+    "reduct-simplified-agreement": (None, _reduct_simplified_agreement, ""),
     "reduct-wrapper-counterexample": (
-        _suite_reduct_wrapper_counterexample,
+        _reduct_wrapper_counterexample, None,
         "pinned negative control; the trial count is ignored"),
-    "compiled-evaluation-agreement": (_suite_compiled_evaluation_agreement, ""),
-    "empty-minimization": (_suite_empty_minimization, ""),
-    "threshold-guard-agreement": (_suite_threshold_guard_agreement, ""),
-    "shadow-rewrite-agreement": (_suite_shadow_rewrite_agreement, ""),
-    "shadow-merge-value": (_suite_shadow_merge_value, ""),
-    "boolean-correspondence": (_suite_boolean_correspondence, ""),
-    "crisp-stability-transfer": (_suite_crisp_stability_transfer, ""),
-    "program-oracle-agreement": (_suite_program_oracle_agreement, ""),
-    "constraint-conjunction": (_suite_constraint_conjunction, ""),
-    "choice-tautology": (_suite_choice_tautology, ""),
-    "choice-widening": (_suite_choice_widening, ""),
-    "choice-exemption": (_suite_choice_exemption,
+    "compiled-evaluation-agreement": (None, _compiled_evaluation_agreement, ""),
+    "empty-minimization": (None, _empty_minimization, ""),
+    "threshold-guard-agreement": (None, _threshold_guard_agreement, ""),
+    "shadow-rewrite-agreement": (None, _shadow_rewrite_agreement, ""),
+    "shadow-merge-value": (None, _shadow_merge_value, ""),
+    "boolean-correspondence": (None, _boolean_correspondence, ""),
+    "crisp-stability-transfer": (None, _crisp_stability_transfer, ""),
+    "program-oracle-agreement": (None, _program_oracle_agreement, ""),
+    "constraint-conjunction": (None, _constraint_conjunction, ""),
+    "choice-tautology": (None, _choice_tautology, ""),
+    "choice-widening": (None, _choice_widening, ""),
+    "choice-exemption": (_choice_exemption_control, _choice_exemption,
                          "includes a pinned sub-threshold negative control"),
-    "nneg-shape": (_suite_nneg_shape, ""),
-    "paired-valuation-values": (_suite_paired_valuation_values, ""),
-    "equilibrium-agreement": (_suite_equilibrium_agreement, ""),
-    "equilibrium-strongneg-agreement": (_suite_equilibrium_strongneg_agreement, ""),
-    "equilibrium-upper-bounds": (_suite_equilibrium_upper_bounds, ""),
+    "nneg-shape": (None, _nneg_shape, ""),
+    "paired-valuation-values": (None, _paired_valuation_values, ""),
+    "equilibrium-agreement": (None, _equilibrium_agreement, ""),
+    "equilibrium-strongneg-agreement": (None, _equilibrium_strongneg_agreement, ""),
+    "equilibrium-upper-bounds": (None, _equilibrium_upper_bounds, ""),
 }
 
 
@@ -686,12 +597,23 @@ def run_suite(
     seed: int = 0,
     lattice: Lattice = Lattice(4),
 ) -> PropertyReport:
+    """Run the suite's control, then up to `trials` trials on one RNG
+    seeded by the suite's name and `seed`, stopping at the first
+    counterexample."""
     try:
-        fn, note = _SUITES[name]
+        control, trial, note = _SUITES[name]
     except KeyError:
         known = ", ".join(_SUITES)
         raise ValueError(f"unknown suite {name!r} (known: {known})") from None
-    counterexample = fn(trials, seed, lattice)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    counterexample = control(lattice) if control else None
+    if counterexample is None and trial:
+        rng = _master(name, seed)
+        for _ in range(trials):
+            counterexample = trial(rng, lattice)
+            if counterexample is not None:
+                break
     return PropertyReport(name, counterexample is None, trials,
                           counterexample, note)
 

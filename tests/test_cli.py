@@ -205,6 +205,14 @@ class TestCheck:
         assert code == 2
         assert "exhaustive" in err
 
+    def test_uninterpreted_atom_is_an_input_error(self, capsys):
+        # I is no model here; the missing atom is reported all the same.
+        for engine in ("direct", "star"):
+            code, _, err = run(capsys, "check", "--expr", "p &m q",
+                               "--interp", "p=0.5", "--engine", engine)
+            assert code == 2
+            assert "atom 'q' is not interpreted" in err
+
     def test_off_lattice_interp_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "p ->r p",
                            "--interp", "p=1/3", "--denominator", "10")
@@ -372,6 +380,15 @@ class TestProps:
         data = json.loads(out)
         assert code == 0
         assert data[0]["suite"] == "residual-flags" and data[0]["passed"]
+
+    def test_trials_below_one_is_an_input_error(self, capsys):
+        for trials in ("0", "-3"):
+            code, out, err = run(capsys, "props", "--suite",
+                                 "reduct-value-equality", "--trials", trials,
+                                 "--json")
+            assert code == 2
+            assert out == ""
+            assert "trials must be at least 1" in err
 
 
 class TestTopLevel:

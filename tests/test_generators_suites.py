@@ -1,8 +1,11 @@
 """Determinism of the random generators and the invariant suite registry."""
+import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import fuzzysm.suites as suites
 
 from fuzzysm import (
     Lattice,
@@ -24,8 +27,10 @@ from fuzzysm.generators import (
     CLASSICAL_OPERATORS,
     LATTICE_SAFE_OPERATORS,
 )
+from fuzzysm.semantics import _reduct
 
 D4 = Lattice(4)
+MANIFEST = Path(__file__).resolve().parent.parent / "docs" / "properties.md"
 
 
 class TestGenerators:
@@ -93,9 +98,45 @@ class TestGenerators:
 
 class TestSuites:
     def test_registry_matches_documented_manifest(self):
-        doc = Path(__file__).resolve().parent.parent / "docs" / "properties.md"
-        rows = re.findall(r"^\| `([a-z0-9-]+)` \|", doc.read_text(), re.M)
+        rows = re.findall(r"^\| `([a-z0-9-]+)` \|", MANIFEST.read_text(), re.M)
         assert rows == list(suite_names())
+
+    def test_manifest_markers_match_the_registry(self):
+        rows = dict(re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$",
+                               MANIFEST.read_text(), re.M))
+        marked = {"(exhaustive)": [], "(pinned)": []}
+        for name, (control, trial, note) in suites._SUITES.items():
+            exhaustive = (control is not None and trial is None
+                          and note == suites._EXHAUSTIVE_NOTE)
+            assert ("(exhaustive)" in rows[name]) == exhaustive, name
+            assert ("(pinned)" in rows[name]) == ("pinned" in note), name
+            for marker in marked:
+                if marker in rows[name]:
+                    marked[marker].append(name)
+        assert marked == {
+            "(exhaustive)": ["operator-axioms", "residual-flags", "lattice-closure"],
+            "(pinned)": ["reduct-wrapper-counterexample", "choice-exemption"]}
+
+    def test_only_run_suite_seeds_and_loops(self):
+        """Each suite is a control and a trial; the seeded loop over the
+        trial count lives in run_suite alone."""
+        tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+        seeds, loops = set(), set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "_master"):
+                    seeds.add(fn.name)
+                if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                        and isinstance(node.iter.func, ast.Name)
+                        and node.iter.func.id == "range"
+                        and any(isinstance(a, ast.Name) and a.id == "trials"
+                                for a in node.iter.args)):
+                    loops.add(fn.name)
+        assert seeds == {"run_suite"}
+        assert loops == {"run_suite"}
 
     def test_every_suite_passes_briefly(self):
         reports = run_all(trials=25, seed=0, lattice=Lattice(3))
@@ -117,6 +158,48 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("no-such-suite")
+
+    def test_trials_below_one_rejected(self):
+        # No trial run would read as a pass; exhaustive suites, which
+        # ignore the count, reject it too.
+        for name in ("reduct-value-equality", "operator-axioms"):
+            for trials in (0, -3):
+                with pytest.raises(ValueError, match="trials must be at least 1"):
+                    run_suite(name, trials=trials)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_all(trials=0)
+
+    def test_counterexamples_under_a_wrapper_fault(self, monkeypatch):
+        """Capping the reduct with the Lukasiewicz t-norm instead of the
+        minimum: the suites that see it report these exact
+        counterexamples, which pins both their draws and their text."""
+        monkeypatch.setattr(
+            suites, "fuzzy_reduct",
+            lambda f, i, simplified=True: _reduct(f, i, simplified, "&l"))
+        reports = run_all(500, 0, Lattice(4))
+        failed = {r.suite: r.counterexample for r in reports if not r.passed}
+        assert failed == {
+            "reduct-value-equality":
+                "formula = not_s (q |p q) |p (q ->s 0 &p p); i = p=1, q=0.75; "
+                "reduct = 0.0625 |p (q ->s 0 &p p) &l 0.25; simplified = True",
+            "reduct-simplified-agreement":
+                "formula = (1 |p q) &p 0.75 |p (q |p (p |m q)); i = p=1, q=0.5; "
+                "j = p=0.25, q=0.5; lean = 15/16; full = 7/8",
+            "reduct-wrapper-counterexample":
+                "problem = minimum wrapper no longer keeps the value; value = 1/5",
+            "compiled-evaluation-agreement":
+                "formula = not_s p |m (q ->l 1/12) |m not_s q; i = p=5/6, q=5/12; "
+                "j = p=0, q=0.25; minimized = ('p', 'q'); threshold = 2/3; "
+                "kernel = True; reference = False; integer = False",
+            "shadow-merge-value":
+                "formula = not_s 1 &p (p |l p) |m ((q ->l p) |m 0.5); "
+                "i = p=0.75, q=1; j = p=0.75, q=1; minimized = ('p',); "
+                "star = 3/4; reduct = 1/2",
+            "paired-valuation-values":
+                "formula = not_s p &m (0.5 |m p) &m ((q ->s 0) &m 1); "
+                "i = p=0, q=0.75; j = p=0, q=0.75; h_lower = 1/4; reduct_value = 0",
+        }
+        assert len(reports) - len(failed) == 22
 
     def test_pinned_suites_note_their_controls(self):
         # the wrapper and threshold suites carry fixed counterexamples;

@@ -51,6 +51,12 @@ class TestInterpretation:
         with pytest.raises(SignatureError, match="'q' is not interpreted"):
             i["q"]
 
+    def test_membership_and_get_on_a_missing_atom(self):
+        i = Interpretation({"p": F(1)})
+        assert "p" in i and "q" not in i
+        assert i.get("p") == F(1)
+        assert i.get("q") is None and i.get("q", F(0)) == F(0)
+
     def test_updated_returns_new(self):
         i = Interpretation({"p": F(1), "q": F(0)})
         j = i.updated({"q": F(1, 2)})

@@ -40,6 +40,7 @@ from fuzzysm import (
     verdict_to_json,
     y_to_one,
 )
+from fuzzysm.compiled import compile_formula
 
 F = Fraction
 D10 = Lattice(10)
@@ -102,6 +103,18 @@ class TestFindWitness:
         with pytest.raises(SignatureError):
             find_witness(f, i, ("zz",), lattice=D10)
 
+    def test_candidate_pools_are_the_lattice_points_below(self):
+        # Program.below is the pool find_witness scans: the lattice points
+        # at or below a value, in the program's domain, on either domain.
+        d4 = Lattice(4)
+        for text in ("p ->r p", "p &p p"):  # integer, then Fraction domain
+            prog = compile_formula(parse_formula(text), ("p",), d4)
+            for x in (F(0), F(1, 3), F(1, 2), F(1)):
+                if prog.integer and x not in d4:
+                    continue
+                assert prog.below(prog.domain(x)) == tuple(
+                    prog.domain(v) for v in d4.points_up_to(x))
+
 
 class TestCheckStable:
     def test_statuses(self):
@@ -137,6 +150,32 @@ class TestCheckStable:
         assert v.denominator == 10
         assert v.threshold == F(1)
         assert "exact over the 1/10 lattice" in v.note
+
+    # The atoms are checked before the model test, so an input error does
+    # not hinge on whether I happens to reach the threshold.
+    @pytest.mark.parametrize("threshold", [F(1), F(1, 2)])
+    def test_uninterpreted_atom_rejected_at_any_threshold(self, threshold):
+        f = parse_formula("p &m q")
+        i = Interpretation({"p": F(1, 2)})
+        with pytest.raises(SignatureError, match="'q' is not interpreted"):
+            check_stable(f, i, threshold=threshold, lattice=D2)
+        with pytest.raises(SignatureError, match="'q' is not interpreted"):
+            check_stable(f, i, minimized=("p",), threshold=threshold, lattice=D2)
+        # The star route checks threshold 1 only; below it, on the guard.
+        for g in (f, y_to_one(f, threshold)):
+            with pytest.raises(SignatureError, match="'q' is not interpreted"):
+                check_stable_via_star(g, i, lattice=D2)
+
+    @pytest.mark.parametrize("value", [F(1, 2), F(1)])
+    def test_minimized_outside_signature_rejected_model_or_not(self, value):
+        f = parse_formula("p")
+        i = Interpretation({"p": value})
+        for threshold in (F(1), F(1, 2)):
+            with pytest.raises(SignatureError, match="outside the signature"):
+                check_stable(f, i, minimized=("zz",), threshold=threshold,
+                             lattice=D2)
+        with pytest.raises(SignatureError, match="outside the signature"):
+            check_stable_via_star(f, i, minimized=("zz",), lattice=D2)
 
     def test_sampled_note_is_honest(self):
         f = parse_formula("not_s q ->r p")
