@@ -309,6 +309,7 @@ def _cmd_equilibrium(args) -> int:
         sig = None
         if args.signature:
             sig = tuple(a.strip() for a in args.signature.split(",") if a.strip())
+            _require_atoms(f, sig, "is not in --signature")
         models = enumerate_equilibrium(f, lattice, signature=sig, cap=args.cap)
         if args.json:
             _emit({"count": len(models),
@@ -328,6 +329,7 @@ def _cmd_equilibrium(args) -> int:
     else:
         raise UsageError("give --valuation, --valuation-file, --interp, "
                          "or --enumerate")
+    _require_atoms(f, v.atoms(), "is not interpreted")
     verdict = is_equilibrium(v, f, lattice, cap=args.cap)
     if args.json:
         _emit(equilibrium_verdict_to_json(verdict))
@@ -340,6 +342,14 @@ def _cmd_equilibrium(args) -> int:
     if args.fail_on_unstable and verdict.status != "equilibrium":
         return 1
     return 0
+
+
+def _require_atoms(f, names, complaint: str) -> None:
+    """Refuse an atom of f outside names: the interval engine would raise
+    KeyError on it."""
+    for a in atoms(f):
+        if a not in names:
+            raise UsageError(f"atom {a!r} {complaint}")
 
 
 def _cmd_props(args) -> int:

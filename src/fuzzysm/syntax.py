@@ -6,13 +6,17 @@ implications, 'not_s' for the standard negator.  '~' marks strong negation
 and applies to atoms only.  Precedence, loosest first: implications
 (right-associative), disjunctions, conjunctions (both left-associative),
 then the unary negations.  docs/grammar.md is the normative description.
+
+The lexer is one ordered token table, `_TOKEN_RE`: a named group per
+token kind and per malformed operator, scanned left to right by
+`finditer`; `_LEXICAL_ERRORS` gives the message for each error kind.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 from .algebra import (
     OpFamily,
@@ -43,10 +47,48 @@ class StrongNeg:
     name: str
 
 
+# Neg and Bin replace the generated ==, hash and repr, which recurse, with
+# walks that keep their own stack, so a formula of any depth compares, hashes
+# and prints.  The repr text is the generated one.
+
+
+def _tree_eq(self, other: object) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    # Each class has a fixed number of children, so a preorder spells its
+    # tree: two trees are equal when their preorders agree node by node.
+    return all(x.__class__ is y.__class__ and (
+        x.op == y.op if isinstance(x, (Neg, Bin)) else x == y)
+        for x, y in zip(walk(self), walk(other)))
+
+
+def _tree_hash(self) -> int:
+    return fold(self, hash, lambda x, *hashes: hash((x.op, *hashes)))
+
+
+def _tree_repr(self) -> str:
+    out: list[str] = []
+    stack: list = [self]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Bin):
+            out.append(f"Bin(op={x.op!r}, left=")
+            stack += (")", x.right, ", right=", x.left)
+        elif isinstance(x, Neg):
+            out.append(f"Neg(op={x.op!r}, body=")
+            stack += (")", x.body)
+        else:
+            out.append(repr(x))
+    return "".join(out)
+
+
 @dataclass(frozen=True, slots=True)
 class Neg:
     op: str
     body: "Formula"
+    __eq__, __hash__, __repr__ = _tree_eq, _tree_hash, _tree_repr
 
     def __post_init__(self) -> None:
         if get_operator(self.op).family is not OpFamily.NEGATION:
@@ -58,6 +100,7 @@ class Bin:
     op: str
     left: "Formula"
     right: "Formula"
+    __eq__, __hash__, __repr__ = _tree_eq, _tree_hash, _tree_repr
 
     def __post_init__(self) -> None:
         fam = get_operator(self.op).family
@@ -144,120 +187,60 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+/\d+|\d+\.\d+|\.\d+|\d+")
-
+# The token table, tried in order at each position: the first alternative
+# that matches wins.  'end' matches only at the end of the text (after a
+# comment on the last line it stands where the '#' does).  The error
+# kinds, then 'char', catch whatever no token starts with.
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
+    ("end", r"#[^\n]*\Z|\Z"),
+    ("newline", r"\n"),
+    ("skip", r"[ \t\r]+|#[^\n]*"),
+    ("number", r"\d+/\d+|\d+\.\d+|\.\d+|\d+"),
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("conj", r"&[lmp]"),
+    ("disj", r"\|[lmp]"),
+    ("impl", r"->[rsl]"),
+    ("arrow", r"<-"),
+    ("strongneg", r"~"),
+    ("lparen", r"\("),
+    ("rparen", r"\)"),
+    ("dot", r"\."),
+    ("comma", r","),
+    ("kindless_op", r"[&|]"),
+    ("kindless_impl", r"->"),
+    ("minus", r"-"),
+    ("less", r"<"),
+    ("char", r"(?s:.)"),
+]))
+_LEXICAL_ERRORS = {
+    "kindless_op": "operator {!r} needs a kind suffix (l, m or p)",
+    "kindless_impl": "expected 'r', 's' or 'l' after '->'",
+    "minus": "expected '->'",
+    "less": "expected '<-'",
+    "char": "unexpected character {!r}",
+}
 _KEYWORDS = {"not_s": "not_s", "not": "not"}
-_SUFFIXES = {"&": "lmp", "|": "lmp", "->": "rsl"}
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Tokens up to and including 'end'; the first lexical error raises."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-
-        def emit(kind: str, text_: str) -> None:
-            tokens.append(_Token(kind, text_, start_line, start_col))
-
-        if ch in "&|":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt in _SUFFIXES[ch]:
-                emit("conj" if ch == "&" else "disj", ch + nxt)
-                i += 2
-                col += 2
-            else:
-                emit("bar" if ch == "|" else "amp", ch)
-                i += 1
-                col += 1
-            continue
-        if ch == "-":
-            if text[i : i + 2] != "->":
-                raise ParseError("expected '->'", line, col)
-            nxt = text[i + 2] if i + 2 < n else ""
-            if nxt not in "rsl":
-                raise ParseError("expected 'r', 's' or 'l' after '->'", line, col)
-            emit("impl", "->" + nxt)
-            i += 3
-            col += 3
-            continue
-        if ch == "<":
-            if text[i : i + 2] != "<-":
-                raise ParseError("expected '<-'", line, col)
-            emit("arrow", "<-")
-            i += 2
-            col += 2
-            continue
-        if ch == "~":
-            emit("strongneg", "~")
-            i += 1
-            col += 1
-            continue
-        if ch == "(":
-            emit("lparen", "(")
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
-            emit("rparen", ")")
-            i += 1
-            col += 1
-            continue
-        if ch == ".":
-            nm = _NUMBER_RE.match(text, i)
-            if nm:
-                emit("number", nm.group())
-                col += nm.end() - i
-                i = nm.end()
-            else:
-                emit("dot", ".")
-                i += 1
-                col += 1
-            continue
-        if ch == ",":
-            emit("comma", ",")
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            nm = _NUMBER_RE.match(text, i)
-            assert nm is not None
-            emit("number", nm.group())
-            col += nm.end() - i
-            i = nm.end()
-            continue
-        im = _IDENT_RE.match(text, i)
-        if im:
-            word = im.group()
-            emit(_KEYWORDS.get(word, "ident"), word)
-            col += im.end() - i
-            i = im.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in _LEXICAL_ERRORS:
+            raise ParseError(_LEXICAL_ERRORS[kind].format(word), line, col)
+        elif kind != "skip":
+            tokens.append(_Token(_KEYWORDS.get(word, kind), word, line, col))
     return tokens
 
 
@@ -284,9 +267,6 @@ class _Parser:
 
     def fail(self, message: str) -> ParseError:
         tok = self.cur
-        if tok.kind in ("amp", "bar"):
-            message = f"operator {tok.text!r} needs a kind suffix (l, m or p)"
-            return ParseError(message, tok.line, tok.col)
         shown = tok.text if tok.kind != "end" else "end of input"
         return ParseError(f"{message} (found {shown!r})", tok.line, tok.col)
 
@@ -355,9 +335,6 @@ class _Parser:
             inner = self.nested(self.formula)
             self.expect("rparen", "')'")
             return inner
-        if tok.kind in ("amp", "bar"):
-            raise self.fail(
-                f"operator {tok.text!r} needs a kind suffix (l, m or p)")
         raise self.fail("expected an atom, a constant, '(' or a negation")
 
     # rule grammar ---------------------------------------------------
@@ -373,7 +350,7 @@ class _Parser:
         if self.cur.kind == "not":
             raise self.fail("'not' cannot appear in a rule head")
         head = self.head_or_literal()
-        if self.cur.kind in ("bar", "disj", "comma"):
+        if self.cur.kind in ("disj", "comma"):
             raise self.fail("disjunctive rule heads are not supported")
         pos: list[Formula] = []
         neg: list[Formula] = []

@@ -354,6 +354,15 @@ class TestEquilibrium:
         assert code == 2
         assert "--valuation" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--enumerate", "--signature", "q"], "atom 'p' is not in --signature"),
+        (["--valuation", "h:q=[0,1]; t:q=[0,1]"], "atom 'p' is not interpreted"),
+        (["--interp", "q=1"], "atom 'p' is not interpreted"),
+    ])
+    def test_missing_atom_is_an_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "equilibrium", "--expr", "q &m p", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestProps:
     def test_list(self, capsys):
@@ -389,6 +398,48 @@ class TestProps:
             assert code == 2
             assert out == ""
             assert "trials must be at least 1" in err
+
+
+_HOSTILE_TEXTS = [
+    "p &m \u00b2",  # a digit that is not a decimal digit
+    "p &m \u0663",  # a decimal digit outside ASCII
+    "p &m \u00e9",
+    "p &m \x01",
+    "p\x7f",
+    "p &",
+    "p |",
+    "p ->",
+    "(" * 5000 + "p" + ")" * 5000,
+]
+_ON_TEXT = {
+    "parse": lambda text: ["parse", "--expr", text],
+    "eval": lambda text: ["eval", "--expr", text, "--interp", "p=1"],
+    "check": lambda text: ["check", "--expr", text, "--interp", "p=1"],
+    "equilibrium": lambda text: ["equilibrium", "--expr", text, "--interp", "p=1"],
+    "translate fasp": lambda text: ["translate", "fasp", "--conj", "&m", "--expr", text],
+}
+_MISSING_ATOM = [
+    ["eval", "--expr", "p &m q", "--interp", "p=1"],
+    ["check", "--expr", "p &m q", "--interp", "p=1"],
+    ["equilibrium", "--expr", "p &m q", "--interp", "p=1"],
+    ["equilibrium", "--expr", "p &m q", "--valuation", "h:p=[0,1]; t:p=[0,1]"],
+    ["equilibrium", "--expr", "p", "--enumerate", "--signature", "q"],
+]
+
+
+class TestHostileInput:
+    """Malformed text and incomplete valuations end in exit 2 and one
+    'error:' line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        *(make(text) for make in _ON_TEXT.values() for text in _HOSTILE_TEXTS),
+        *_MISSING_ATOM,
+    ])
+    def test_exit_two_with_one_error_line(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestTopLevel:

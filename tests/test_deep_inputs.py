@@ -1,6 +1,6 @@
 """Every formula rewrite on a 10000-rule chain program, far past the
-recursion limit.  Results are compared as text: the dataclass == and hash
-of a formula this deep still recurse."""
+recursion limit.  Rewrites are compared as text, which names what differs;
+==, hash and repr on the tree itself are checked on their own."""
 import re
 from fractions import Fraction
 
@@ -46,6 +46,17 @@ def printed(chain):
 def test_print_parse_round_trip(printed):
     assert printed == chain_text(lambda k: f"p{k} &m not_s q{k} ->r p{k + 1}")
     assert print_formula(parse_formula(printed)) == printed
+
+
+def test_equality_hash_and_repr(chain, printed):
+    parsed = parse_formula(printed)
+    assert parsed is not chain and parsed == chain
+    assert hash(parsed) == hash(chain)
+    text = repr(chain)
+    assert text.startswith("Bin(op='&m', left=Bin(op='&m', left=")
+    # the fact's '->r', then per rule '&m' and '->r', and the '&m' joining it
+    assert text.count("Bin(") == 1 + 3 * N
+    assert text.count("Neg(op='not_s', body=Atom(name='q") == N
 
 
 def test_fuzzy_reduct(chain, printed):

@@ -87,6 +87,54 @@ class TestParsing:
             parse_formula("3/2")
 
 
+def _program(text):
+    return parse_fasp_program(text, "&m")
+
+
+_NEEDS_ATOM = "expected an atom, a constant, '(' or a negation (found 'end of input')"
+
+
+class TestLexicalErrors:
+    """Each lexical branch, pinned by its exact message and position."""
+
+    @pytest.mark.parametrize("parse, text, line, col, message", [
+        (parse_formula, "p & q", 1, 3, "operator '&' needs a kind suffix (l, m or p)"),
+        (parse_formula, "p | q", 1, 3, "operator '|' needs a kind suffix (l, m or p)"),
+        (parse_formula, "p &x q", 1, 3, "operator '&' needs a kind suffix (l, m or p)"),
+        (parse_formula, "p ->x q", 1, 3, "expected 'r', 's' or 'l' after '->'"),
+        (parse_formula, "p - q", 1, 3, "expected '->'"),
+        (parse_formula, "p -", 1, 3, "expected '->'"),
+        (parse_formula, "p < q", 1, 3, "expected '<-'"),
+        (parse_formula, "p $ q", 1, 3, "unexpected character '$'"),
+        (parse_formula, "p &m \u00e9", 1, 6, "unexpected character '\u00e9'"),
+        (parse_formula, "p &m\x00", 1, 5, "unexpected character '\\x00'"),
+        (parse_formula, "p\x0c&m q", 1, 2, "unexpected character '\\x0c'"),  # not a space
+        (parse_formula, "p &m \u0663", 1, 6, "truth degree out of [0, 1]: '\u0663'"),
+        (parse_formula, "p &m 0..5", 1, 7, "trailing input after formula (found '.')"),
+        (parse_formula, "p &m   ", 1, 8, _NEEDS_ATOM),
+        (parse_formula, "p &m # c", 1, 6, _NEEDS_ATOM),  # where '#' stands
+        (parse_formula, "p &m # c\n", 2, 1, _NEEDS_ATOM),
+        (parse_formula, "\tp &m $", 1, 7, "unexpected character '$'"),  # a tab is one column
+        (parse_formula, "p &m\r\nq &m\r\n$", 3, 1, "unexpected character '$'"),
+        (parse_formula, "p\r$", 1, 3, "unexpected character '$'"),
+        (_program, "a | b.", 1, 3, "operator '|' needs a kind suffix (l, m or p)"),
+        (_program, "p <- q, &r.", 1, 9, "operator '&' needs a kind suffix (l, m or p)"),
+        (_program, "p <- q <", 1, 8, "expected '<-'"),
+        # the first lexical error, before any grammar error
+        (parse_formula, "p &m \u00b2", 1, 6, "unexpected character '\u00b2'"),
+        (parse_formula, "p &", 1, 3, "operator '&' needs a kind suffix (l, m or p)"),
+        (parse_formula, "p |", 1, 3, "operator '|' needs a kind suffix (l, m or p)"),
+        (parse_formula, "p ->", 1, 3, "expected 'r', 's' or 'l' after '->'"),
+        (parse_formula, "p q & r", 1, 5, "operator '&' needs a kind suffix (l, m or p)"),
+        (_program, "p <- q &", 1, 8, "operator '&' needs a kind suffix (l, m or p)"),
+    ])
+    def test_message_and_position(self, parse, text, line, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line {line}, column {col}: {message}"
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
 class TestNestingGuard:
     """Parentheses, 'not_s' and right-nested implications share one depth
     count, refused past MAX_NESTING with the position of the token that
@@ -159,6 +207,21 @@ class TestNodes:
     def test_bin_rejects_unary(self):
         with pytest.raises(ValueError):
             Bin("not_s", Atom("p"), Atom("q"))
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(parse_formula("not_s p ->r 0.5 &m ~q")) == (
+            "Bin(op='->r', left=Neg(op='not_s', body=Atom(name='p')), "
+            "right=Bin(op='&m', left=Const(value=Fraction(1, 2)), "
+            "right=StrongNeg(name='q')))")
+
+    def test_equality_and_hash(self):
+        f = parse_formula("not_s p ->r q &m ~r")
+        assert f == parse_formula("not_s p ->r q &m ~r")
+        assert hash(f) == hash(parse_formula("not_s p ->r q &m ~r"))
+        for other in ("not_s p ->r q &l ~r", "not_s p ->s q &m ~r",
+                      "not_s p ->r q &m r", "p ->r q &m ~r"):
+            assert f != parse_formula(other)
+        assert f.left != Atom("p") and f != "not_s p ->r q &m ~r"
 
     def test_atoms_first_occurrence_order(self):
         f = parse_formula("q &m p &m q &m ~r")
