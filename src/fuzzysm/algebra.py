@@ -57,9 +57,13 @@ def check_truth(value: object) -> Fraction:
 
 
 def parse_truth(text: str) -> Fraction:
-    """Parse '0.56', '.5', '1', or '14/25' into an exact degree."""
+    """Parse '0.56', '.5', '1', or '14/25' into an exact degree.
+
+    Digits are ASCII only: Fraction alone would also read '٠.٥'."""
     s = text.strip()
     try:
+        if not s.isascii():
+            raise ValueError
         v = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise TruthError(f"not a rational truth degree: {text!r}") from exc

@@ -501,7 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", default=None,
                    help="with --enumerate: comma-separated atoms to range over")
     p.add_argument("--denominator", type=int, default=10)
-    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--cap", type=int, default=10 ** 7,
+                   help="candidate limit per scan; with --enumerate it bounds "
+                        "the pruned candidate count, in which an atom's lower "
+                        "bound moves only if it occurs plain and its upper "
+                        "bound only if it occurs under '~'")
     p.add_argument("--fail-on-unstable", action="store_true",
                    help="exit 1 unless the verdict is 'equilibrium'")
     _add_json(p)

@@ -24,6 +24,13 @@ are built only at the public boundary: the valuations passed in, the
 counters and models returned, and the intervals that n5_evaluate returns.
 Candidates come from algebra.candidates, the capped product scan that
 knows nothing of what a candidate means.
+
+enumerate_equilibrium prunes its scan by the clauses: the h-lower bound
+of a formula reads an atom's h-lower bound only through a plain
+occurrence and its h-upper bound only through '~', so a valuation whose
+unread endpoint is not widened to 0 or 1 has a strictly h-wider model
+and is never h-minimal.  find_h_violation and is_equilibrium scan every
+lattice interval, so their counters stay the first in full scan order.
 """
 from __future__ import annotations
 
@@ -42,7 +49,7 @@ from .algebra import (
     get_operator,
     parse_truth,
 )
-from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, signature_of
+from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, signature_of, walk
 
 WORLDS = ("h", "t")
 
@@ -296,12 +303,26 @@ def enumerate_equilibrium(
     Only world-agreeing valuations can qualify, so the scan runs over one
     interval per atom, shared by both worlds.  An atom named twice in
     `signature` is scanned once, at its first place.
+
+    The h-lower bound of f reads an atom's h-lower bound only through a
+    plain occurrence and its h-upper bound only through '~', so widening
+    an endpoint f never reads to 0 or 1 keeps a model a model, and a
+    candidate where that widening is strict is never h-minimal.  Each
+    atom's pool therefore keeps lower bounds above 0 only if it occurs
+    plain and upper bounds below 1 only if it occurs under '~', a
+    subsequence of the full pool in its order, and `cap` bounds the
+    product of these pools.
     """
     sig = tuple(dict.fromkeys(signature)) if signature is not None else signature_of(f)
+    nodes = list(walk(f))
+    plain = {x.name for x in nodes if isinstance(x, Atom)}
+    negated = {x.name for x in nodes if isinstance(x, StrongNeg)}
     points = list(lattice.points())
-    intervals = [(lo, hi) for lo in points for hi in points if lo <= hi]
+    pools = [[(lo, hi) for lo in (points if a in plain else points[:1])
+              for hi in (points if a in negated else points[-1:]) if lo <= hi]
+             for a in sig]
     out = []
-    for combo in candidates([intervals] * len(sig), cap):
+    for combo in candidates(pools, cap):
         env = {a: (iv, iv) for a, iv in zip(sig, combo)}
         if _pair(env, f)[0][0] != ONE:
             continue

@@ -72,10 +72,13 @@ from .stable import (
     y_to_one,
 )
 from .syntax import (
+    Atom,
     Bin,
+    Formula,
     Neg,
     StrongNeg,
     atoms,
+    fold,
     parse_formula,
     print_formula,
     program_to_formula,
@@ -547,6 +550,35 @@ def _equilibrium_upper_bounds(rng: random.Random, lattice: Lattice) -> str | Non
                            "on a strong-negation-free formula")
 
 
+def _strongly_negated(f: Formula, name: str) -> Formula:
+    """f with every plain occurrence of `name` under '~' instead."""
+    return fold(f, lambda x: StrongNeg(name) if x == Atom(name) else x,
+                lambda x, *kids: Neg(x.op, *kids) if isinstance(x, Neg)
+                else Bin(x.op, *kids))
+
+
+def _equilibrium_lower_bounds(rng: random.Random, lattice: Lattice) -> str | None:
+    points = list(lattice.points())
+    negated = rng.choice(SIG2)
+    f = gen_formula(_seed(rng), SIG2, max_depth=3,
+                    operator_pool=LATTICE_SAFE_OPERATORS,
+                    allow_strongneg=True, lattice=lattice)
+    f = _strongly_negated(f, negated)
+    sig = atoms(f)
+    if negated not in sig:
+        return None
+    data = {}
+    for a in sig:
+        lo = rng.choice(points[1:] if a == negated else points)
+        hi = rng.choice([x for x in points if x >= lo])
+        data[("h", a)] = data[("t", a)] = Interval(lo, hi)
+    v = Valuation(data)
+    if is_equilibrium(v, f, lattice).status == "equilibrium":
+        return _cx(formula=print_formula(f), valuation=str(v),
+                   problem=f"equilibrium with a lower bound above 0 on {negated!r}, "
+                           "which occurs only under '~'")
+
+
 # registry ----------------------------------------------------------------
 
 _EXHAUSTIVE_NOTE = "exhaustive over the lattice; the trial count is ignored"
@@ -584,6 +616,7 @@ _SUITES: dict[str, tuple[Control | None, Trial | None, str]] = {
     "equilibrium-agreement": (None, _equilibrium_agreement, ""),
     "equilibrium-strongneg-agreement": (None, _equilibrium_strongneg_agreement, ""),
     "equilibrium-upper-bounds": (None, _equilibrium_upper_bounds, ""),
+    "equilibrium-lower-bounds": (None, _equilibrium_lower_bounds, ""),
 }
 
 

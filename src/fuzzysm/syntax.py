@@ -202,7 +202,7 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
     ("end", r"#[^\n]*\Z|\Z"),
     ("newline", r"\n"),
     ("skip", r"[ \t\r]+|#[^\n]*"),
-    ("number", r"\d+/\d+|\d+\.\d+|\.\d+|\d+"),
+    ("number", r"[0-9]+/[0-9]+|[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+"),
     ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
     ("conj", r"&[lmp]"),
     ("disj", r"\|[lmp]"),

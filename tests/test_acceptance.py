@@ -246,7 +246,7 @@ def test_criterion_10_property_suites(report):
         reports = run_all(trials=500, seed=0, lattice=D4)
         failed = [(r.suite, r.counterexample) for r in reports if not r.passed]
         assert failed == []
-        assert len(reports) == 28
+        assert len(reports) == 29
 
 
 def test_criterion_11_trust_corpus(report, corpus):

@@ -59,6 +59,11 @@ class TestTruthValues:
         with pytest.raises(TruthError):
             parse_truth("half")
 
+    @pytest.mark.parametrize("text", ["\u0660", "\u0660.\u0665", "1/\u0662", "\uff11"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        with pytest.raises(TruthError, match="not a rational truth degree"):
+            parse_truth(text)
+
     @pytest.mark.parametrize("value,text", [
         (F(3, 10), "0.3"),
         (F(1, 4), "0.25"),

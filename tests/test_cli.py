@@ -369,7 +369,7 @@ class TestProps:
         code, out, _ = run(capsys, "props", "--list")
         assert code == 0
         names = out.strip().splitlines()
-        assert "operator-axioms" in names and len(names) == 28
+        assert "operator-axioms" in names and len(names) == 29
 
     def test_single_suite(self, capsys):
         code, out, _ = run(capsys, "props", "--suite", "operator-axioms",
@@ -425,6 +425,12 @@ _MISSING_ATOM = [
     ["equilibrium", "--expr", "p &m q", "--valuation", "h:p=[0,1]; t:p=[0,1]"],
     ["equilibrium", "--expr", "p", "--enumerate", "--signature", "q"],
 ]
+_UNICODE_DIGITS = [
+    ["parse", "--expr", "\u0660"],
+    ["eval", "--expr", "p", "--interp", "p=\u0660.\u0665"],
+    ["check", "--expr", "p", "--interp", "p=\u0661"],
+    ["equilibrium", "--expr", "p", "--valuation", "h:p=[\u0661,1]; t:p=[\u0661,1]"],
+]
 
 
 class TestHostileInput:
@@ -434,6 +440,7 @@ class TestHostileInput:
     @pytest.mark.parametrize("argv", [
         *(make(text) for make in _ON_TEXT.values() for text in _HOSTILE_TEXTS),
         *_MISSING_ATOM,
+        *_UNICODE_DIGITS,
     ])
     def test_exit_two_with_one_error_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)

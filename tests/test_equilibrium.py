@@ -9,6 +9,10 @@ from fractions import Fraction as F
 import pytest
 
 from fuzzysm import equilibrium
+from fuzzysm.algebra import candidates
+from fuzzysm.generators import ALL_OPERATORS, LATTICE_SAFE_OPERATORS, gen_formula
+from fuzzysm.suites import _strongly_negated
+from fuzzysm.syntax import Atom, StrongNeg
 from fuzzysm import (
     EquilibriumVerdict,
     Interval,
@@ -30,10 +34,12 @@ from fuzzysm import (
     parse_interpretation,
     parse_valuation,
     prec,
+    print_formula,
     preceq,
     valuation_from_json,
     valuation_of,
     valuation_to_json,
+    walk,
 )
 
 D2 = Lattice(2)
@@ -452,3 +458,45 @@ class TestPinnedScans:
         counter = find_h_violation(parse_valuation(valuation), parse_formula(text),
                                    Lattice(d))
         assert (None if counter is None else format_valuation(counter)) == want
+
+
+def _full_route(f, lattice, sig):
+    """Every world-agreeing lattice valuation over all intervals, in scan
+    order, that is_equilibrium accepts."""
+    points = list(lattice.points())
+    intervals = [Interval(lo, hi) for lo in points for hi in points if lo <= hi]
+    return [v for combo in candidates([intervals] * len(sig), 10 ** 7)
+            for v in [Valuation({(w, a): iv for a, iv in zip(sig, combo)
+                                 for w in ("h", "t")})]
+            if is_equilibrium(v, f, lattice).status == "equilibrium"]
+
+
+class TestPrunedEnumeration:
+    """enumerate_equilibrium scans only the intervals whose unread
+    endpoints are widened; its models, in order, are those of the full
+    scan through is_equilibrium."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_agrees_with_the_full_scan(self, d):
+        lattice = Lattice(d)
+        shapes = {"plain": 0, "strongneg": 0, "only_strongneg": 0, "extra": 0}
+        for k in range(80):
+            sig = ["p", "q"][:1 + k % 2]
+            strongneg = k % 4 < 2
+            f = gen_formula(100 * d + k, sig, max_depth=3,
+                            operator_pool=ALL_OPERATORS if k % 3 == 0
+                            else LATTICE_SAFE_OPERATORS,
+                            allow_strongneg=strongneg, lattice=lattice)
+            if strongneg and k % 8 < 5:
+                f = _strongly_negated(f, sig[-1])
+            if k % 6 == 0:  # one atom in f, one in the signature only
+                sig = sig + ["r"]
+            nodes = set(walk(f))
+            negated = any(isinstance(x, StrongNeg) for x in nodes)
+            shapes["strongneg" if negated else "plain"] += 1
+            shapes["only_strongneg"] += any(
+                StrongNeg(a) in nodes and Atom(a) not in nodes for a in sig)
+            shapes["extra"] += sig[-1] == "r"
+            assert enumerate_equilibrium(f, lattice, signature=sig) == \
+                _full_route(f, lattice, sig), (print_formula(f), sig)
+        assert min(shapes.values()) >= 10, shapes

@@ -193,3 +193,12 @@ def test_no_recursive_rewrites():
     assert found["fuzzysm.syntax"] == parser
     for name in ("fuzzysm.transforms", "fuzzysm.stable", "fuzzysm.compiled"):
         assert found[name] == set(), name
+
+
+def test_counter_routes_keep_the_full_scan():
+    """The scan is pruned by where atoms occur only inside
+    enumerate_equilibrium: the routes that return a counter read no
+    occurrences, so their counter stays the first in full scan order."""
+    for fn in (equilibrium._h_violation, equilibrium.find_h_violation,
+               equilibrium.is_equilibrium):
+        assert not _names(fn.__code__) & {"walk", "StrongNeg"}, fn.__name__

@@ -109,7 +109,12 @@ class TestLexicalErrors:
         (parse_formula, "p &m \u00e9", 1, 6, "unexpected character '\u00e9'"),
         (parse_formula, "p &m\x00", 1, 5, "unexpected character '\\x00'"),
         (parse_formula, "p\x0c&m q", 1, 2, "unexpected character '\\x0c'"),  # not a space
-        (parse_formula, "p &m \u0663", 1, 6, "truth degree out of [0, 1]: '\u0663'"),
+        (parse_formula, "p &m \u0663", 1, 6, "unexpected character '\u0663'"),
+        # digits are ASCII only
+        (parse_formula, "\u0660", 1, 1, "unexpected character '\u0660'"),
+        (parse_formula, "1/\u0662", 1, 2, "unexpected character '/'"),
+        (parse_formula, "0.\u0665", 1, 3, "unexpected character '\u0665'"),
+        (parse_formula, "p &m \uff11", 1, 6, "unexpected character '\uff11'"),
         (parse_formula, "p &m 0..5", 1, 7, "trailing input after formula (found '.')"),
         (parse_formula, "p &m   ", 1, 8, _NEEDS_ATOM),
         (parse_formula, "p &m # c", 1, 6, _NEEDS_ATOM),  # where '#' stands
