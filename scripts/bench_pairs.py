@@ -1,0 +1,99 @@
+"""Run the benchmark in alternating parent/change pairs and record the
+medians and quartiles of every metric as one BENCH JSON file.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --workload large --pairs 10 --seconds 30 --out BENCH_<N>.json
+
+--parent and --change are two source checkouts; each run is
+`python3 bench/run.py --workload W --seed S --seconds T --trace X` in
+that checkout, with S the pair index.  Which side runs first alternates
+from pair to pair, so slow periods of the host fall on both sides.  The
+metrics' directions come from the parent's BENCHMARK.json.  --out is
+updated in place: one entry per workload (and per traced workload), so
+the workloads can be run one at a time.  Every run's raw result is kept
+in the file next to the summary.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def bench_once(root: Path, workload: str, seed: int, seconds: float,
+               trace: int) -> dict:
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict, better: dict) -> dict:
+    parent, change = runs["parent"], runs["change"]
+    out = {}
+    for name in parent[0]["metrics"]:
+        p = [r["metrics"][name] for r in parent]
+        c = [r["metrics"][name] for r in change]
+        row = {"parent": spread(p), "change": spread(c)}
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
+            row["better"] = better[name]
+            row["change_wins"] = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        out[name] = row
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"]
+              for m in spec["end_to_end"] + spec["per_layer"]}
+    sides = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list] = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(bench_once(sides[side], args.workload, pair,
+                                         args.seconds, args.trace))
+        print(f"pair {pair}: " + ", ".join(
+            f"{side} ops_per_s {runs[side][-1]['metrics'].get('ops_per_s', 0):.2f}"
+            for side in order), flush=True)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.setdefault("python", platform.python_version())
+    record.setdefault("machine", f"{platform.machine()}, {os.cpu_count()} cores")
+    key = args.workload + (" traced" if args.trace else "")
+    record.setdefault("workloads", {})[key] = {
+        "pairs": args.pairs, "seconds": args.seconds,
+        "summary": summarize(runs, better), "runs": runs}
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -133,12 +134,22 @@ def _parse_minimize(text: str | None) -> tuple[str, ...] | None:
     return parts
 
 
+def integer(text: str) -> int:
+    """An integer option: ASCII digits with an optional leading '-', and
+    nothing else (no spaces, '_' separators or non-ASCII digits, all of
+    which int() accepts).  Raises ValueError, which argparse reports as
+    'invalid integer value'."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_strategy(text: str, seed: int):
     if text == "exhaustive":
         return Exhaustive()
     if text.startswith("sampled:"):
         try:
-            n = int(text.split(":", 1)[1])
+            n = integer(text.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad sample count in {text!r}") from None
         if n <= 0:
@@ -438,13 +449,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated atoms ('none' for the empty set); "
                         "default: every atom")
     p.add_argument("--threshold", default="1", help="default 1")
-    p.add_argument("--denominator", type=int, default=10,
+    p.add_argument("--denominator", type=integer, default=10,
                    help="lattice granularity D for 0, 1/D, ..., 1 "
                         "(default 10)")
     p.add_argument("--strategy", default="exhaustive",
                    help="'exhaustive' or 'sampled:N'")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--cap", type=int, default=10 ** 7,
+    p.add_argument("--seed", type=integer, default=0,
+                   help="with --strategy sampled:N: seeds the draws, so "
+                        "the same seed tests the same candidates in the "
+                        "same order (default 0)")
+    p.add_argument("--cap", type=integer, default=10 ** 7,
                    help="candidate limit before the search refuses to run")
     p.add_argument("--engine", choices=("direct", "star"), default="direct",
                    help="'star' cross-checks through the shadow rewrite")
@@ -457,9 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--minimize", default=None)
     p.add_argument("--threshold", default="1")
-    p.add_argument("--denominator", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--denominator", type=integer, default=10)
+    p.add_argument("--jobs", type=integer, default=1, help="parallel workers")
+    p.add_argument("--cap", type=integer, default=10 ** 7)
     p.add_argument("--count", action="store_true", help="print only the count")
     _add_json(p)
     p.set_defaults(fn=_cmd_enumerate)
@@ -500,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --enumerate: print only the count")
     p.add_argument("--signature", default=None,
                    help="with --enumerate: comma-separated atoms to range over")
-    p.add_argument("--denominator", type=int, default=10)
-    p.add_argument("--cap", type=int, default=10 ** 7,
+    p.add_argument("--denominator", type=integer, default=10)
+    p.add_argument("--cap", type=integer, default=10 ** 7,
                    help="candidate limit per scan; with --enumerate it bounds "
                         "the pruned candidate count, in which an atom's lower "
                         "bound moves only if it occurs plain and its upper "
@@ -514,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="run the invariant suites")
     p.add_argument("--suite", default=None, help="run one suite by name")
     p.add_argument("--list", action="store_true", help="list suite names")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--denominator", type=int, default=4)
+    p.add_argument("--trials", type=integer, default=500)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--denominator", type=integer, default=4)
     _add_json(p)
     p.set_defaults(fn=_cmd_props)
 

@@ -9,7 +9,11 @@ Witness search over a lattice is exhaustive with a deterministic scan
 order: minimized atoms in signature order, candidate values ascending,
 earlier atoms varying more slowly.  A seeded sampling strategy is
 available for signatures too large to scan; it is sound (a reported
-witness is real) but incomplete, and says so in the verdict.
+witness is real) but incomplete, and says so in the verdict.  Its stream
+is a contract: sample by sample, each minimized atom is drawn in
+signature order, as random.Random(seed).choice would draw it from that
+atom's pool, so a seed names the same candidates in the same order on
+every supported Python.
 
 find_witness (and with it check_stable) and enumerate_stable compile the
 formula once (see compiled.py) and share one witness kernel on the
@@ -87,11 +91,21 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Test `samples` seeded random draws of candidates below I."""
+    """Test `samples` seeded random draws of candidates below I.
+
+    The stream is part of the contract: sample by sample, each minimized
+    atom is drawn in signature order, as `random.Random(seed).choice`
+    would draw it from that atom's pool (the lattice values up to I's
+    value, plus I's own value when it lies off the lattice).  So a seed
+    reproduces its witness.  `samples` and `seed` are ints, not bools."""
     samples: int
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
 
@@ -144,6 +158,23 @@ def _require_lattice(i: Mapping[str, Fraction], lattice: Lattice) -> None:
                 "lattice values (use a sampled strategy otherwise)")
 
 
+def _draws(pools: Sequence[Sequence], samples: int, seed: int):
+    """`samples` rows, one value from each pool per row, drawn exactly as
+    `random.Random(seed).choice` would draw them pool by pool: an index
+    of k = n.bit_length() random bits, drawn again while it is not below
+    the pool's length n.  Rows are made lazily."""
+    bits = random.Random(seed).getrandbits
+    sized = [(p, len(p), len(p).bit_length()) for p in pools]
+    for _ in range(samples):
+        row = []
+        for p, n, k in sized:
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            row.append(p[r])
+        yield tuple(row)
+
+
 def find_witness(
     f: Formula,
     i: Interpretation,
@@ -174,9 +205,7 @@ def find_witness(
         # that coordinate stays reachable.
         pools = [prog.below(at_i[k]) + (() if i[sig[k]] in lattice else (at_i[k],))
                  for k in moving]
-        choice = random.Random(strategy.seed).choice
-        source = (tuple([choice(p) for p in pools])
-                  for _ in range(strategy.samples))
+        source = _draws(pools, strategy.samples, strategy.seed)
     else:
         _require_lattice(i, lattice)
         source = candidates([prog.below(at_i[k]) for k in moving], cap)
@@ -526,7 +555,11 @@ def strategy_to_json(strategy: Strategy) -> dict:
 
 def strategy_from_json(data: dict) -> Strategy:
     if data["kind"] == "sampled":
-        return Sampled(int(data["samples"]), int(data["seed"]))
+        fields = data["samples"], data["seed"]
+        if not all(type(x) is int for x in fields):
+            raise ValueError(
+                f"sampled strategy needs integer samples and seed, got {fields!r}")
+        return Sampled(*fields)
     if data["kind"] == "exhaustive":
         return Exhaustive()
     raise ValueError(f"unknown strategy kind {data.get('kind')!r}")

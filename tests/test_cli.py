@@ -449,6 +449,54 @@ class TestHostileInput:
         assert "Traceback" not in err
 
 
+_CHECK = ["check", "--expr", "p", "--interp", "p=1"]
+_NOT_ASCII_INTEGERS = [
+    [*_CHECK, "--denominator", "\u0664", "--strategy", "sampled:\u0663"],
+    [*_CHECK, "--strategy", "sampled:\u0663"],
+    [*_CHECK, "--strategy", "sampled:1_000"],
+    [*_CHECK, "--strategy", "sampled: 3"],
+    [*_CHECK, "--denominator", "1_0"],
+    [*_CHECK, "--denominator", " 10"],
+    [*_CHECK, "--denominator", "\uff14"],
+    [*_CHECK, "--seed", "\u0663", "--strategy", "sampled:3"],
+    [*_CHECK, "--seed", "1_0", "--strategy", "sampled:3"],
+    [*_CHECK, "--cap", "1_000"],
+    ["enumerate", "--expr", "p", "--jobs", "\u0662"],
+    ["enumerate", "--expr", "p", "--cap", "100 "],
+    ["enumerate", "--expr", "p", "--denominator", "+4"],
+    ["equilibrium", "--expr", "p", "--enumerate", "--denominator", "\u0664"],
+    ["equilibrium", "--expr", "p", "--enumerate", "--cap", "1_000"],
+    ["props", "--suite", "residual-flags", "--trials", "\u0663"],
+    ["props", "--suite", "residual-flags", "--seed", "0_1"],
+    ["props", "--suite", "residual-flags", "--denominator", "\u0664"],
+]
+
+
+class TestIntegerOptions:
+    """Integer options and the N of sampled:N take ASCII digits only;
+    anything else is a usage error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("argv", _NOT_ASCII_INTEGERS)
+    def test_exit_two(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the option itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+    def test_ascii_integers_still_read(self, capsys):
+        code, out, _ = run(capsys, *_CHECK, "--denominator", "010",
+                           "--strategy", "sampled:03", "--seed", "-1",
+                           "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["denominator"] == 10
+        assert data["strategy"] == {"kind": "sampled", "samples": 3,
+                                    "seed": -1}
+
+
 class TestTopLevel:
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 import concurrent.futures
 import itertools
 import os
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -229,6 +231,66 @@ class TestCheckStable:
             assert v.status == ("stable" if witness is None else "unstable")
             assert v.witness == (None if witness is None
                                  else parse_interpretation(witness))
+
+
+class TestSampledStream:
+    """The sampled hunt draws, sample by sample and atom by atom, what
+    random.Random(seed).choice would draw from each atom's pool."""
+
+    POOLS = {
+        # one value: every draw still uses up random bits
+        "size 1": [(0,), (0,), (5,)],
+        # powers of two, where half the raw draws are rejected
+        "powers of two": [tuple(range(2)), tuple(range(4)), tuple(range(8)),
+                          tuple(range(16))],
+        # the full pool of a D = 10 lattice, mixed with smaller ones
+        "D + 1": [tuple(range(11)), tuple(range(11)), (0,), tuple(range(3))],
+        # Fraction domain: off-lattice values of I join their own pool
+        "off lattice": [(*D10.points_up_to(x), x)
+                        for x in (F(1, 3), F(2, 3), F(1, 30), F(0))],
+    }
+
+    @pytest.mark.parametrize("name", sorted(POOLS))
+    def test_same_rows_as_choice(self, name):
+        pools = self.POOLS[name]
+        for seed in (*range(200), -1, 2 ** 70):
+            rng = random.Random(seed)
+            expected = [tuple(rng.choice(p) for p in pools) for _ in range(25)]
+            assert list(fuzzysm.stable._draws(pools, 25, seed)) == expected
+
+    def test_a_found_witness_ends_the_draws(self):
+        f = parse_formula("p ->r p")  # every J below I is a witness
+        i = parse_interpretation("p=1")
+        points = D10.points_up_to(F(1))
+        seed = next(s for s in itertools.count()
+                    if random.Random(s).choice(points) != 1)
+        first = random.Random(seed).choice(points)
+        tracemalloc.start()
+        try:
+            j = find_witness(f, i, ["p"], lattice=D10,
+                             strategy=Sampled(10 ** 6, seed))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert j == i.updated({"p": first})
+        assert peak < 2 ** 20  # no storage per sample
+
+    @pytest.mark.parametrize("args", [
+        (True,), (2.5,), (F(3),), ("3",), (3, 1.5), (3, "x"), (3, False),
+        (3, None),
+    ])
+    def test_sampled_takes_ints(self, args):
+        with pytest.raises(TypeError, match="must be an int"):
+            Sampled(*args)
+
+    @pytest.mark.parametrize("samples, seed", [
+        (2.7, 0), (True, 0), ("3", 0), (None, 0), (3, 1.9), (3, True),
+        (3, "x"), (3.0, 0),
+    ])
+    def test_json_strategy_needs_json_integers(self, samples, seed):
+        data = {"kind": "sampled", "samples": samples, "seed": seed}
+        with pytest.raises(ValueError, match="integer samples and seed"):
+            strategy_from_json(data)
 
 
 class TestEnumerate:
