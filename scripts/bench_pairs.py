@@ -8,10 +8,17 @@ medians and quartiles of every metric as one BENCH JSON file.
 `python3 bench/run.py --workload W --seed S --seconds T --trace X` in
 that checkout, with S the pair index.  Which side runs first alternates
 from pair to pair, so slow periods of the host fall on both sides.  The
-metrics' directions come from the parent's BENCHMARK.json.  --out is
-updated in place: one entry per workload (and per traced workload), so
-the workloads can be run one at a time.  Every run's raw result is kept
-in the file next to the summary.
+metrics' directions and bounds come from the parent's BENCHMARK.json.
+--out is updated in place after every pair, so a run that fails keeps
+the pairs before it: one entry per workload (and per traced workload),
+so the workloads can be run one at a time.  Every run's raw result is
+kept in the file next to the summary.
+
+For each end-to-end metric the summary also gives its `bound`,
+`within_bound` (the change's median is worse than the parent's by no
+more than the bound, as a fraction of the parent's median) and `gain`
+(the change wins at least nine tenths of the pairs, and the medians
+differ by more than the parent's interquartile range).
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, better: dict) -> dict:
+def summarize(runs: dict, better: dict, bounds: dict) -> dict:
     parent, change = runs["parent"], runs["change"]
     out = {}
     for name in parent[0]["metrics"]:
@@ -55,6 +62,13 @@ def summarize(runs: dict, better: dict) -> dict:
             sign = 1 if better[name] == "higher" else -1
             row["better"] = better[name]
             row["change_wins"] = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        if name in bounds:
+            pm, cm = row["parent"]["median"], row["change"]["median"]
+            worse = sign * (pm - cm)
+            row["bound"] = bounds[name]
+            row["within_bound"] = worse <= bounds[name] * abs(pm)
+            row["gain"] = (10 * row["change_wins"] >= 9 * len(p) and -worse > 0
+                           and abs(cm - pm) > row["parent"]["q3"] - row["parent"]["q1"])
         out[name] = row
     return out
 
@@ -73,8 +87,10 @@ def main(argv=None) -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"]
               for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list] = {"parent": [], "change": []}
+    key = args.workload + (" traced" if args.trace else "")
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
@@ -83,15 +99,13 @@ def main(argv=None) -> int:
         print(f"pair {pair}: " + ", ".join(
             f"{side} ops_per_s {runs[side][-1]['metrics'].get('ops_per_s', 0):.2f}"
             for side in order), flush=True)
-
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("python", platform.python_version())
-    record.setdefault("machine", f"{platform.machine()}, {os.cpu_count()} cores")
-    key = args.workload + (" traced" if args.trace else "")
-    record.setdefault("workloads", {})[key] = {
-        "pairs": args.pairs, "seconds": args.seconds,
-        "summary": summarize(runs, better), "runs": runs}
-    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        record = json.loads(args.out.read_text()) if args.out.exists() else {}
+        record.setdefault("python", platform.python_version())
+        record.setdefault("machine", f"{platform.machine()}, {os.cpu_count()} cores")
+        record.setdefault("workloads", {})[key] = {
+            "pairs": pair + 1, "seconds": args.seconds,
+            "summary": summarize(runs, better, bounds), "runs": runs}
+        args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
 

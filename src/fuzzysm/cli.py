@@ -457,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=integer, default=0,
                    help="with --strategy sampled:N: seeds the draws, so "
                         "the same seed tests the same candidates in the "
-                        "same order (default 0)")
+                        "same order; a seed and its negation draw alike "
+                        "(default 0)")
     p.add_argument("--cap", type=integer, default=10 ** 7,
                    help="candidate limit before the search refuses to run")
     p.add_argument("--engine", choices=("direct", "star"), default="direct",

@@ -24,10 +24,31 @@ at I and every implication capped at its value at I.  A node that reads
 no moving atom, other than through a negation, keeps its value at I, so
 the reduct program runs only the instructions that can change.
 
-first_witness is the witness kernel of stable.py: it runs the reduct by I
-on each candidate J and keeps the first that reaches the threshold.  At
-the top value the test stops at the first top-level t-norm conjunct below
-the top (Program.reduct_checks).
+A test "value >= cut" is a tuple of checks, each a slot that must reach
+the cut and the instructions that compute it: Program.model_checks for f
+itself, Program.reduct_checks for the reduct by I.  At the top value a
+t-norm is top only when both arguments are, so each top-level t-norm
+conjunct is its own check; below the top the root is the only one.
+
+level_scan is the exhaustive scan of stable.py, over the lattice grid
+(the model test, negations live) and below each model I (the reduct
+test).  It walks the product of per-atom pools in itertools.product
+order: atoms in signature order, earlier atoms varying more slowly,
+values ascending.  level_plan assigns each instruction to the scan
+position of the last moving atom it reads, and each check to the level
+of its slot, so a level's instructions and checks run only when its
+position takes a new value; what reads no moving atom runs once, before
+the scan.  When a check fails, every candidate that shares the failing
+position's prefix fails it too, so the scan moves that same position on
+(backtracking, as in Bitner and Reingold, "Backtrack programming
+techniques", CACM 1975).  A candidate is accepted exactly when all its
+checks pass, and skipped candidates are only ever ones that fail, so the
+scan accepts the same candidates in the same order as testing the whole
+product one candidate at a time.
+
+first_witness tests a given stream of candidates one at a time, each
+against every check in turn: the sampled witness hunt, whose draws have
+no prefix structure to skip.
 
 semantics.evaluate and semantics.fuzzy_reduct stay the reference
 definitions; the compiled-evaluation-agreement suite checks this module,
@@ -38,7 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import OPERATORS, Lattice, OpFamily
 from .semantics import SignatureError, StrongNegationError
@@ -46,6 +67,9 @@ from .syntax import Atom, Const, Formula, StrongNeg, fold
 
 Instruction = tuple  # (slot, fn, left slot, right slot, OpFamily)
 Check = tuple  # (slot, instructions): see Program.reduct_checks
+Step = tuple  # (instructions, slot or None): see level_plan
+Plan = tuple  # one tuple of steps per level: see level_plan
+_DONE = object()  # a position's values are used up
 
 
 def _numerator_fns(d: int) -> dict[str, Callable]:
@@ -128,6 +152,15 @@ class Program:
         run(self.code, vals)
         return vals
 
+    def model_checks(self, cut) -> tuple[Check, ...]:
+        """The model test "value >= cut" as (slot, instructions) pairs: a
+        point passes when, running each pair's instructions in turn with
+        run, every slot reaches cut.  Below the top value the one pair is
+        the whole program and its root; at the top, one pair per top-level
+        t-norm conjunct (see reduct_checks), each with every instruction
+        beneath it."""
+        return self._checks(cut, None)
+
     def reduct_checks(self, moving: Sequence[int], cut) -> tuple[Check, ...]:
         """The reduct test "value at J >= cut" as (slot, instructions)
         pairs, for J below I on the atom slots in `moving`: J passes when,
@@ -140,9 +173,10 @@ class Program:
         At the top a t-norm is top only when both arguments are, so the
         reduct splits into its top-level t-norm conjuncts, left to right,
         each with the varying instructions beneath it (post-order keeps a
-        subtree's instructions contiguous).  A conjunct that reads no
+        subtree's instructions contiguous).  A pair whose slot reads no
         moving atom keeps its value at I and is left out: the test is only
-        asked of points I whose value reaches cut, so that value is top.
+        asked of points I whose value reaches cut, so that slot reaches
+        cut too.
         """
         varies = [False] * len(self.slots)
         for k in moving:
@@ -150,23 +184,32 @@ class Program:
         for k, _, a, b, family in self.code:
             if family is not OpFamily.NEGATION and (varies[a] or varies[b]):
                 varies[k] = True
-        code = tuple(ins for ins in self.code if varies[ins[0]])
-        if cut != self.points[-1]:
-            return ((self.root, code),)
+        return self._checks(cut, varies)
+
+    def _checks(self, cut, varies: list[bool] | None) -> tuple[Check, ...]:
+        """model_checks (varies None) or reduct_checks (only the slots
+        marked in varies)."""
         position = {ins[0]: p for p, ins in enumerate(self.code)}
         first = {}  # instruction slot -> position where its subtree starts
         for p, (k, _, a, b, _) in enumerate(self.code):
             first[k] = min(first.get(a, p), first.get(b, p))
-        checks = []
+        slots = []
         stack = [self.root]
         while stack:
             k = stack.pop()
             p = position.get(k)
-            if p is not None and self.code[p][4] is OpFamily.CONJUNCTION:
+            if (cut == self.points[-1] and p is not None
+                    and self.code[p][4] is OpFamily.CONJUNCTION):
                 stack.append(self.code[p][3])
                 stack.append(self.code[p][2])
+            else:
+                slots.append(k)
+        checks = []
+        for k in slots:
+            below = () if k not in position else self.code[first[k]:position[k] + 1]
+            if varies is None:
+                checks.append((k, below))
             elif varies[k]:
-                below = () if p is None else self.code[first[k]:p + 1]
                 checks.append((k, tuple(ins for ins in below if varies[ins[0]])))
         return tuple(checks)
 
@@ -191,6 +234,94 @@ def first_witness(checks: Sequence[Check], moving: Sequence[int], at_i: Sequence
         else:
             return values
     return None
+
+
+def level_plan(checks: Sequence[Check], positions: Sequence[int]) -> Plan:
+    """The checks' instructions and tests, grouped by the scan level they
+    wait for: entry 0 holds what reads no slot in `positions` and runs once
+    before the scan; entry p + 1 what reads positions[p] but none after it,
+    and runs each time positions[p] takes a new value.
+
+    Each level is a tuple of steps (instructions, slot or None): run the
+    instructions, then test the slot against the cut.  Within a level the
+    checks keep their order and each is tested right after the
+    instructions it needs, so a failing check skips the rest of its level.
+    A slot that no instruction of the checks writes (a constant, an atom
+    outside `positions`, a frozen negation, a node that keeps its value
+    at I) belongs to level 0.
+    """
+    level = {k: p + 1 for p, k in enumerate(positions)}
+    plan: list[list[Step]] = [[] for _ in range(len(positions) + 1)]
+    pending: list[list[Instruction]] = [[] for _ in plan]
+    for slot, code in checks:
+        for ins in code:
+            k, _, a, b, _ = ins
+            level[k] = max(level.get(a, 0), level.get(b, 0))
+            pending[level[k]].append(ins)
+        p = level.get(slot, 0)
+        plan[p].append((tuple(pending[p]), slot))
+        pending[p] = []
+    # Instructions of a check tested at a later level still run at their
+    # own level, after that level's own checks.
+    for p, code in enumerate(pending):
+        if code:
+            plan[p].append((tuple(code), None))
+    return tuple(map(tuple, plan))
+
+
+def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
+               vals: list, cut, caps: Sequence | None = None) -> Iterator[None]:
+    """Scan the candidates, one value of pools[p] for each slot
+    positions[p], in itertools.product order (earlier positions vary more
+    slowly), and yield once for each that passes every check of `plan`
+    (level_plan(checks, positions)), with its values in place in vals.
+
+    vals holds the value of every slot the plan does not write; the scan
+    writes the rest.  With caps None the instructions run as run() runs
+    them (the model test); otherwise each implication is capped at its
+    value in caps, as run_reduct() does (the reduct test).
+
+    When a check of level p + 1 fails, every candidate that shares the
+    values of positions 0..p fails it too, so the scan moves position p
+    on to its next value."""
+    impl = None if caps is None else OpFamily.IMPLICATION
+    for code, slot in plan[0]:
+        for k, fn, a, b, family in code:
+            x = fn(vals[a], vals[b])
+            if family is impl and x > caps[k]:
+                x = caps[k]
+            vals[k] = x
+        if slot is not None and vals[slot] < cut:
+            return
+    if not positions:
+        yield
+        return
+    last = len(positions) - 1
+    values = [None] * len(positions)  # each position's remaining values
+    values[0] = iter(pools[0])
+    p = 0
+    while True:
+        v = next(values[p], _DONE)
+        if v is _DONE:
+            if p == 0:
+                return
+            p -= 1
+            continue
+        vals[positions[p]] = v
+        for code, slot in plan[p + 1]:
+            for k, fn, a, b, family in code:
+                x = fn(vals[a], vals[b])
+                if family is impl and x > caps[k]:
+                    x = caps[k]
+                vals[k] = x
+            if slot is not None and vals[slot] < cut:
+                break
+        else:
+            if p == last:
+                yield
+            else:
+                p += 1
+                values[p] = iter(pools[p])
 
 
 def run(code: Sequence[Instruction], vals: list) -> None:

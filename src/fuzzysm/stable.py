@@ -16,27 +16,31 @@ atom's pool, so a seed names the same candidates in the same order on
 every supported Python.
 
 find_witness (and with it check_stable) and enumerate_stable compile the
-formula once (see compiled.py) and share one witness kernel on the
-compiled program, exact over integer numerators when the formula is
-lattice-closed and I lies on the lattice, and over Fractions otherwise.
-Only the source of candidates differs: the product of the per-atom pools
-for an exhaustive search, seeded draws from the same pools for a sampled
-one, and for enumeration a slice of the lattice grid, each of whose
-points scans the product below it.  check_stable's model test stays
-semantics.satisfies.  semantics.evaluate and fuzzy_reduct remain the
-reference definitions, and the shadow-atom route, the Boolean oracle and
-the program oracle below share no code with the kernel.
+formula once (see compiled.py) and run on the compiled program, exact
+over integer numerators when the formula is lattice-closed and I lies on
+the lattice, and over Fractions otherwise.  Every exhaustive scan there
+is compiled.level_scan, which skips each run of candidates that share a
+failing prefix: enumerate_stable's scan of the lattice grid, with the
+model test, then the witness scan below each model, with the reduct
+test; and the exhaustive branch of find_witness, which is that same
+witness scan.  The --jobs pool gives each worker the grid points of one
+value of the first atom, so it runs the same scan.  The sampled hunt
+keeps compiled.first_witness, which tests its seeded draws one at a
+time.  check_stable's model test stays semantics.satisfies.
+semantics.evaluate and fuzzy_reduct remain the reference definitions,
+and the shadow-atom route, the Boolean oracle and the program oracle
+below share no code with the compiled program.
 
-Every exhaustive candidate source here but enumeration's (whose grid is
-capped once, in enumerate_stable) is algebra.candidates: the capped
-product of per-atom pools, minus I's own point where the route asks.
-It knows nothing of what a candidate means; each route keeps its own
-acceptance test.  The Boolean and program oracles are capped at
-DEFAULT_CANDIDATE_CAP.
+The cross-check routes scan algebra.candidates: the capped product of
+per-atom pools, minus I's own point where the route asks.  It knows
+nothing of what a candidate means; each route keeps its own acceptance
+test.  The Boolean and program oracles are capped at
+DEFAULT_CANDIDATE_CAP.  find_witness checks its pools against its cap
+through algebra.candidates too, before the scan; enumerate_stable checks
+its grid once, and no witness scan below a grid point is larger.
 """
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -53,7 +57,7 @@ from .algebra import (
     format_truth,
     get_operator,
 )
-from .compiled import Program, compile_formula, first_witness, run
+from .compiled import Program, compile_formula, first_witness, level_plan, level_scan
 from .semantics import (
     BoolInterpretation,
     Interpretation,
@@ -97,7 +101,10 @@ class Sampled:
     atom is drawn in signature order, as `random.Random(seed).choice`
     would draw it from that atom's pool (the lattice values up to I's
     value, plus I's own value when it lies off the lattice).  So a seed
-    reproduces its witness.  `samples` and `seed` are ints, not bools."""
+    reproduces its witness.  random.Random seeds with the seed's absolute
+    value, so seed and -seed draw the same stream, while the note and the
+    verdict JSON name the seed as given.  `samples` and `seed` are ints,
+    not bools."""
     samples: int
     seed: int = 0
 
@@ -205,15 +212,31 @@ def find_witness(
         # that coordinate stays reachable.
         pools = [prog.below(at_i[k]) + (() if i[sig[k]] in lattice else (at_i[k],))
                  for k in moving]
-        source = _draws(pools, strategy.samples, strategy.seed)
+        hit = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
+                            _draws(pools, strategy.samples, strategy.seed))
     else:
         _require_lattice(i, lattice)
-        source = candidates([prog.below(at_i[k]) for k in moving], cap)
-    hit = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
-                        source)
+        pools = [prog.below(at_i[k]) for k in moving]
+        candidates(pools, cap)  # raises ResourceLimitError before the scan
+        hit = _first_below(level_plan(prog.reduct_checks(moving, cut), moving),
+                           moving, pools, at_i, cut)
     if hit is None:
         return None
     return i.updated(dict(zip(scan, map(prog.value, hit))))
+
+
+def _first_below(plan, moving: tuple[int, ...], pools: Sequence, at_i: list,
+                 cut) -> tuple | None:
+    """The exhaustive witness scan: the first candidate in scan order whose
+    J passes the reduct test, I itself left out; None when there is none.
+    plan is level_plan(prog.reduct_checks(moving, cut), moving).  Each pool
+    ends with I's value, so I is the scan's last candidate: a first hit
+    equal to it is the only one."""
+    work = list(at_i)
+    for _ in level_scan(plan, moving, pools, work, cut, caps=at_i):
+        hit = tuple([work[k] for k in moving])
+        return None if hit == tuple([at_i[k] for k in moving]) else hit
+    return None
 
 
 def _strategy_note(strategy: Strategy, lattice: Lattice, found: bool) -> str:
@@ -254,30 +277,25 @@ def check_stable(
 
 def _stable_points(
     prog: Program, moving: tuple[int, ...], cut, start: int, stop: int
-) -> list[tuple[int, ...]]:
-    """The lattice points with scan index in [start, stop), as digits, that
+) -> list[tuple]:
+    """The lattice points, as tuples of domain values, whose first atom
+    takes one of the lattice values with index in [start, stop), that
     reach `cut` and have no witness on the moving slots."""
-    code, root, points = prog.code, prog.root, prog.points
-    checks = prog.reduct_checks(moving, cut)
     n = len(prog.signature)
+    points = prog.points
+    pools = [points[start:stop]] + [points] * (n - 1) if n else []
+    grid = level_plan(prog.model_checks(cut), range(n))
+    reduct = level_plan(prog.reduct_checks(moving, cut), moving)
     vals = list(prog.slots)
-    out = []
-    grid = itertools.product(range(len(points)), repeat=n)
-    for digits in itertools.islice(grid, start, stop):
-        for k in range(n):
-            vals[k] = points[digits[k]]
-        run(code, vals)
-        # No cap check here: a point has at most as many candidates as the
-        # grid has points, and enumerate_stable has checked those against
-        # its cap.
-        if vals[root] >= cut and first_witness(
-                checks, moving, vals, cut,
-                itertools.product(*[points[:digits[k] + 1] for k in moving])) is None:
-            out.append(digits)
-    return out
+    # No cap check here: a point has at most as many candidates as the
+    # grid has points, and enumerate_stable has checked those against its
+    # cap.
+    return [tuple(vals[:n]) for _ in level_scan(grid, range(n), pools, vals, cut)
+            if _first_below(reduct, moving, [prog.below(vals[k]) for k in moving],
+                            vals, cut) is None]
 
 
-def _enumerate_chunk(args: tuple) -> list[tuple[int, ...]]:
+def _enumerate_chunk(args: tuple) -> list[tuple]:
     """_stable_points in a worker process, which compiles its own program
     (the compiled connectives are closures and do not pickle)."""
     (f, sig, moving, threshold, lattice, start, stop) = args
@@ -316,22 +334,19 @@ def enumerate_stable(
     mset = set(minimized)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
     if jobs <= 1 or total < 1024:
-        found = _stable_points(prog, moving, prog.level(y), 0, total)
+        found = _stable_points(prog, moving, prog.level(y), 0, lattice.size)
     else:
         # Imported here: most runs start no pool, and the module costs
         # every process about 20 ms of start-up and 2 MiB of memory.
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(jobs, os.cpu_count() or 1)  # never more than the cores
-        size = -(-total // (workers * 4))
-        chunks = [
-            (f, sig, moving, y, lattice, lo, min(lo + size, total))
-            for lo in range(0, total, size)
-        ]
+        # One task per value of the first atom: each scans its own slice
+        # of the grid, and the slices follow each other in scan order.
+        chunks = [(f, sig, moving, y, lattice, v, v + 1) for v in range(lattice.size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = [d for part in pool.map(_enumerate_chunk, chunks) for d in part]
-    points = list(lattice.points())
-    return [Interpretation(zip(sig, (points[k] for k in digits))) for digits in found]
+            found = [i for part in pool.map(_enumerate_chunk, chunks) for i in part]
+    return [Interpretation(zip(sig, map(prog.value, i))) for i in found]
 
 
 # Shadow-atom route: an independent stability check ------------------

@@ -258,6 +258,20 @@ class TestSampledStream:
             expected = [tuple(rng.choice(p) for p in pools) for _ in range(25)]
             assert list(fuzzysm.stable._draws(pools, 25, seed)) == expected
 
+    def test_a_seed_and_its_negation_draw_alike(self):
+        # random.Random seeds with an int seed's absolute value; the
+        # verdict still names the seed it was given.
+        pools = self.POOLS["D + 1"]
+        assert list(fuzzysm.stable._draws(pools, 25, -3)) == \
+            list(fuzzysm.stable._draws(pools, 25, 3))
+        f = parse_formula("not_s p ->r q")
+        i = parse_interpretation("p=0, q=1")
+        minus, plus = (check_stable(f, i, lattice=D10, strategy=Sampled(8, s))
+                       for s in (-3, 3))
+        assert minus.status == plus.status == "stable"
+        assert "(seed -3)" in minus.note and "(seed 3)" in plus.note
+        assert strategy_to_json(minus.strategy)["seed"] == -3
+
     def test_a_found_witness_ends_the_draws(self):
         f = parse_formula("p ->r p")  # every J below I is a witness
         i = parse_interpretation("p=1")
