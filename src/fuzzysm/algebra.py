@@ -230,10 +230,8 @@ class Lattice:
         return (Fraction(k, d) for k in range(d + 1))
 
     def __contains__(self, value: Fraction) -> bool:
-        return (
-            ZERO <= value <= ONE
-            and (value * self.denominator).denominator == 1
-        )
+        # k/m in lowest terms is a multiple of 1/D exactly when m divides D
+        return ZERO <= value <= ONE and self.denominator % value.denominator == 0
 
     def points_up_to(self, bound: Fraction) -> list[Fraction]:
         """Lattice points <= bound, ascending."""

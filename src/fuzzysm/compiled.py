@@ -22,7 +22,8 @@ The reduct of f by I, in fuzzy_reduct's simplified form, needs no formula
 of its own: it is the same program with every negation frozen to its value
 at I and every implication capped at its value at I.  A node that reads
 no moving atom, other than through a negation, keeps its value at I, so
-the reduct program runs only the instructions that can change.
+the reduct program runs only the instructions that can change and that
+something other than a frozen negation reads.
 
 A test "value >= cut" is a tuple of checks, each a slot that must reach
 the cut and the instructions that compute it: Program.model_checks for f
@@ -165,8 +166,9 @@ class Program:
         """The reduct test "value at J >= cut" as (slot, instructions)
         pairs, for J below I on the atom slots in `moving`: J passes when,
         running each pair's instructions in turn with run_reduct, every
-        slot reaches cut (see first_witness).  Only instructions that read
-        a moving atom, other than through a negation, are run; the rest
+        slot reaches cut (see first_witness).  Only the instructions that
+        read a moving atom and that the root reads, neither through a
+        negation, are run: a frozen negation reads nothing, and the rest
         keep their value at I.
 
         Below the top value the one pair is the whole reduct and its root.
@@ -184,7 +186,12 @@ class Program:
         for k, _, a, b, family in self.code:
             if family is not OpFamily.NEGATION and (varies[a] or varies[b]):
                 varies[k] = True
-        return self._checks(cut, varies)
+        live = [False] * len(self.slots)
+        live[self.root] = True
+        for k, _, a, b, family in reversed(self.code):
+            if live[k] and family is not OpFamily.NEGATION:
+                live[a] = live[b] = True
+        return self._checks(cut, [v and r for v, r in zip(varies, live)])
 
     def _checks(self, cut, varies: list[bool] | None) -> tuple[Check, ...]:
         """model_checks (varies None) or reduct_checks (only the slots

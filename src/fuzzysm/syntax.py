@@ -10,15 +10,18 @@ then the unary negations.  docs/grammar.md is the normative description.
 The lexer is one ordered token table, `_TOKEN_RE`: a named group per
 token kind and per malformed operator, scanned left to right by
 `finditer`; `_LEXICAL_ERRORS` gives the message for each error kind.
+Each match also takes the spaces, newlines and comments before its token,
+and a token's line and column are computed only for an error.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import (
+    OPERATORS,
     OpFamily,
     TruthError,
     check_truth,
@@ -45,6 +48,14 @@ class Const:
 class StrongNeg:
     """Strong negation of an atom; eliminated by transforms.nneg."""
     name: str
+
+
+# Operator families for the node checks; get_operator raises on an unknown token.
+_FAMILIES = {token: op.family for token, op in OPERATORS.items()}
+
+
+def _family(token: str) -> OpFamily:
+    return _FAMILIES.get(token) or get_operator(token).family
 
 
 # Neg and Bin replace the generated ==, hash and repr, which recurse, with
@@ -91,7 +102,7 @@ class Neg:
     __eq__, __hash__, __repr__ = _tree_eq, _tree_hash, _tree_repr
 
     def __post_init__(self) -> None:
-        if get_operator(self.op).family is not OpFamily.NEGATION:
+        if _family(self.op) is not OpFamily.NEGATION:
             raise ValueError(f"{self.op!r} is not a negation operator")
 
 
@@ -103,8 +114,7 @@ class Bin:
     __eq__, __hash__, __repr__ = _tree_eq, _tree_hash, _tree_repr
 
     def __post_init__(self) -> None:
-        fam = get_operator(self.op).family
-        if fam is OpFamily.NEGATION:
+        if _family(self.op) is OpFamily.NEGATION:
             raise ValueError(f"{self.op!r} is unary, not binary")
 
 
@@ -187,38 +197,35 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-# The token table, tried in order at each position: the first alternative
-# that matches wins.  'end' matches only at the end of the text (after a
-# comment on the last line it stands where the '#' does).  The error
-# kinds, then 'char', catch whatever no token starts with.
-_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
-    ("end", r"#[^\n]*\Z|\Z"),
-    ("newline", r"\n"),
-    ("skip", r"[ \t\r]+|#[^\n]*"),
-    ("number", r"[0-9]+/[0-9]+|[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+"),
-    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("conj", r"&[lmp]"),
-    ("disj", r"\|[lmp]"),
-    ("impl", r"->[rsl]"),
-    ("arrow", r"<-"),
-    ("strongneg", r"~"),
-    ("lparen", r"\("),
-    ("rparen", r"\)"),
-    ("dot", r"\."),
-    ("comma", r","),
-    ("kindless_op", r"[&|]"),
-    ("kindless_impl", r"->"),
-    ("minus", r"-"),
-    ("less", r"<"),
-    ("char", r"(?s:.)"),
-]))
+# The token table, tried in order after a prefix that skips spaces, tabs,
+# carriage returns, newlines and each comment a newline ends: the first
+# alternative that matches wins.  A comment on the last line is left to
+# 'end', which then stands where its '#' does; otherwise 'end' is the empty
+# match at the end of the text.  The error kinds, then 'char', catch
+# whatever no token starts with, so every match succeeds after the longest
+# prefix, which has one way through any text: a match is linear in its length.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in [
+        ("end", r"#[^\n]*\Z|\Z"),
+        ("number", r"[0-9]+/[0-9]+|[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+"),
+        ("not_s", r"not_s(?![A-Za-z0-9_])"),
+        ("not", r"not(?![A-Za-z0-9_])"),
+        ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
+        ("conj", r"&[lmp]"),
+        ("disj", r"\|[lmp]"),
+        ("impl", r"->[rsl]"),
+        ("arrow", r"<-"),
+        ("strongneg", r"~"),
+        ("lparen", r"\("),
+        ("rparen", r"\)"),
+        ("dot", r"\."),
+        ("comma", r","),
+        ("kindless_op", r"[&|]"),
+        ("kindless_impl", r"->"),
+        ("minus", r"-"),
+        ("less", r"<"),
+        ("char", r"(?s:.)"),
+    ]) + ")")
 _LEXICAL_ERRORS = {
     "kindless_op": "operator {!r} needs a kind suffix (l, m or p)",
     "kindless_impl": "expected 'r', 's' or 'l' after '->'",
@@ -226,22 +233,6 @@ _LEXICAL_ERRORS = {
     "less": "expected '<-'",
     "char": "unexpected character {!r}",
 }
-_KEYWORDS = {"not_s": "not_s", "not": "not"}
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """Tokens up to and including 'end'; the first lexical error raises."""
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind in _LEXICAL_ERRORS:
-            raise ParseError(_LEXICAL_ERRORS[kind].format(word), line, col)
-        elif kind != "skip":
-            tokens.append(_Token(_KEYWORDS.get(word, kind), word, line, col))
-    return tokens
 
 
 # How deep parentheses, 'not_s' and right-nested implications may nest.
@@ -251,87 +242,105 @@ MAX_NESTING = 150
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        """Tokenize text into the kinds, words and start offsets of its
+        tokens, up to and including the first 'end' (after a non-empty
+        match at the end of the text finditer yields one more).  The first
+        lexical error raises, before any grammar error."""
+        self.text = text
+        self.kinds, self.words, self.starts = kinds, words, starts = [], [], []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind in _LEXICAL_ERRORS:
+                raise self.error(_LEXICAL_ERRORS[kind].format(m[kind]), m.start(kind))
+            kinds.append(kind)
+            words.append(m[kind])
+            starts.append(m.start(kind))
+            if kind == "end":
+                break
         self.pos = 0
         self.depth = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
+    def error(self, message: str, start: int) -> ParseError:
+        """A ParseError at offset start of the text: only a newline ends a
+        line, and a column counts characters from 1."""
+        text = self.text
+        return ParseError(message, text.count("\n", 0, start) + 1,
+                          start - text.rfind("\n", 0, start))
 
     def fail(self, message: str) -> ParseError:
-        tok = self.cur
-        shown = tok.text if tok.kind != "end" else "end of input"
-        return ParseError(f"{message} (found {shown!r})", tok.line, tok.col)
+        pos = self.pos
+        shown = self.words[pos] if self.kinds[pos] != "end" else "end of input"
+        return self.error(f"{message} (found {shown!r})", self.starts[pos])
 
     def constant(self) -> Const:
-        tok = self.advance()
+        pos = self.pos
+        self.pos += 1
         try:
-            return Const(parse_truth(tok.text))
+            return Const(parse_truth(self.words[pos]))
         except TruthError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            raise self.error(str(exc), self.starts[pos]) from None
 
     def nested(self, parse: Callable[[], Formula]) -> Formula:
         """Consume the token that opens one more level of nesting, then
         parse() what it opens."""
-        tok = self.advance()
+        opener = self.starts[self.pos]
+        self.pos += 1
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                f"formula nests more than {MAX_NESTING} levels deep", tok.line, tok.col)
+            raise self.error(f"formula nests more than {MAX_NESTING} levels deep", opener)
         self.depth += 1
         inner = parse()
         self.depth -= 1
         return inner
 
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.cur.kind != kind:
+    def expect(self, kind: str, what: str) -> None:
+        if self.kinds[self.pos] != kind:
             raise self.fail(f"expected {what}")
-        return self.advance()
+        self.pos += 1
 
     # formula grammar ------------------------------------------------
 
     def formula(self) -> Formula:
         left = self.disjunction()
-        if self.cur.kind == "impl":
-            op = self.cur.text
+        if self.kinds[self.pos] == "impl":
+            op = self.words[self.pos]
             right = self.nested(self.formula)  # right-associative
             return Bin(op, left, right)
         return left
 
     def disjunction(self) -> Formula:
         out = self.conjunction()
-        while self.cur.kind == "disj":
-            op = self.advance().text
+        while self.kinds[self.pos] == "disj":
+            op = self.words[self.pos]
+            self.pos += 1
             out = Bin(op, out, self.conjunction())
         return out
 
     def conjunction(self) -> Formula:
         out = self.unary()
-        while self.cur.kind == "conj":
-            op = self.advance().text
+        while self.kinds[self.pos] == "conj":
+            op = self.words[self.pos]
+            self.pos += 1
             out = Bin(op, out, self.unary())
         return out
 
     def unary(self) -> Formula:
-        tok = self.cur
-        if tok.kind == "not_s":
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "ident":
+            self.pos += 1
+            return Atom(self.words[pos])
+        if kind == "not_s":
             return Neg("not_s", self.nested(self.unary))
-        if tok.kind == "strongneg":
-            self.advance()
-            if self.cur.kind != "ident":
+        if kind == "strongneg":
+            self.pos += 1
+            if self.kinds[pos + 1] != "ident":
                 raise self.fail("'~' applies to a single atom")
-            return StrongNeg(self.advance().text)
-        if tok.kind == "ident":
-            return Atom(self.advance().text)
-        if tok.kind == "number":
+            self.pos += 1
+            return StrongNeg(self.words[pos + 1])
+        if kind == "number":
             return self.constant()
-        if tok.kind == "lparen":
+        if kind == "lparen":
             inner = self.nested(self.formula)
             self.expect("rparen", "')'")
             return inner
@@ -340,46 +349,49 @@ class _Parser:
     # rule grammar ---------------------------------------------------
 
     def head_or_literal(self) -> Formula:
-        if self.cur.kind == "ident":
-            return Atom(self.advance().text)
-        if self.cur.kind == "number":
+        pos = self.pos
+        if self.kinds[pos] == "ident":
+            self.pos += 1
+            return Atom(self.words[pos])
+        if self.kinds[pos] == "number":
             return self.constant()
         raise self.fail("expected an atom or a constant")
 
     def rule(self, conj: str) -> "Rule":
-        if self.cur.kind == "not":
+        kinds = self.kinds
+        if kinds[self.pos] == "not":
             raise self.fail("'not' cannot appear in a rule head")
         head = self.head_or_literal()
-        if self.cur.kind in ("disj", "comma"):
+        if kinds[self.pos] in ("disj", "comma"):
             raise self.fail("disjunctive rule heads are not supported")
         pos: list[Formula] = []
         neg: list[Formula] = []
-        if self.cur.kind == "arrow":
-            self.advance()
-            if self.cur.kind != "dot":
+        if kinds[self.pos] == "arrow":
+            self.pos += 1
+            if kinds[self.pos] != "dot":
                 while True:
-                    if self.cur.kind == "not":
-                        self.advance()
+                    if kinds[self.pos] == "not":
+                        self.pos += 1
                         neg.append(self.head_or_literal())
                     else:
                         pos.append(self.head_or_literal())
-                    if self.cur.kind != "comma":
+                    if kinds[self.pos] != "comma":
                         break
-                    self.advance()
+                    self.pos += 1
         self.expect("dot", "'.' to end the rule")
         return Rule(head, tuple(pos), tuple(neg), conj)
 
     def program(self, conj: str) -> list["Rule"]:
         rules = []
-        while self.cur.kind != "end":
+        while self.kinds[self.pos] != "end":
             rules.append(self.rule(conj))
         return rules
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     f = parser.formula()
-    if parser.cur.kind != "end":
+    if parser.kinds[parser.pos] != "end":
         raise parser.fail("trailing input after formula")
     return f
 
@@ -434,7 +446,7 @@ class Rule:
         for lit in self.pos + self.neg:
             if not isinstance(lit, (Atom, Const)):
                 raise ValueError("rule literals must be atoms or constants")
-        if get_operator(self.conj).family is not OpFamily.CONJUNCTION:
+        if _family(self.conj) is not OpFamily.CONJUNCTION:
             raise ValueError(f"{self.conj!r} is not a conjunction operator")
 
 
@@ -446,7 +458,7 @@ def parse_fasp_program(text: str, conj: str) -> list[Rule]:
     """
     if get_operator(conj).family is not OpFamily.CONJUNCTION:
         raise ValueError(f"{conj!r} is not a conjunction operator")
-    return _Parser(_tokenize(text)).program(conj)
+    return _Parser(text).program(conj)
 
 
 def rule_to_formula(rule: Rule) -> Formula:

@@ -151,6 +151,14 @@ class TestLattice:
         assert F(1, 2) in lat  # 5/10 reduced
         assert F(1, 3) not in lat
 
+    def test_membership_agrees_with_the_definition(self):
+        # value * D is a whole number, for value in [0, 1]
+        values = [F(k, m) for m in range(1, 31) for k in range(-m, 2 * m + 1)]
+        for d in range(1, 25):
+            lat = Lattice(d)
+            for v in values + [-1, 0, 1, 2]:
+                assert (v in lat) == (0 <= v <= 1 and (v * d).denominator == 1), (v, d)
+
     def test_points_up_to(self):
         assert Lattice(4).points_up_to(F(1, 2)) == [F(0), F(1, 4), F(1, 2)]
 

@@ -143,6 +143,14 @@ def test_empty_minimized_set_keeps_every_model(text):
     assert enumerate_stable(f, (), F(2, 3), lattice) == models
 
 
+def test_reduct_skips_what_only_a_frozen_negation_reads():
+    # Slot 3 (p &m q) reads moving atoms, but only the frozen not_s reads it.
+    f = parse_formula("not_s (p &m q) ->r r")
+    prog = compile_formula(f, SIG3, Lattice(4))
+    checks = prog.reduct_checks((0, 1, 2), 4)
+    assert [ins[0] for _, code in checks for ins in code] == [5]
+
+
 @pytest.mark.parametrize("text, y", [
     ("(not_s q ->r p) &p (p |p not_s r)", F(1, 2)),
     ("(p &p q ->r r) &m (0.5 ->r p) &m (0.5 ->r q)", F(1)),
