@@ -72,6 +72,17 @@ def parse_truth(text: str) -> Fraction:
     return v
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A json.loads object_pairs_hook that refuses a repeated key, where
+    json.loads alone keeps the last one."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"JSON key {key!r} appears twice")
+        data[key] = value
+    return data
+
+
 def _ten_smooth_scale(den: int) -> int | None:
     """Smallest k with den | 10**k, or None if no power of 10 works."""
     twos = 0

@@ -292,10 +292,9 @@ def _cmd_translate(args) -> int:
         fresh = shadow_names(signature_of(f), minimized)
         star = star_transform(f, minimized, fresh)
         if args.json:
-            _emit({"formula": print_formula(star),
-                   "shadows": {a: fresh[a] for a in minimized}})
+            _emit({"formula": print_formula(star), "shadows": fresh})
         else:
-            for a in minimized:
+            for a in fresh:
                 print(f"# shadow of {a}: {fresh[a]}")
             print(print_formula(star))
         return 0

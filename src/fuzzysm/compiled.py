@@ -31,25 +31,26 @@ itself, Program.reduct_checks for the reduct by I.  At the top value a
 t-norm is top only when both arguments are, so each top-level t-norm
 conjunct is its own check; below the top the root is the only one.
 
-level_scan is the exhaustive scan of stable.py, over the lattice grid
-(the model test, negations live) and below each model I (the reduct
-test).  It walks the product of per-atom pools in itertools.product
-order: atoms in signature order, earlier atoms varying more slowly,
-values ascending.  level_plan assigns each instruction to the scan
-position of the last moving atom it reads, and each check to the level
-of its slot, so a level's instructions and checks run only when its
-position takes a new value; what reads no moving atom runs once, before
-the scan.  When a check fails, every candidate that shares the failing
-position's prefix fails it too, so the scan moves that same position on
-(backtracking, as in Bitner and Reingold, "Backtrack programming
-techniques", CACM 1975).  A candidate is accepted exactly when all its
-checks pass, and skipped candidates are only ever ones that fail, so the
-scan accepts the same candidates in the same order as testing the whole
-product one candidate at a time.
+level_scan is the one scan, over the lattice grid (the model test,
+negations live) and over candidates J below a model I (the reduct test).
+It walks the product of per-atom pools in itertools.product order: atoms
+in signature order, earlier atoms varying more slowly, values ascending.
+level_plan assigns each instruction to the scan position of the last
+moving atom it reads, and each check to the level of its slot, so a
+level's instructions and checks run only when its position takes a new
+value; what reads no moving atom runs once, before the scan.  When a
+check fails, every candidate that shares the failing position's prefix
+fails it too, so the scan moves that same position on (backtracking, as
+in Bitner and Reingold, "Backtrack programming techniques", CACM 1975).
+A candidate is accepted exactly when all its checks pass, and skipped
+candidates are only ever ones that fail, so the scan accepts the same
+candidates in the same order as testing the whole product one candidate
+at a time.
 
-first_witness tests a given stream of candidates one at a time, each
-against every check in turn: the sampled witness hunt, whose draws have
-no prefix structure to skip.
+first_witness is the witness kernel: it runs level_scan with the reduct
+test over a stream of pool products and returns the first hit other
+than I.  The exhaustive witness scan is one product, whose pools each
+end with I's value; a sampled draw is a product of one-value pools.
 
 semantics.evaluate and semantics.fuzzy_reduct stay the reference
 definitions; the compiled-evaluation-agreement suite checks this module,
@@ -165,11 +166,11 @@ class Program:
     def reduct_checks(self, moving: Sequence[int], cut) -> tuple[Check, ...]:
         """The reduct test "value at J >= cut" as (slot, instructions)
         pairs, for J below I on the atom slots in `moving`: J passes when,
-        running each pair's instructions in turn with run_reduct, every
-        slot reaches cut (see first_witness).  Only the instructions that
-        read a moving atom and that the root reads, neither through a
-        negation, are run: a frozen negation reads nothing, and the rest
-        keep their value at I.
+        running each pair's instructions in turn with every implication
+        capped at its value at I, every slot reaches cut (see
+        first_witness).  Only the instructions that read a moving atom and
+        that the root reads, neither through a negation, are run: a frozen
+        negation reads nothing, and the rest keep their value at I.
 
         Below the top value the one pair is the whole reduct and its root.
         At the top a t-norm is top only when both arguments are, so the
@@ -221,28 +222,6 @@ class Program:
         return tuple(checks)
 
 
-def first_witness(checks: Sequence[Check], moving: Sequence[int], at_i: Sequence,
-                  cut, candidates: Iterable[tuple]) -> tuple | None:
-    """The witness kernel: the first candidate, a tuple of domain values
-    for the `moving` atom slots other than I's own, whose J passes the
-    reduct test `checks` (reduct_checks(moving, cut)); None when no
-    candidate does.  at_i is evaluate() at I, whose root must reach cut."""
-    work = list(at_i)
-    base = tuple(at_i[k] for k in moving)
-    for values in candidates:
-        if values == base:
-            continue
-        for k, v in zip(moving, values):
-            work[k] = v
-        for slot, code in checks:
-            run_reduct(code, work, at_i)
-            if work[slot] < cut:
-                break
-        else:
-            return values
-    return None
-
-
 def level_plan(checks: Sequence[Check], positions: Sequence[int]) -> Plan:
     """The checks' instructions and tests, grouped by the scan level they
     wait for: entry 0 holds what reads no slot in `positions` and runs once
@@ -286,7 +265,7 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
     vals holds the value of every slot the plan does not write; the scan
     writes the rest.  With caps None the instructions run as run() runs
     them (the model test); otherwise each implication is capped at its
-    value in caps, as run_reduct() does (the reduct test).
+    value in caps (the reduct test).
 
     When a check of level p + 1 fails, every candidate that shares the
     values of positions 0..p fails it too, so the scan moves position p
@@ -331,20 +310,31 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
                 values[p] = iter(pools[p])
 
 
+def first_witness(plan: Plan, moving: Sequence[int], at_i: Sequence, cut,
+                  products: Iterable[Sequence[Sequence]]) -> tuple | None:
+    """The witness kernel: scan each product of pools, one pool of domain
+    values per slot of `moving`, with level_scan under the reduct test
+    plan (level_plan(reduct_checks(moving, cut), moving)), and return the
+    first candidate that passes other than I's own values; None when no
+    product has one.  at_i is evaluate() at I, whose root must reach
+    cut.  A product that holds I's values must hold them last, as the
+    exhaustive one (each pool ends with I's value) and a one-point draw
+    do: a hit equal to I ends its product."""
+    work = list(at_i)
+    base = tuple([at_i[k] for k in moving])
+    for pools in products:
+        for _ in level_scan(plan, moving, pools, work, cut, caps=at_i):
+            hit = tuple([work[k] for k in moving])
+            if hit != base:
+                return hit
+            break
+    return None
+
+
 def run(code: Sequence[Instruction], vals: list) -> None:
     """Execute instructions in place over the slot values."""
     for k, fn, a, b, _ in code:
         vals[k] = fn(vals[a], vals[b])
-
-
-def run_reduct(code: Sequence[Instruction], vals: list, caps: Sequence) -> None:
-    """run(), with each implication capped at its value in caps."""
-    impl = OpFamily.IMPLICATION
-    for k, fn, a, b, family in code:
-        x = fn(vals[a], vals[b])
-        if family is impl and x > caps[k]:
-            x = caps[k]
-        vals[k] = x
 
 
 def compile_formula(

@@ -48,6 +48,7 @@ from .algebra import (
     format_truth,
     get_operator,
     parse_truth,
+    unique_keys,
 )
 from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, signature_of, walk
 
@@ -383,10 +384,11 @@ def nneg_valuation(v: Valuation, complements: Mapping[str, str]) -> Valuation:
 
 
 def parse_valuation(text: str) -> Valuation:
-    """Read 'h:p=[0.2,0.7]; t:p=[0.2,0.7]' or the JSON object form."""
+    """Read 'h:p=[0.2,0.7]; t:p=[0.2,0.7]' or the JSON object form.  A
+    world or an interval named twice is an error in both forms."""
     s = text.strip()
     if s.startswith("{"):
-        return valuation_from_json(json.loads(s))
+        return valuation_from_json(json.loads(s, object_pairs_hook=unique_keys))
     data: dict[tuple[str, str], Interval] = {}
     for chunk in s.split(";"):
         chunk = chunk.strip()

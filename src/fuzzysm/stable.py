@@ -18,18 +18,18 @@ every supported Python.
 find_witness (and with it check_stable) and enumerate_stable compile the
 formula once (see compiled.py) and run on the compiled program, exact
 over integer numerators when the formula is lattice-closed and I lies on
-the lattice, and over Fractions otherwise.  Every exhaustive scan there
-is compiled.level_scan, which skips each run of candidates that share a
-failing prefix: enumerate_stable's scan of the lattice grid, with the
-model test, then the witness scan below each model, with the reduct
-test; and the exhaustive branch of find_witness, which is that same
-witness scan.  The --jobs pool gives each worker the grid points of one
-value of the first atom, so it runs the same scan.  The sampled hunt
-keeps compiled.first_witness, which tests its seeded draws one at a
-time.  check_stable's model test stays semantics.satisfies.
-semantics.evaluate and fuzzy_reduct remain the reference definitions,
-and the shadow-atom route, the Boolean oracle and the program oracle
-below share no code with the compiled program.
+the lattice, and over Fractions otherwise.  enumerate_stable scans the
+lattice grid with compiled.level_scan and the model test.  Every witness
+search is compiled.first_witness, which runs level_scan with the reduct
+test over products of pools and skips each run of candidates that share
+a failing prefix: the exhaustive search below I (in find_witness and
+below each model of enumerate_stable) is one product, and the sampled
+hunt passes each seeded draw as a product of one-value pools.  The
+--jobs pool gives each worker the grid points of one value of the first
+atom, so it runs the same scans.  check_stable's model test stays
+semantics.satisfies.  semantics.evaluate and fuzzy_reduct remain the
+reference definitions, and the shadow-atom route, the Boolean oracle
+and the program oracle below share no code with the compiled program.
 
 The cross-check routes scan algebra.candidates: the capped product of
 per-atom pools, minus I's own point where the route asks.  It knows
@@ -144,16 +144,23 @@ def _scan_order(
     when minimized is None.  Raises SignatureError for a minimized atom
     outside the signature and for an atom of f that i leaves out."""
     sig = signature_of(f, extra=tuple(i))
-    mset = set(sig if minimized is None else minimized)
-    missing = mset.difference(sig)
-    if missing:
-        raise SignatureError(f"minimized atoms outside the signature: {sorted(missing)}")
+    scan = _minimized_in(sig, minimized)
     # sig is the union of f's atoms and i's, so it is longer than i
     # exactly when f has an atom that i leaves out.
     if len(sig) > len(i):
         a = next(a for a in sig if a not in i)
         raise SignatureError(f"atom {a!r} is not interpreted")
-    return sig, [a for a in sig if a in mset]
+    return sig, scan
+
+
+def _minimized_in(sig: Sequence[str], minimized: Sequence[str] | None) -> list[str]:
+    """The minimized atoms in the order of sig, all of sig when minimized
+    is None.  Raises SignatureError for a minimized atom outside sig."""
+    mset = set(sig if minimized is None else minimized)
+    missing = mset.difference(sig)
+    if missing:
+        raise SignatureError(f"minimized atoms outside the signature: {sorted(missing)}")
+    return [a for a in sig if a in mset]
 
 
 def _require_lattice(i: Mapping[str, Fraction], lattice: Lattice) -> None:
@@ -208,35 +215,23 @@ def find_witness(
     mset = set(scan)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
     if isinstance(strategy, Sampled):
-        # An off-lattice value of I joins its own pool, so that J = I on
-        # that coordinate stays reachable.
-        pools = [prog.below(at_i[k]) + (() if i[sig[k]] in lattice else (at_i[k],))
-                 for k in moving]
-        hit = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
-                            _draws(pools, strategy.samples, strategy.seed))
+        # A draw is a product of one-value pools, each value's 1-tuple
+        # shared.  An off-lattice value of I joins its own pool, so that
+        # J = I on that coordinate stays reachable.
+        one = {v: (v,) for v in prog.points}
+        pools = [[one[v] for v in prog.below(at_i[k])]
+                 + ([] if i[sig[k]] in lattice else [(at_i[k],)]) for k in moving]
+        products = _draws(pools, strategy.samples, strategy.seed)
     else:
         _require_lattice(i, lattice)
         pools = [prog.below(at_i[k]) for k in moving]
         candidates(pools, cap)  # raises ResourceLimitError before the scan
-        hit = _first_below(level_plan(prog.reduct_checks(moving, cut), moving),
-                           moving, pools, at_i, cut)
+        products = [pools]
+    hit = first_witness(level_plan(prog.reduct_checks(moving, cut), moving),
+                        moving, at_i, cut, products)
     if hit is None:
         return None
     return i.updated(dict(zip(scan, map(prog.value, hit))))
-
-
-def _first_below(plan, moving: tuple[int, ...], pools: Sequence, at_i: list,
-                 cut) -> tuple | None:
-    """The exhaustive witness scan: the first candidate in scan order whose
-    J passes the reduct test, I itself left out; None when there is none.
-    plan is level_plan(prog.reduct_checks(moving, cut), moving).  Each pool
-    ends with I's value, so I is the scan's last candidate: a first hit
-    equal to it is the only one."""
-    work = list(at_i)
-    for _ in level_scan(plan, moving, pools, work, cut, caps=at_i):
-        hit = tuple([work[k] for k in moving])
-        return None if hit == tuple([at_i[k] for k in moving]) else hit
-    return None
 
 
 def _strategy_note(strategy: Strategy, lattice: Lattice, found: bool) -> str:
@@ -291,8 +286,8 @@ def _stable_points(
     # grid has points, and enumerate_stable has checked those against its
     # cap.
     return [tuple(vals[:n]) for _ in level_scan(grid, range(n), pools, vals, cut)
-            if _first_below(reduct, moving, [prog.below(vals[k]) for k in moving],
-                            vals, cut) is None]
+            if first_witness(reduct, moving, vals, cut,
+                             [[prog.below(vals[k]) for k in moving]]) is None]
 
 
 def _enumerate_chunk(args: tuple) -> list[tuple]:
@@ -318,20 +313,13 @@ def enumerate_stable(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     y = check_truth(threshold)
     sig = signature_of(f)
-    if minimized is None:
-        minimized = sig
-    else:
-        missing = set(minimized) - set(sig)
-        if missing:
-            raise SignatureError(
-                f"minimized atoms outside the signature: {sorted(missing)}")
+    mset = set(_minimized_in(sig, minimized))
     total = lattice.size ** len(sig)
     if total > cap:
         raise ResourceLimitError(
             f"{total} interpretations exceed the cap of {cap}; "
             "raise the cap to scan anyway")
     prog = compile_formula(f, sig, lattice)
-    mset = set(minimized)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
     if jobs <= 1 or total < 1024:
         found = _stable_points(prog, moving, prog.level(y), 0, lattice.size)
@@ -353,10 +341,13 @@ def enumerate_stable(
 
 
 def shadow_names(signature: Sequence[str], minimized: Sequence[str]) -> dict[str, str]:
-    """Fresh atom names for the minimized atoms, collision-free."""
+    """Fresh atom names for the minimized atoms, collision-free: one per
+    atom, in first-occurrence order.  Raises SignatureError for a
+    minimized atom outside the signature."""
+    _minimized_in(signature, minimized)
     taken = set(signature)
     fresh: dict[str, str] = {}
-    for a in minimized:
+    for a in dict.fromkeys(minimized):
         name = f"{a}_shadow"
         k = 1
         while name in taken:
@@ -465,20 +456,10 @@ def boolean_stable_check(
     """Two-valued stability: x satisfies f and no proper sub-assignment on
     the minimized atoms satisfies the classical reduct."""
     check_boolean_shaped(f)
-    sig = signature_of(f, extra=x.signature)
-    if minimized is None:
-        minimized = sig
-    missing = set(minimized) - set(sig)
-    if missing:
-        raise SignatureError(f"minimized atoms outside the signature: {sorted(missing)}")
-    # Atoms of sig outside x's signature can only come from the formula.
-    for a in sig:
-        if a not in x.signature:
-            raise SignatureError(f"atom {a!r} is not interpreted")
+    _, scan = _scan_order(f, dict.fromkeys(x.signature), minimized)
     if not bool_satisfies(f, x):
         return BoolStabilityVerdict("not_a_model")
     reduct = classical_reduct(f, x)
-    scan = [a for a in sig if a in set(minimized)]
     pools = [[False, True] if a in x.true_atoms else [False] for a in scan]
     base = tuple(a in x.true_atoms for a in scan)
     for combo in candidates(pools, DEFAULT_CANDIDATE_CAP, skip=base):

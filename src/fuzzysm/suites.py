@@ -34,7 +34,7 @@ from .algebra import (
     op_check_axioms,
     residual_condition,
 )
-from .compiled import compile_formula, first_witness
+from .compiled import compile_formula, first_witness, level_plan
 from .equilibrium import (
     Interval,
     Valuation,
@@ -282,8 +282,9 @@ def _compiled_evaluation_agreement(rng: random.Random, lattice: Lattice) -> str 
     if candidate == tuple(at_i[k] for k in moving):
         return None  # the kernel never tests J = I
     cut = prog.level(y)
-    passed = first_witness(prog.reduct_checks(moving, cut), moving, at_i, cut,
-                           [candidate]) is not None
+    plan = level_plan(prog.reduct_checks(moving, cut), moving)
+    passed = first_witness(plan, moving, at_i, cut,
+                           [[(v,) for v in candidate]]) is not None
     reference = evaluate(fuzzy_reduct(f, i), j) >= y
     if passed != reference:
         return _cx(formula=print_formula(f), i=format_interpretation(i),

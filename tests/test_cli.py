@@ -286,6 +286,18 @@ class TestTranslate:
         assert lines[0] == "# shadow of p: p_shadow"
         assert lines[1] == "(not_s q ->r p_shadow) &m (not_s q ->r p)"
 
+    def test_star_shadows_a_repeated_atom_once(self, capsys):
+        code, out, _ = run(capsys, "translate", "star",
+                           "--expr", "p", "--minimize", "p,p")
+        assert code == 0
+        assert out.strip().splitlines() == ["# shadow of p: p_shadow", "p_shadow"]
+
+    def test_star_rejects_atoms_outside_the_signature(self, capsys):
+        code, out, err = run(capsys, "translate", "star",
+                             "--expr", "p", "--minimize", "zz")
+        assert code == 2 and out == ""
+        assert err == "error: minimized atoms outside the signature: ['zz']\n"
+
     def test_guard(self, capsys):
         code, out, _ = run(capsys, "translate", "guard",
                            "--expr", "not_s p ->r q", "--threshold", "0.6")
@@ -433,6 +445,14 @@ _UNICODE_DIGITS = [
 ]
 
 
+# json.loads alone keeps the last value of a repeated key
+_REPEATED_JSON_KEYS = [
+    ["eval", "--expr", "p", "--interp", '{"p":"1","p":"0"}'],
+    ["equilibrium", "--expr", "p", "--valuation",
+     '{"h":{"p":["1","1"]},"t":{"p":["1","1"]},"h":{"p":["0","1"]}}'],
+]
+
+
 class TestHostileInput:
     """Malformed text and incomplete valuations end in exit 2 and one
     'error:' line, never a traceback."""
@@ -441,6 +461,7 @@ class TestHostileInput:
         *(make(text) for make in _ON_TEXT.values() for text in _HOSTILE_TEXTS),
         *_MISSING_ATOM,
         *_UNICODE_DIGITS,
+        *_REPEATED_JSON_KEYS,
     ])
     def test_exit_two_with_one_error_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)

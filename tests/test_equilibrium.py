@@ -323,6 +323,14 @@ class TestTextAndJson:
         with pytest.raises(ValueError, match="duplicate interval"):
             parse_valuation("h:p=[0,1]; h:p=[0,1]; t:p=[0,1]")
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"h": {"p": [1, 1]}, "t": {"p": [1, 1]}, "h": {"p": [0, 1]}}', "h"),
+        ('{"h": {"p": [1, 1], "p": [0, 1]}, "t": {"p": [1, 1]}}', "p"),
+    ])
+    def test_parse_json_rejects_duplicate(self, text, key):
+        with pytest.raises(ValueError, match=f"'{key}' appears twice"):
+            parse_valuation(text)
+
     def test_json_round_trip(self):
         v = make(p=((2, 9), (4, 8)), q=((0, 10), (0, 10)))
         data = valuation_to_json(v)

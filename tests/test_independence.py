@@ -70,6 +70,15 @@ def test_find_witness_runs_on_the_compiled_program():
     assert not _names(stable.find_witness.__code__) & {"fuzzy_reduct", "value_is_one"}
 
 
+def test_only_level_scan_caps_implications():
+    # The reduct test's implication cap is applied in one place.
+    capping = {name for name, obj in vars(compiled).items()
+               if isinstance(obj, types.FunctionType)
+               and obj.__module__ == compiled.__name__
+               and "IMPLICATION" in _names(obj.__code__)}
+    assert capping == {"level_scan"}
+
+
 SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "run", "first_witness"}
 
 

@@ -81,6 +81,11 @@ class TestInterpretation:
         with pytest.raises(ValueError, match="twice"):
             parse_interpretation("p=1, p=0")
 
+    def test_parse_json_rejects_duplicates(self):
+        # json.loads alone keeps the last value of a repeated key
+        with pytest.raises(ValueError, match="'p' appears twice"):
+            parse_interpretation('{"p": "1", "q": 0, "p": "0"}')
+
     def test_json_roundtrip(self):
         i = Interpretation({"p": F(14, 25), "q": F(0)})
         data = interpretation_to_json(i)

@@ -444,6 +444,12 @@ class TestStarTransform:
         names = shadow_names(("p", "p_shadow"), ("p",))
         assert names["p"] != "p_shadow"
 
+    def test_shadow_names_once_per_atom(self):
+        names = shadow_names(("p", "q"), ("q", "p", "q"))
+        assert list(names.items()) == [("q", "q_shadow"), ("p", "p_shadow")]
+        with pytest.raises(SignatureError, match=r"outside the signature: \['zz'\]"):
+            shadow_names(("p",), ("p", "zz"))
+
     def test_rejects_strongneg(self):
         with pytest.raises(StrongNegationError):
             star_transform(parse_formula("~p"), ("p",), {"p": "p2"})
