@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +81,17 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         if key in data:
             raise ValueError(f"JSON key {key!r} appears twice")
         data[key] = value
+    return data
+
+
+def read_json(text: str) -> dict:
+    """The JSON object in text, every number read from its source text as
+    an exact Fraction.  A repeated key or a top level that is not an
+    object is a ValueError."""
+    data = json.loads(text, parse_float=Fraction, parse_int=Fraction,
+                      object_pairs_hook=unique_keys)
+    if not isinstance(data, dict):
+        raise ValueError("the JSON top level must be an object")
     return data
 
 

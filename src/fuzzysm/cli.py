@@ -10,6 +10,21 @@ Subcommands:
   equilibrium  interval-based equilibrium checking and enumeration
   props        run the randomized invariant suites
 
+Each kind of input has one reader, so it takes the same forms wherever
+it appears:
+  formula or program  a file (positional or --formula, '-' for stdin) or
+                      --expr text (_load_text)
+  interpretation      --interp TEXT, --interp @FILE or --interp-file FILE
+  valuation           --valuation TEXT, --valuation @FILE or
+                      --valuation-file FILE (_load_spec)
+  atom list           --minimize, --signature, --atoms: comma-separated
+                      names, at least one; '--minimize none' is the
+                      empty set (_atom_list)
+JSON interpretations and valuations are read by algebra.read_json, which
+keeps every number exact.  Two sources for one input (and, in
+equilibrium, a valuation together with an interpretation) are a usage
+error.
+
 Exit codes: 0 on success, 1 for a negative verdict under --fail-on-unstable
 (and for any failing suite), 2 for usage or input errors.
 """
@@ -29,8 +44,6 @@ from .algebra import (
     ONE,
     Lattice,
     ResourceLimitError,
-    TruthError,
-    UnknownOperatorError,
     format_truth,
     parse_truth,
 )
@@ -44,8 +57,6 @@ from .equilibrium import (
     valuation_to_json,
 )
 from .semantics import (
-    SignatureError,
-    StrongNegationError,
     evaluate,
     format_interpretation,
     fuzzy_reduct,
@@ -65,7 +76,6 @@ from .stable import (
 )
 from .suites import run_all, run_suite, suite_names
 from .syntax import (
-    ParseError,
     atoms,
     parse_fasp_program,
     parse_formula,
@@ -80,6 +90,9 @@ class UsageError(Exception):
     pass
 
 
+_NO_INTERP = "an interpretation is required (--interp or --interp-file)"
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -87,51 +100,62 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _source_path(args) -> str | None:
-    """Resolve the formula file from the positional slot or --formula."""
-    named = getattr(args, "formula", None)
-    if named is not None and args.source is not None:
-        raise UsageError("give the file once (positional or --formula)")
-    return named if named is not None else args.source
+def _load_text(args, missing: str) -> str:
+    """The formula or program text: a file, named positionally or with
+    --formula ('-' reads stdin), or --expr.  Exactly one must be given;
+    without any, raise UsageError(missing)."""
+    path = args.source
+    if args.formula is not None:
+        if path is not None:
+            raise UsageError("give the file once (positional or --formula)")
+        path = args.formula
+    if args.expr is not None:
+        if path is not None:
+            raise UsageError("give a file or --expr, not both")
+        return args.expr
+    if path is None:
+        raise UsageError(missing)
+    return _read_text(path)
 
 
 def _load_formula(args):
-    path = _source_path(args)
-    if getattr(args, "expr", None) is not None:
-        if path is not None:
-            raise UsageError("give a file or --expr, not both")
-        return parse_formula(args.expr)
-    if path is None:
-        raise UsageError("no formula: give a file, --formula, or --expr")
-    return parse_formula(_read_text(path))
+    return parse_formula(
+        _load_text(args, "no formula: give a file, --formula, or --expr"))
 
 
-def _load_interpretation(args):
-    spec = getattr(args, "interp", None)
-    path = getattr(args, "interp_file", None)
-    if spec is not None and spec.startswith("@"):
-        spec, path = None, spec[1:]
+def _load_spec(args, name: str, parse, missing: str | None = None):
+    """parse() applied to the --NAME input: its text, '@FILE' or
+    --NAME-file FILE, at most one of them.  Without any, raise
+    UsageError(missing), or return None when there is no message."""
+    text, path = getattr(args, name), getattr(args, f"{name}_file")
+    if text and path:
+        raise UsageError(f"give --{name} or --{name}-file, not both")
+    if text and text.startswith("@"):
+        text, path = None, text[1:]
         if not path:
-            raise UsageError("--interp @FILE needs a file name after '@'")
+            raise UsageError(f"--{name} @FILE needs a file name after '@'")
     if path:
-        if spec:
-            raise UsageError("give --interp or --interp-file, not both")
-        return parse_interpretation(_read_text(path))
-    if spec:
-        return parse_interpretation(spec)
-    raise UsageError("an interpretation is required (--interp or --interp-file)")
+        return parse(_read_text(path))
+    if text:
+        return parse(text)
+    if missing:
+        raise UsageError(missing)
+    return None
 
 
-def _parse_minimize(text: str | None) -> tuple[str, ...] | None:
+def _atom_list(text: str | None, option: str) -> tuple[str, ...] | None:
+    """The comma-separated atom names of an option; None when it is not
+    given.  A list without names is an input error, except that
+    '--minimize none' is the empty set."""
     if text is None:
         return None
-    if text == "none":
+    if option == "--minimize" and text == "none":
         return ()
-    parts = tuple(a.strip() for a in text.split(",") if a.strip())
-    if not parts:
-        raise UsageError("--minimize got no atom names (use 'none' for the "
-                         "empty set)")
-    return parts
+    names = tuple(a.strip() for a in text.split(",") if a.strip())
+    if not names:
+        hint = " (use 'none' for the empty set)" if option == "--minimize" else ""
+        raise UsageError(f"{option} got no atom names{hint}")
+    return names
 
 
 def integer(text: str) -> int:
@@ -163,44 +187,68 @@ def _emit(data) -> None:
     print(json.dumps(data, indent=2))
 
 
+def _output(args, data, text: str) -> None:
+    """Print data as JSON under --json, else text."""
+    if args.json:
+        _emit(data)
+    else:
+        print(text)
+
+
+def _print_verdict(args, verdict, data: dict, good: str, found: str | None) -> int:
+    """Print a verdict: `data` under --json, else its status, the `found`
+    line (witness or counter) and its note.  Under --fail-on-unstable the
+    exit code is 1 unless the status is `good`."""
+    lines = [f"status: {verdict.status}", found,
+             verdict.note and f"note: {verdict.note}"]
+    _output(args, data, "\n".join(line for line in lines if line))
+    return 1 if args.fail_on_unstable and verdict.status != good else 0
+
+
+def _print_models(args, models, to_json, show) -> int:
+    """Print the models of an enumeration: their JSON and count under
+    --json, only the count under --count, else one model a line."""
+    if args.json:
+        _emit({"count": len(models), "models": [to_json(m) for m in models]})
+    elif args.count:
+        print(len(models))
+    else:
+        for m in models:
+            print(show(m))
+    return 0
+
+
 # subcommands ---------------------------------------------------------
 
 
 def _cmd_parse(args) -> int:
     f = _load_formula(args)
-    if args.json:
-        _emit({"formula": print_formula(f), "atoms": list(atoms(f))})
-    else:
-        print(print_formula(f))
+    text = print_formula(f)
+    _output(args, {"formula": text, "atoms": list(atoms(f))}, text)
     return 0
 
 
 def _cmd_eval(args) -> int:
     f = _load_formula(args)
-    i = _load_interpretation(args)
+    i = _load_spec(args, "interp", parse_interpretation, _NO_INTERP)
     value = evaluate(f, i)
-    if args.json:
-        _emit({"value": str(value)})
-    else:
-        print(format_truth(value, decimal=args.decimal))
+    _output(args, {"value": str(value)},
+            format_truth(value, decimal=args.decimal))
     return 0
 
 
 def _cmd_reduct(args) -> int:
     f = _load_formula(args)
-    i = _load_interpretation(args)
-    r = fuzzy_reduct(f, i, simplified=not args.full)
-    if args.json:
-        _emit({"reduct": print_formula(r)})
-    else:
-        print(print_formula(r))
+    i = _load_spec(args, "interp", parse_interpretation, _NO_INTERP)
+    r = print_formula(fuzzy_reduct(f, i, simplified=not args.full))
+    _output(args, {"reduct": r}, r)
     return 0
 
 
 def _cmd_check(args) -> int:
     f = _load_formula(args)
-    i = _load_interpretation(args)
-    minimized = _parse_minimize(args.minimize)
+    i = _load_spec(args, "interp", parse_interpretation, _NO_INTERP)
+    minimized = _atom_list(args.minimize, "--minimize")
     threshold = parse_truth(args.threshold)
     lattice = Lattice(args.denominator)
     if args.engine == "star":
@@ -213,35 +261,20 @@ def _cmd_check(args) -> int:
         strategy = _parse_strategy(args.strategy, args.seed)
         verdict = check_stable(f, i, minimized, threshold, lattice,
                                strategy, cap=args.cap)
-    if args.json:
-        _emit(verdict_to_json(verdict))
-    else:
-        print(f"status: {verdict.status}")
-        if verdict.witness is not None:
-            print(f"witness: {format_interpretation(verdict.witness)}")
-        if verdict.note:
-            print(f"note: {verdict.note}")
-    if args.fail_on_unstable and verdict.status != "stable":
-        return 1
-    return 0
+    w = verdict.witness
+    return _print_verdict(args, verdict, verdict_to_json(verdict), "stable",
+                          None if w is None else f"witness: {format_interpretation(w)}")
 
 
 def _cmd_enumerate(args) -> int:
     f = _load_formula(args)
-    minimized = _parse_minimize(args.minimize)
+    minimized = _atom_list(args.minimize, "--minimize")
     threshold = parse_truth(args.threshold)
     lattice = Lattice(args.denominator)
     models = enumerate_stable(f, minimized, threshold, lattice,
                               jobs=args.jobs, cap=args.cap)
-    if args.json:
-        _emit({"count": len(models),
-               "models": [interpretation_to_json(m) for m in models]})
-    elif args.count:
-        print(len(models))
-    else:
-        for m in models:
-            print(format_interpretation(m))
-    return 0
+    return _print_models(args, models, interpretation_to_json,
+                         format_interpretation)
 
 
 def _cmd_translate(args) -> int:
@@ -249,17 +282,13 @@ def _cmd_translate(args) -> int:
     if mode == "choice":
         if not args.atoms:
             raise UsageError("translate choice needs --atoms")
-        names = tuple(a.strip() for a in args.atoms.split(",") if a.strip())
-        f = choice(names, args.conj or "&m")
+        f = choice(_atom_list(args.atoms, "--atoms"), args.conj or "&m")
         _print_translation(args, f)
         return 0
     if mode == "fasp":
-        path = _source_path(args)
-        if path is None and args.expr is None:
-            raise UsageError("translate fasp needs a program file or --expr")
+        text = _load_text(args, "translate fasp needs a program file or --expr")
         if args.conj is None:
             raise UsageError("translate fasp needs --conj for rule bodies")
-        text = args.expr if args.expr is not None else _read_text(path)
         rules = parse_fasp_program(text, args.conj)
         f = program_to_formula(rules, args.join or args.conj)
         _print_translation(args, f)
@@ -267,14 +296,11 @@ def _cmd_translate(args) -> int:
     f = _load_formula(args)
     if mode == "nneg":
         result = nneg(f)
-        if args.json:
-            _emit({"formula": print_formula(result.formula),
-                   "complements": dict(result.complements),
-                   "signature": list(result.signature)})
-        else:
-            for a, na in result.complements.items():
-                print(f"# complement of {a}: {na}")
-            print(print_formula(result.formula))
+        text = print_formula(result.formula)
+        _output(args, {"formula": text, "complements": dict(result.complements),
+                       "signature": list(result.signature)},
+                "".join(f"# complement of {a}: {na}\n"
+                        for a, na in result.complements.items()) + text)
         return 0
     if mode == "embed":
         selection = OpSelection(
@@ -286,17 +312,13 @@ def _cmd_translate(args) -> int:
         _print_translation(args, boolean_embed(f, selection))
         return 0
     if mode == "star":
-        minimized = _parse_minimize(args.minimize)
+        minimized = _atom_list(args.minimize, "--minimize")
         if minimized is None:
             minimized = signature_of(f)
         fresh = shadow_names(signature_of(f), minimized)
-        star = star_transform(f, minimized, fresh)
-        if args.json:
-            _emit({"formula": print_formula(star), "shadows": fresh})
-        else:
-            for a in fresh:
-                print(f"# shadow of {a}: {fresh[a]}")
-            print(print_formula(star))
+        text = print_formula(star_transform(f, minimized, fresh))
+        _output(args, {"formula": text, "shadows": fresh},
+                "".join(f"# shadow of {a}: {fresh[a]}\n" for a in fresh) + text)
         return 0
     if mode == "guard":
         threshold = parse_truth(args.threshold)
@@ -306,52 +328,33 @@ def _cmd_translate(args) -> int:
 
 
 def _print_translation(args, f) -> None:
-    if args.json:
-        _emit({"formula": print_formula(f)})
-    else:
-        print(print_formula(f))
+    text = print_formula(f)
+    _output(args, {"formula": text}, text)
 
 
 def _cmd_equilibrium(args) -> int:
     f = _load_formula(args)
     lattice = Lattice(args.denominator)
     if args.enumerate:
-        sig = None
-        if args.signature:
-            sig = tuple(a.strip() for a in args.signature.split(",") if a.strip())
+        sig = _atom_list(args.signature, "--signature")
+        if sig is not None:
             _require_atoms(f, sig, "is not in --signature")
         models = enumerate_equilibrium(f, lattice, signature=sig, cap=args.cap)
-        if args.json:
-            _emit({"count": len(models),
-                   "models": [valuation_to_json(v) for v in models]})
-        elif args.count:
-            print(len(models))
-        else:
-            for v in models:
-                print(format_valuation(v))
-        return 0
-    if args.valuation_file:
-        v = parse_valuation(_read_text(args.valuation_file))
-    elif args.valuation:
-        v = parse_valuation(args.valuation)
-    elif args.interp or args.interp_file:
-        v = valuation_of(_load_interpretation(args))
-    else:
+        return _print_models(args, models, valuation_to_json, format_valuation)
+    v = _load_spec(args, "valuation", parse_valuation)
+    i = _load_spec(args, "interp", parse_interpretation)
+    if v is not None and i is not None:
+        raise UsageError("give a valuation or an interpretation, not both")
+    if v is None and i is None:
         raise UsageError("give --valuation, --valuation-file, --interp, "
                          "or --enumerate")
+    v = v if i is None else valuation_of(i)
     _require_atoms(f, v.atoms(), "is not interpreted")
     verdict = is_equilibrium(v, f, lattice, cap=args.cap)
-    if args.json:
-        _emit(equilibrium_verdict_to_json(verdict))
-    else:
-        print(f"status: {verdict.status}")
-        if verdict.counter is not None:
-            print(f"counter: {format_valuation(verdict.counter)}")
-        if verdict.note:
-            print(f"note: {verdict.note}")
-    if args.fail_on_unstable and verdict.status != "equilibrium":
-        return 1
-    return 0
+    c = verdict.counter
+    return _print_verdict(args, verdict, equilibrium_verdict_to_json(verdict),
+                          "equilibrium",
+                          None if c is None else f"counter: {format_valuation(c)}")
 
 
 def _require_atoms(f, names, complaint: str) -> None:
@@ -400,12 +403,25 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expr", default=None, help="inline formula text")
 
 
-def _add_interp(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--interp", default=None,
-                   help="interpretation, e.g. 'p=0.3, q=7/10' or JSON; "
-                        "'@FILE' reads it from a file")
-    p.add_argument("--interp-file", default=None,
-                   help="file holding the interpretation")
+def _add_spec(p: argparse.ArgumentParser, name: str, what: str,
+              example: str) -> None:
+    p.add_argument(f"--{name}", default=None,
+                   help=f"{what}, e.g. {example} or JSON; '@FILE' reads it "
+                        "from a file")
+    p.add_argument(f"--{name}-file", default=None,
+                   help=f"file holding the {what}")
+
+
+def _add_search(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--minimize", default=None,
+                   help="comma-separated atoms ('none' for the empty set); "
+                        "default: every atom")
+    p.add_argument("--threshold", default="1", help="default 1")
+    p.add_argument("--denominator", type=integer, default=10,
+                   help="lattice granularity D for 0, 1/D, ..., 1 "
+                        "(default 10)")
+    p.add_argument("--cap", type=integer, default=10 ** 7,
+                   help="candidate limit before the search refuses to run")
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:
@@ -427,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate under an interpretation")
     _add_source(p)
-    _add_interp(p)
+    _add_spec(p, "interp", "interpretation", "'p=0.3, q=7/10'")
     p.add_argument("--decimal", action="store_true",
                    help="print a decimal when it is exact")
     _add_json(p)
@@ -435,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduct", help="print the reduct")
     _add_source(p)
-    _add_interp(p)
+    _add_spec(p, "interp", "interpretation", "'p=0.3, q=7/10'")
     p.add_argument("--full", action="store_true",
                    help="keep the caps on conjunctions and disjunctions")
     _add_json(p)
@@ -443,23 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="stability verdict")
     _add_source(p)
-    _add_interp(p)
-    p.add_argument("--minimize", default=None,
-                   help="comma-separated atoms ('none' for the empty set); "
-                        "default: every atom")
-    p.add_argument("--threshold", default="1", help="default 1")
-    p.add_argument("--denominator", type=integer, default=10,
-                   help="lattice granularity D for 0, 1/D, ..., 1 "
-                        "(default 10)")
+    _add_spec(p, "interp", "interpretation", "'p=0.3, q=7/10'")
+    _add_search(p)
     p.add_argument("--strategy", default="exhaustive",
-                   help="'exhaustive' or 'sampled:N'")
+                   help="'exhaustive' or 'sampled:N' (N at most --cap)")
     p.add_argument("--seed", type=integer, default=0,
                    help="with --strategy sampled:N: seeds the draws, so "
                         "the same seed tests the same candidates in the "
                         "same order; a seed and its negation draw alike "
                         "(default 0)")
-    p.add_argument("--cap", type=integer, default=10 ** 7,
-                   help="candidate limit before the search refuses to run")
     p.add_argument("--engine", choices=("direct", "star"), default="direct",
                    help="'star' cross-checks through the shadow rewrite")
     p.add_argument("--fail-on-unstable", action="store_true",
@@ -469,11 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all stable models on the lattice")
     _add_source(p)
-    p.add_argument("--minimize", default=None)
-    p.add_argument("--threshold", default="1")
-    p.add_argument("--denominator", type=integer, default=10)
+    _add_search(p)
     p.add_argument("--jobs", type=integer, default=1, help="parallel workers")
-    p.add_argument("--cap", type=integer, default=10 ** 7)
     p.add_argument("--count", action="store_true", help="print only the count")
     _add_json(p)
     p.set_defaults(fn=_cmd_enumerate)
@@ -504,10 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", help="interval-based cross-check")
     _add_source(p)
-    _add_interp(p)
-    p.add_argument("--valuation", default=None,
-                   help="e.g. 'h:p=[0.2,0.7]; t:p=[0.2,0.7]' or JSON")
-    p.add_argument("--valuation-file", default=None)
+    _add_spec(p, "interp", "interpretation", "'p=0.3, q=7/10'")
+    _add_spec(p, "valuation", "valuation", "'h:p=[0.2,0.7]; t:p=[0.2,0.7]'")
     p.add_argument("--enumerate", action="store_true",
                    help="list every equilibrium model instead of checking one")
     p.add_argument("--count", action="store_true",
@@ -537,11 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (
-    UsageError, ParseError, TruthError, SignatureError, StrongNegationError,
-    UnknownOperatorError, ResourceLimitError, ValueError, OSError,
-    json.JSONDecodeError,
-)
+# ParseError, TruthError, JSONDecodeError and every other input error of
+# the package derive from ValueError.
+_INPUT_ERRORS = (UsageError, ResourceLimitError, ValueError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:

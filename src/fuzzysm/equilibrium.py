@@ -34,7 +34,6 @@ lattice interval, so their counters stay the first in full scan order.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -48,7 +47,7 @@ from .algebra import (
     format_truth,
     get_operator,
     parse_truth,
-    unique_keys,
+    read_json,
 )
 from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, signature_of, walk
 
@@ -388,7 +387,7 @@ def parse_valuation(text: str) -> Valuation:
     world or an interval named twice is an error in both forms."""
     s = text.strip()
     if s.startswith("{"):
-        return valuation_from_json(json.loads(s, object_pairs_hook=unique_keys))
+        return valuation_from_json(read_json(s))
     data: dict[tuple[str, str], Interval] = {}
     for chunk in s.split(";"):
         chunk = chunk.strip()
@@ -432,13 +431,18 @@ def valuation_to_json(v: Valuation) -> dict:
 
 
 def valuation_from_json(data: dict) -> Valuation:
+    """Read {"h": {atom: [lo, hi], ...}, "t": {...}}, each degree a string,
+    an int or a Fraction.  Any other shape is a ValueError that names the
+    world and the atom."""
     intervals: dict[tuple[str, str], Interval] = {}
     for world, entries in data.items():
+        if not isinstance(entries, dict):
+            raise ValueError(f"world {world!r} must map to an object of intervals")
         for atom, bounds in entries.items():
-            lo, hi = bounds
-            lo = parse_truth(lo) if isinstance(lo, str) else check_truth(lo)
-            hi = parse_truth(hi) if isinstance(hi, str) else check_truth(hi)
-            intervals[(world, atom)] = Interval(lo, hi)
+            if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
+                raise ValueError(f"atom {atom!r} in world {world!r} must map "
+                                 "to a two-element list [lo, hi]")
+            intervals[(world, atom)] = Interval(*bounds)
     return Valuation(intervals)
 
 

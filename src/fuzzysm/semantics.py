@@ -15,14 +15,13 @@ is one pass of syntax.fold in which a node yields its value and reduct.
 """
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .algebra import (ONE, ZERO, check_truth, format_truth, op_apply, parse_truth,
-                      unique_keys)
+                      read_json)
 from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, fold, walk
 
 
@@ -112,16 +111,12 @@ class BoolInterpretation:
 def parse_interpretation(text: str) -> Interpretation:
     """Read 'p=0.3, q=7/10' or a JSON object {"p": "0.3", "q": 0.7}.
 
-    JSON numbers are re-parsed from their source text, so decimal literals
-    stay exact.  An atom named twice is an error in both forms.
+    JSON goes through algebra.read_json, so decimal literals stay exact.
+    An atom named twice is an error in both forms.
     """
     s = text.strip()
     if s.startswith("{"):
-        data = json.loads(s, parse_float=Fraction, parse_int=Fraction,
-                          object_pairs_hook=unique_keys)
-        if not isinstance(data, dict):
-            raise ValueError("interpretation JSON must be an object")
-        return Interpretation(data)
+        return Interpretation(read_json(s))
     pairs: dict[str, Fraction] = {}
     if s:
         for chunk in re.split(r"[,\n]", s):

@@ -35,9 +35,11 @@ The cross-check routes scan algebra.candidates: the capped product of
 per-atom pools, minus I's own point where the route asks.  It knows
 nothing of what a candidate means; each route keeps its own acceptance
 test.  The Boolean and program oracles are capped at
-DEFAULT_CANDIDATE_CAP.  find_witness checks its pools against its cap
-through algebra.candidates too, before the scan; enumerate_stable checks
-its grid once, and no witness scan below a grid point is larger.
+DEFAULT_CANDIDATE_CAP.  find_witness checks its exhaustive pools, and
+enumerate_stable its grid, against the cap through algebra.candidates
+too, before the scan; no witness scan below a grid point is larger than
+the grid.  A sampled hunt refuses more samples than its cap, in the same
+words.
 """
 from __future__ import annotations
 
@@ -205,6 +207,10 @@ def find_witness(
     # Nothing strictly below i exists when no atom is minimized.
     if not scan:
         return None
+    if isinstance(strategy, Sampled) and strategy.samples > cap:
+        raise ResourceLimitError(
+            f"{strategy.samples} candidates exceed the cap of {cap}; "
+            "raise the cap to scan them all")
     prog = compile_formula(f, sig, lattice, i.values())
     at_i = prog.evaluate([prog.domain(i[a]) for a in sig])
     cut = prog.level(y)
@@ -314,12 +320,9 @@ def enumerate_stable(
     y = check_truth(threshold)
     sig = signature_of(f)
     mset = set(_minimized_in(sig, minimized))
-    total = lattice.size ** len(sig)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} interpretations exceed the cap of {cap}; "
-            "raise the cap to scan anyway")
     prog = compile_formula(f, sig, lattice)
+    candidates([prog.points] * len(sig), cap)  # raises before the scan
+    total = lattice.size ** len(sig)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
     if jobs <= 1 or total < 1024:
         found = _stable_points(prog, moving, prog.level(y), 0, lattice.size)

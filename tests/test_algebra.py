@@ -20,7 +20,7 @@ from fuzzysm import (
     parse_truth,
     residual_condition,
 )
-from fuzzysm.algebra import ResourceLimitError, candidates
+from fuzzysm.algebra import ResourceLimitError, candidates, read_json
 
 F = Fraction
 
@@ -198,3 +198,19 @@ class TestCandidates:
         # The error comes from the call itself, before any iteration.
         with pytest.raises(ResourceLimitError, match="6 candidates exceed the cap of 5"):
             candidates([[0, 1], [0, 1, 2]], 5)
+
+
+class TestReadJson:
+    def test_numbers_are_exact(self):
+        assert read_json('{"a": 0.1, "b": [1, 2e-1], "c": "0.3"}') == {
+            "a": F(1, 10), "b": [F(1), F(1, 5)], "c": "0.3"}
+
+    def test_repeated_key_refused_at_any_depth(self):
+        for text in ('{"a": 1, "a": 2}', '{"a": {"b": 1, "b": 1}}'):
+            with pytest.raises(ValueError, match="'.' appears twice"):
+                read_json(text)
+
+    @pytest.mark.parametrize("text", ["[1]", "0.5", '"p"', "null"])
+    def test_top_level_must_be_an_object(self, text):
+        with pytest.raises(ValueError, match="must be an object"):
+            read_json(text)

@@ -179,6 +179,19 @@ class TestCheck:
         assert data["status"] == "stable"
         assert "sampling" in data["note"]
 
+    def test_sampled_count_over_cap(self, capsys):
+        code, out, err = run(capsys, "check", "--expr", "p", "--interp", "p=1",
+                             "--strategy", "sampled:11", "--cap", "10")
+        assert (code, out) == (2, "")
+        assert err == ("error: 11 candidates exceed the cap of 10; "
+                       "raise the cap to scan them all\n")
+
+    def test_sampled_count_at_cap_runs(self, capsys):
+        code, out, _ = run(capsys, "check", "--expr", "p", "--interp", "p=1",
+                           "--strategy", "sampled:10", "--cap", "10")
+        assert code == 0
+        assert "no witness found in 10 samples" in out
+
     def test_bad_strategy(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "p", "--interp", "p=1",
                            "--strategy", "sampled:many")
@@ -445,6 +458,18 @@ _UNICODE_DIGITS = [
 ]
 
 
+# valuation JSON of the wrong shape
+_VALUATION_SHAPES = [
+    ["equilibrium", "--expr", "p", "--valuation", text] for text in (
+        '{"h": [1], "t": {}}',
+        '{"h": 5}',
+        '{"h": {"p": 1}, "t": {"p": [1, 1]}}',
+        '{"h": {"p": null}, "t": {"p": [1, 1]}}',
+        '{"h": {"p": [0, 1, 1]}, "t": {"p": [1, 1]}}',
+    )
+]
+
+
 # json.loads alone keeps the last value of a repeated key
 _REPEATED_JSON_KEYS = [
     ["eval", "--expr", "p", "--interp", '{"p":"1","p":"0"}'],
@@ -462,12 +487,136 @@ class TestHostileInput:
         *_MISSING_ATOM,
         *_UNICODE_DIGITS,
         *_REPEATED_JSON_KEYS,
+        *_VALUATION_SHAPES,
     ])
     def test_exit_two_with_one_error_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_long_valuation_interval_names_its_atom(self, capsys):
+        code, _, err = run(capsys, *_VALUATION_SHAPES[-1])
+        assert code == 2
+        assert "'p'" in err
+
+
+_FORMULA = "not_s q ->r p"
+_PROGRAM = "p <- not q.\nq <- not p.\n"
+_VALUATION_TEXT = "h:p=[0.2,0.7]; t:p=[0.2,0.7]"
+_SOURCE_FILES = {
+    "f.fz": _FORMULA,
+    "prog.lp": _PROGRAM,
+    "i.txt": "p=1, q=0",
+    "v.txt": _VALUATION_TEXT,
+}
+_CHECK_AT = ["check", "--expr", _FORMULA, "--denominator", "4"]
+_EQUILIBRIUM_AT = ["equilibrium", "--expr", "(0.2 ->r p) &m (0.3 ->r ~p)"]
+
+
+def _fasp(*source):
+    # argparse reads the optional positional only right after the mode
+    return ["translate", "fasp", *source, "--conj", "&m"]
+
+
+# Each input kind, read from each of its sources.  stdin holds the text
+# of the source that names '-'.
+_SAME_INPUT = {
+    "formula": (_FORMULA, [
+        ["parse", "f.fz"],
+        ["parse", "--formula", "f.fz"],
+        ["parse", "-"],
+        ["parse", "--expr", _FORMULA],
+    ]),
+    "program": (_PROGRAM, [
+        _fasp("prog.lp"),
+        _fasp("--formula", "prog.lp"),
+        _fasp("-"),
+        _fasp("--expr", _PROGRAM),
+    ]),
+    "interpretation": ("", [
+        [*_CHECK_AT, "--interp", "p=1, q=0"],
+        [*_CHECK_AT, "--interp", '{"p": 1, "q": 0.0}'],
+        [*_CHECK_AT, "--interp", "@i.txt"],
+        [*_CHECK_AT, "--interp-file", "i.txt"],
+    ]),
+    "valuation": ("", [
+        [*_EQUILIBRIUM_AT, "--valuation", _VALUATION_TEXT],
+        [*_EQUILIBRIUM_AT, "--valuation",
+         '{"h": {"p": [0.2, 0.7]}, "t": {"p": [2e-1, "7/10"]}}'],
+        [*_EQUILIBRIUM_AT, "--valuation", "@v.txt"],
+        [*_EQUILIBRIUM_AT, "--valuation-file", "v.txt"],
+    ]),
+}
+
+# Two sources for one input.
+_TWO_SOURCES = {
+    "formula file twice": ["parse", "f.fz", "--formula", "f.fz"],
+    "formula file and --expr": ["parse", "f.fz", "--expr", "p"],
+    "--formula and --expr": ["parse", "--formula", "f.fz", "--expr", "p"],
+    "stdin and --expr": ["parse", "-", "--expr", "p"],
+    "program file and --expr": _fasp("prog.lp", "--expr", "q."),
+    "interpretation text and file": [*_CHECK_AT, "--interp", "p=1, q=0",
+                                     "--interp-file", "i.txt"],
+    "interpretation @FILE and file": [*_CHECK_AT, "--interp", "@i.txt",
+                                      "--interp-file", "i.txt"],
+    "valuation text and file": [*_EQUILIBRIUM_AT, "--valuation", _VALUATION_TEXT,
+                                "--valuation-file", "v.txt"],
+    "valuation @FILE and file": [*_EQUILIBRIUM_AT, "--valuation", "@v.txt",
+                                 "--valuation-file", "v.txt"],
+    "valuation and interpretation": [*_EQUILIBRIUM_AT, "--valuation", _VALUATION_TEXT,
+                                     "--interp", "p=0.2"],
+    "valuation file and interpretation file": [
+        *_EQUILIBRIUM_AT, "--valuation-file", "v.txt", "--interp-file", "i.txt"],
+}
+
+
+class TestInputSources:
+    """Every source of one input kind reads the same, and an input given
+    twice is a usage error, never a silent choice."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        for name, text in _SOURCE_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(_SAME_INPUT))
+    def test_same_stdout_from_every_source(self, capsys, monkeypatch, kind):
+        stdin, sources = _SAME_INPUT[kind]
+        results = []
+        for argv in sources:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            results.append(run(capsys, *argv))
+        assert results[0][0] == 0 and results[0][1]
+        assert results == [results[0]] * len(sources)
+
+    @pytest.mark.parametrize("name", sorted(_TWO_SOURCES))
+    def test_two_sources_exit_two(self, capsys, monkeypatch, name):
+        monkeypatch.setattr("sys.stdin", io.StringIO(_FORMULA))
+        code, out, err = run(capsys, *_TWO_SOURCES[name])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not both" in err or "once" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["check", "--expr", "p", "--interp", "p=1", "--minimize", ""], "--minimize"),
+        (["enumerate", "--expr", "p", "--minimize", ","], "--minimize"),
+        (["equilibrium", "--expr", "p", "--enumerate", "--signature", ""], "--signature"),
+        (["equilibrium", "--expr", "p", "--enumerate", "--signature", " , "],
+         "--signature"),
+        (["translate", "choice", "--atoms", ","], "--atoms"),
+    ])
+    def test_empty_atom_list_names_its_option(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} got no atom names" + (
+            " (use 'none' for the empty set)\n" if option == "--minimize" else "\n")
+
+    def test_minimize_none_is_the_empty_set(self, capsys):
+        code, out, _ = run(capsys, "check", "--expr", "p ->r p", "--interp", "p=1",
+                           "--minimize", "none")
+        assert (code, out.splitlines()[0]) == (0, "status: stable")
 
 
 _CHECK = ["check", "--expr", "p", "--interp", "p=1"]

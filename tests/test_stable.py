@@ -82,6 +82,20 @@ class TestFindWitness:
         with pytest.raises(ResourceLimitError):
             find_witness(f, i, ("p", "q", "r"), lattice=D10, cap=100)
 
+    def test_sample_count_over_cap(self, monkeypatch):
+        f = parse_formula("p")
+        i = parse_interpretation("p=1")
+
+        def no_compile(*args):
+            raise AssertionError("compiled before the cap check")
+
+        monkeypatch.setattr(fuzzysm.stable, "compile_formula", no_compile)
+        with pytest.raises(ResourceLimitError, match=(
+                "^11 candidates exceed the cap of 10; "
+                "raise the cap to scan them all$")):
+            find_witness(f, i, ("p",), lattice=D10,
+                         strategy=Sampled(samples=11, seed=0), cap=10)
+
     def test_off_lattice_exhaustive_rejected(self):
         # The interpretation must reach the threshold first, or the
         # value bound answers before any pools are built.
@@ -331,6 +345,13 @@ class TestEnumerate:
     def test_cap(self):
         f = parse_formula("p &m q &m r &m s")
         with pytest.raises(ResourceLimitError):
+            enumerate_stable(f, lattice=D10, cap=1000)
+
+    def test_cap_message_is_the_candidates_one(self):
+        f = parse_formula("p &m q &m r &m s")
+        with pytest.raises(ResourceLimitError, match=(
+                "^14641 candidates exceed the cap of 1000; "
+                "raise the cap to scan them all$")):
             enumerate_stable(f, lattice=D10, cap=1000)
 
     def test_threshold_enumeration(self):
