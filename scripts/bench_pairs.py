@@ -18,7 +18,11 @@ For each end-to-end metric the summary also gives its `bound`,
 `within_bound` (the change's median is worse than the parent's by no
 more than the bound, as a fraction of the parent's median) and `gain`
 (the change wins at least nine tenths of the pairs, and the medians
-differ by more than the parent's interquartile range).
+differ by more than the parent's interquartile range).  Next to the
+metrics, `correctness` gives for each side the indices of the runs whose
+`correct` is false and the spread of the failed share (failed over
+attempted operations), so that a correctness regression shows in the
+summary too.
 """
 from __future__ import annotations
 
@@ -51,9 +55,15 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def correctness(runs: list[dict]) -> dict:
+    return {"incorrect_runs": [k for k, r in enumerate(runs) if not r["correct"]],
+            "failed_share": spread([r["failed"] / r["attempted"] if r["attempted"] else 0.0
+                                    for r in runs])}
+
+
 def summarize(runs: dict, better: dict, bounds: dict) -> dict:
     parent, change = runs["parent"], runs["change"]
-    out = {}
+    out = {"correctness": {side: correctness(runs[side]) for side in ("parent", "change")}}
     for name in parent[0]["metrics"]:
         p = [r["metrics"][name] for r in parent]
         c = [r["metrics"][name] for r in change]

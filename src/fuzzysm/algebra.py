@@ -19,6 +19,7 @@ import enum
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -57,13 +58,20 @@ def check_truth(value: object) -> Fraction:
     raise TruthError(f"cannot read a truth degree from {value!r}")
 
 
+# The number forms of docs/grammar.md: '0.56', '.5', '1' and '14/25', in
+# ASCII digits.  The formula lexer reads the same forms.
+NUMBER_PATTERN = r"[0-9]+(?:/[0-9]+|\.[0-9]+)?|\.[0-9]+"
+_NUMBER_RE = re.compile(NUMBER_PATTERN)
+
+
 def parse_truth(text: str) -> Fraction:
     """Parse '0.56', '.5', '1', or '14/25' into an exact degree.
 
-    Digits are ASCII only: Fraction alone would also read '٠.٥'."""
+    Only those forms: Fraction alone would also read '1e-5', '+0.5', '1_0'
+    and '٠.٥', and an exponent such as '1e-99999999' takes it minutes."""
     s = text.strip()
     try:
-        if not s.isascii():
+        if not _NUMBER_RE.fullmatch(s):
             raise ValueError
         v = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -84,11 +92,20 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
+def _json_fraction(text: str) -> Fraction:
+    """A json.loads parse_float hook: the number's source text as an exact
+    Fraction, refusing exponent notation as parse_truth does."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"JSON number {text} has an exponent; "
+                         "write it as a decimal or a fraction string")
+    return Fraction(text)
+
+
 def read_json(text: str) -> dict:
     """The JSON object in text, every number read from its source text as
-    an exact Fraction.  A repeated key or a top level that is not an
-    object is a ValueError."""
-    data = json.loads(text, parse_float=Fraction, parse_int=Fraction,
+    an exact Fraction; a number with an exponent, a repeated key or a top
+    level that is not an object is a ValueError."""
+    data = json.loads(text, parse_float=_json_fraction, parse_int=Fraction,
                       object_pairs_hook=unique_keys)
     if not isinstance(data, dict):
         raise ValueError("the JSON top level must be an object")

@@ -282,6 +282,8 @@ def _cmd_translate(args) -> int:
     if mode == "choice":
         if not args.atoms:
             raise UsageError("translate choice needs --atoms")
+        if args.source is not None or args.formula is not None or args.expr is not None:
+            raise UsageError("give --atoms or a formula, not both")
         f = choice(_atom_list(args.atoms, "--atoms"), args.conj or "&m")
         _print_translation(args, f)
         return 0
@@ -336,6 +338,10 @@ def _cmd_equilibrium(args) -> int:
     f = _load_formula(args)
     lattice = Lattice(args.denominator)
     if args.enumerate:
+        for name in ("valuation", "valuation_file", "interp", "interp_file"):
+            if getattr(args, name) is not None:
+                option = "--" + name.replace("_", "-")
+                raise UsageError(f"give --enumerate or {option}, not both")
         sig = _atom_list(args.signature, "--signature")
         if sig is not None:
             _require_atoms(f, sig, "is not in --signature")

@@ -199,11 +199,15 @@ def find_witness(
     lattice: Lattice = Lattice(10),
     strategy: Strategy = Exhaustive(),
     cap: int = DEFAULT_CANDIDATE_CAP,
+    *,
+    _order: tuple[tuple[str, ...], list[str]] | None = None,
 ) -> Interpretation | None:
     """First J strictly below i on the minimized atoms that satisfies the
-    reduct of f by i to the threshold; None when the search finds none."""
+    reduct of f by i to the threshold; None when the search finds none.
+    `_order` is `_scan_order(f, i, minimized)` when the caller has it
+    already: check_stable passes it, so a verdict walks f's atoms once."""
     y = check_truth(threshold)
-    sig, scan = _scan_order(f, i, minimized)
+    sig, scan = _order or _scan_order(f, i, minimized)
     # Nothing strictly below i exists when no atom is minimized.
     if not scan:
         return None
@@ -261,12 +265,12 @@ def check_stable(
     """Full verdict: the inputs' atoms checked, then modelhood at the
     threshold, then witness search."""
     y = check_truth(threshold)
-    _, scan = _scan_order(f, i, minimized)
+    order = _scan_order(f, i, minimized)
     if not satisfies(f, i, y):
         return StabilityVerdict(
             "not_a_model", y, lattice.denominator, strategy,
             note="the interpretation does not reach the threshold")
-    witness = find_witness(f, i, scan, y, lattice, strategy, cap)
+    witness = find_witness(f, i, order[1], y, lattice, strategy, cap, _order=order)
     if witness is not None:
         return StabilityVerdict(
             "unstable", y, lattice.denominator, strategy, witness=witness,

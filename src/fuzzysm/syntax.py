@@ -7,20 +7,31 @@ and applies to atoms only.  Precedence, loosest first: implications
 (right-associative), disjunctions, conjunctions (both left-associative),
 then the unary negations.  docs/grammar.md is the normative description.
 
-The lexer is one ordered token table, `_TOKEN_RE`: a named group per
-token kind and per malformed operator, scanned left to right by
-`finditer`; `_LEXICAL_ERRORS` gives the message for each error kind.
-Each match also takes the spaces, newlines and comments before its token,
-and a token's line and column are computed only for an error.
+The lexer is one ordered token table, `_TOKEN_RE`, whose `findall` gives
+the words of the tokens, well-formed or not; `_KINDS` and `_LEADS` give
+each word its kind, and `_LEXICAL_ERRORS` the message for each error
+kind.  Each match also takes the spaces, newlines and comments before its
+token, and a token's start offset, line and column are computed only for
+an error.
+
+The parser and the rule frontend build most of their nodes with `_atom`,
+`_neg`, `_bin` and `_rule`, which fill the slots without the
+constructors' checks: the token table and the frontend have checked
+every operator already.  The nodes are the same frozen classes, and the
+public constructors keep their checks.
 """
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import (
+    NUMBER_PATTERN,
+    ONE,
     OPERATORS,
     OpFamily,
     TruthError,
@@ -56,6 +67,11 @@ _FAMILIES = {token: op.family for token, op in OPERATORS.items()}
 
 def _family(token: str) -> OpFamily:
     return _FAMILIES.get(token) or get_operator(token).family
+
+
+def _check_binary(token: str) -> None:
+    if _family(token) is OpFamily.NEGATION:
+        raise ValueError(f"{token!r} is unary, not binary")
 
 
 # Neg and Bin replace the generated ==, hash and repr, which recurse, with
@@ -114,12 +130,48 @@ class Bin:
     __eq__, __hash__, __repr__ = _tree_eq, _tree_hash, _tree_repr
 
     def __post_init__(self) -> None:
-        if _family(self.op) is OpFamily.NEGATION:
-            raise ValueError(f"{self.op!r} is unary, not binary")
+        _check_binary(self.op)
 
 
 Formula = Union[Atom, Const, StrongNeg, Neg, Bin]
 T = TypeVar("T")
+
+# Node makers without the checks: a slot's descriptor sets it past the frozen
+# __setattr__, and __post_init__ does not run.  Each caller has checked
+# the values the constructor would check.
+_new = object.__new__
+_atom_name = Atom.name.__set__
+_neg_op, _neg_body = Neg.op.__set__, Neg.body.__set__
+_bin_op, _bin_left, _bin_right = Bin.op.__set__, Bin.left.__set__, Bin.right.__set__
+
+
+def _atom(name: str) -> Atom:
+    node = _new(Atom)
+    _atom_name(node, name)
+    return node
+
+
+def _neg(op: str, body: Formula) -> Neg:
+    node = _new(Neg)
+    _neg_op(node, op)
+    _neg_body(node, body)
+    return node
+
+
+def _bin(op: str, left: Formula, right: Formula) -> Bin:
+    node = _new(Bin)
+    _bin_op(node, op)
+    _bin_left(node, left)
+    _bin_right(node, right)
+    return node
+
+
+def _chain(op: str, parts: Sequence[Formula]) -> Formula:
+    """conjoin with a binary op the caller has checked."""
+    out = parts[0]
+    for k in range(1, len(parts)):
+        out = _bin(op, out, parts[k])
+    return out
 
 
 def walk(f: Formula) -> Iterator[Formula]:
@@ -163,9 +215,23 @@ def fold(f: Formula, leaf: Callable[[Formula], T],
 def atoms(f: Formula) -> tuple[str, ...]:
     """Atom names in first-occurrence order (strongly negated ones included)."""
     seen: dict[str, None] = {}
-    for node in walk(f):
-        if isinstance(node, (Atom, StrongNeg)):
-            seen.setdefault(node.name, None)
+    stack = [f]
+    push, pop = stack.append, stack.pop
+    while stack:
+        x = pop()
+        # Down the left spine, leaving the right children for later: the
+        # leaves come in preorder.
+        while True:
+            cls = x.__class__
+            if cls is Bin:
+                push(x.right)
+                x = x.left
+            elif cls is Neg:
+                x = x.body
+            else:
+                break
+        if cls is Atom or cls is StrongNeg:
+            seen[x.name] = None  # a name seen before keeps its place
     return tuple(seen)
 
 
@@ -184,10 +250,9 @@ def conjoin(op: str, parts: Sequence[Formula]) -> Formula:
     """Left-associative fold; requires at least one part."""
     if not parts:
         raise ValueError("cannot conjoin zero formulas")
-    out = parts[0]
-    for part in parts[1:]:
-        out = Bin(op, out, part)
-    return out
+    if len(parts) > 1:
+        _check_binary(op)
+    return _chain(op, parts)
 
 
 class ParseError(ValueError):
@@ -199,33 +264,34 @@ class ParseError(ValueError):
 
 # The token table, tried in order after a prefix that skips spaces, tabs,
 # carriage returns, newlines and each comment a newline ends: the first
-# alternative that matches wins.  A comment on the last line is left to
-# 'end', which then stands where its '#' does; otherwise 'end' is the empty
-# match at the end of the text.  The error kinds, then 'char', catch
-# whatever no token starts with, so every match succeeds after the longest
-# prefix, which has one way through any text: a match is linear in its length.
-_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(?:" + "|".join(
-    f"(?P<{kind}>{pattern})" for kind, pattern in [
-        ("end", r"#[^\n]*\Z|\Z"),
-        ("number", r"[0-9]+/[0-9]+|[0-9]+\.[0-9]+|\.[0-9]+|[0-9]+"),
-        ("not_s", r"not_s(?![A-Za-z0-9_])"),
-        ("not", r"not(?![A-Za-z0-9_])"),
-        ("ident", r"[A-Za-z_][A-Za-z0-9_]*"),
-        ("conj", r"&[lmp]"),
-        ("disj", r"\|[lmp]"),
-        ("impl", r"->[rsl]"),
-        ("arrow", r"<-"),
-        ("strongneg", r"~"),
-        ("lparen", r"\("),
-        ("rparen", r"\)"),
-        ("dot", r"\."),
-        ("comma", r","),
-        ("kindless_op", r"[&|]"),
-        ("kindless_impl", r"->"),
-        ("minus", r"-"),
-        ("less", r"<"),
-        ("char", r"(?s:.)"),
-    ]) + ")")
+# alternative that matches wins, and the group holds the token's word.
+# Identifiers take the keywords 'not_s' and 'not' too, since both end where
+# an identifier would.  A comment on the last line is left to the end,
+# which then stands where its '#' does; otherwise the end is the empty
+# match at the end of the text.  The operators without their kind suffix,
+# then any single character, catch whatever no token starts with, so every
+# match succeeds after the longest prefix, which has one way through any
+# text: a match is linear in its length.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(" + "|".join([
+    r"[A-Za-z_][A-Za-z0-9_]*",           # identifiers and keywords
+    NUMBER_PATTERN,                      # numbers
+    r"[&|][lmp]?|-(?:>[rsl]?)?|<-?",     # operators, whole or not
+    r"#[^\n]*\Z|\Z",                     # the end
+    r"(?s:.)",                           # one character
+]) + ")")
+# The kind of each word that is one token, or one malformed operator; any
+# other word's kind follows from its first character, and a character that
+# starts no token is the error kind 'char'.
+_KINDS = {
+    "": "end", "not_s": "not_s", "not": "not", "<-": "arrow", "~": "strongneg",
+    "(": "lparen", ")": "rparen", ".": "dot", ",": "comma",
+    **{f"&{k}": "conj" for k in "lmp"}, **{f"|{k}": "disj" for k in "lmp"},
+    **{f"->{k}": "impl" for k in "rsl"},
+    "&": "kindless_op", "|": "kindless_op", "->": "kindless_impl",
+    "-": "minus", "<": "less",
+}
+_LEADS = {**dict.fromkeys(string.ascii_letters + "_", "ident"),
+          **dict.fromkeys(string.digits + ".", "number"), "#": "end"}
 _LEXICAL_ERRORS = {
     "kindless_op": "operator {!r} needs a kind suffix (l, m or p)",
     "kindless_impl": "expected 'r', 's' or 'l' after '->'",
@@ -243,23 +309,28 @@ MAX_NESTING = 150
 
 class _Parser:
     def __init__(self, text: str):
-        """Tokenize text into the kinds, words and start offsets of its
-        tokens, up to and including the first 'end' (after a non-empty
-        match at the end of the text finditer yields one more).  The first
-        lexical error raises, before any grammar error."""
+        """Tokenize text into the kinds and words of its tokens, up to and
+        including the first 'end'.  The first lexical error raises, before
+        any grammar error."""
         self.text = text
-        self.kinds, self.words, self.starts = kinds, words, starts = [], [], []
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind in _LEXICAL_ERRORS:
-                raise self.error(_LEXICAL_ERRORS[kind].format(m[kind]), m.start(kind))
-            kinds.append(kind)
-            words.append(m[kind])
-            starts.append(m.start(kind))
-            if kind == "end":
-                break
+        self.words = words = _TOKEN_RE.findall(text)
+        self.kinds = kinds = [_KINDS.get(w) or _LEADS.get(w[0], "char") for w in words]
+        # After a non-empty match at the end of the text findall yields one
+        # more, empty, 'end'.
+        if kinds[-2:] == ["end", "end"]:
+            del words[-1], kinds[-1]
+        if not _LEXICAL_ERRORS.keys().isdisjoint(kinds):
+            pos = next(k for k, kind in enumerate(kinds) if kind in _LEXICAL_ERRORS)
+            raise self.error(_LEXICAL_ERRORS[kinds[pos]].format(words[pos]),
+                             self.starts[pos])
+        self.names: dict[str, Atom] = {}  # one Atom per name in this text
         self.pos = 0
         self.depth = 0
+
+    @cached_property
+    def starts(self) -> list[int]:
+        """The start offset of each token: only an error needs them."""
+        return [m.start(1) for m, _ in zip(_TOKEN_RE.finditer(self.text), self.words)]
 
     def error(self, message: str, start: int) -> ParseError:
         """A ParseError at offset start of the text: only a newline ends a
@@ -273,6 +344,14 @@ class _Parser:
         shown = self.words[pos] if self.kinds[pos] != "end" else "end of input"
         return self.error(f"{message} (found {shown!r})", self.starts[pos])
 
+    def atom(self) -> Atom:
+        name = self.words[self.pos]
+        self.pos += 1
+        node = self.names.get(name)
+        if node is None:
+            node = self.names[name] = _atom(name)
+        return node
+
     def constant(self) -> Const:
         pos = self.pos
         self.pos += 1
@@ -284,10 +363,11 @@ class _Parser:
     def nested(self, parse: Callable[[], Formula]) -> Formula:
         """Consume the token that opens one more level of nesting, then
         parse() what it opens."""
-        opener = self.starts[self.pos]
+        opener = self.pos
         self.pos += 1
         if self.depth == MAX_NESTING:
-            raise self.error(f"formula nests more than {MAX_NESTING} levels deep", opener)
+            raise self.error(f"formula nests more than {MAX_NESTING} levels deep",
+                             self.starts[opener])
         self.depth += 1
         inner = parse()
         self.depth -= 1
@@ -305,7 +385,7 @@ class _Parser:
         if self.kinds[self.pos] == "impl":
             op = self.words[self.pos]
             right = self.nested(self.formula)  # right-associative
-            return Bin(op, left, right)
+            return _bin(op, left, right)
         return left
 
     def disjunction(self) -> Formula:
@@ -313,7 +393,7 @@ class _Parser:
         while self.kinds[self.pos] == "disj":
             op = self.words[self.pos]
             self.pos += 1
-            out = Bin(op, out, self.conjunction())
+            out = _bin(op, out, self.conjunction())
         return out
 
     def conjunction(self) -> Formula:
@@ -321,17 +401,16 @@ class _Parser:
         while self.kinds[self.pos] == "conj":
             op = self.words[self.pos]
             self.pos += 1
-            out = Bin(op, out, self.unary())
+            out = _bin(op, out, self.unary())
         return out
 
     def unary(self) -> Formula:
         pos = self.pos
         kind = self.kinds[pos]
         if kind == "ident":
-            self.pos += 1
-            return Atom(self.words[pos])
+            return self.atom()
         if kind == "not_s":
-            return Neg("not_s", self.nested(self.unary))
+            return _neg("not_s", self.nested(self.unary))
         if kind == "strongneg":
             self.pos += 1
             if self.kinds[pos + 1] != "ident":
@@ -349,11 +428,10 @@ class _Parser:
     # rule grammar ---------------------------------------------------
 
     def head_or_literal(self) -> Formula:
-        pos = self.pos
-        if self.kinds[pos] == "ident":
-            self.pos += 1
-            return Atom(self.words[pos])
-        if self.kinds[pos] == "number":
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return self.atom()
+        if kind == "number":
             return self.constant()
         raise self.fail("expected an atom or a constant")
 
@@ -379,7 +457,7 @@ class _Parser:
                         break
                     self.pos += 1
         self.expect("dot", "'.' to end the rule")
-        return Rule(head, tuple(pos), tuple(neg), conj)
+        return _rule(head, tuple(pos), tuple(neg), conj)
 
     def program(self, conj: str) -> list["Rule"]:
         rules = []
@@ -450,6 +528,21 @@ class Rule:
             raise ValueError(f"{self.conj!r} is not a conjunction operator")
 
 
+_rule_head, _rule_pos = Rule.head.__set__, Rule.pos.__set__
+_rule_neg, _rule_conj = Rule.neg.__set__, Rule.conj.__set__
+
+
+def _rule(head: Formula, pos: tuple[Formula, ...], neg: tuple[Formula, ...],
+          conj: str) -> Rule:
+    """A Rule built like _bin: the parser has checked what Rule checks."""
+    rule = _new(Rule)
+    _rule_head(rule, head)
+    _rule_pos(rule, pos)
+    _rule_neg(rule, neg)
+    _rule_conj(rule, conj)
+    return rule
+
+
 def parse_fasp_program(text: str, conj: str) -> list[Rule]:
     """Parse 'head <- lit, not lit, ... .' rules.
 
@@ -463,10 +556,11 @@ def parse_fasp_program(text: str, conj: str) -> list[Rule]:
 
 def rule_to_formula(rule: Rule) -> Formula:
     """body ->r head with 'not b' read as 'not_s b'; empty body becomes 1."""
+    # A Rule's constructor has checked its conjunction.
     literals: list[Formula] = list(rule.pos)
-    literals += [Neg("not_s", lit) for lit in rule.neg]
-    body = conjoin(rule.conj, literals) if literals else Const(Fraction(1))
-    return Bin("->r", body, rule.head)
+    literals += [_neg("not_s", lit) for lit in rule.neg]
+    body = _chain(rule.conj, literals) if literals else Const(ONE)
+    return _bin("->r", body, rule.head)
 
 
 def program_to_formula(rules: Sequence[Rule], conj: str) -> Formula:
@@ -475,4 +569,4 @@ def program_to_formula(rules: Sequence[Rule], conj: str) -> Formula:
         raise ValueError("empty program: nothing to translate")
     if get_operator(conj).family is not OpFamily.CONJUNCTION:
         raise ValueError(f"{conj!r} is not a conjunction operator")
-    return conjoin(conj, [rule_to_formula(r) for r in rules])
+    return _chain(conj, [rule_to_formula(r) for r in rules])

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from fuzzysm import (
     residual_condition,
 )
 from fuzzysm.algebra import ResourceLimitError, candidates, read_json
+from fuzzysm.syntax import ParseError, _Parser
 
 F = Fraction
 
@@ -63,6 +66,34 @@ class TestTruthValues:
     def test_parse_rejects_non_ascii_digits(self, text):
         with pytest.raises(TruthError, match="not a rational truth degree"):
             parse_truth(text)
+
+    @pytest.mark.parametrize("text", ["1e-5", "1E0", "1e-99999999", "+0.5", "-0",
+                                      "1_0/2_0", "0.5_0", "1.", "1 / 2", "1/0"])
+    def test_parse_reads_only_the_grammar_forms(self, text):
+        with pytest.raises(TruthError, match="not a rational truth degree"):
+            parse_truth(text)
+
+    def test_parse_agrees_with_the_formula_lexer(self):
+        """A string has the form of a truth degree, whether in [0, 1] or
+        not, exactly when the formula lexer reads it as one number token.
+        A zero denominator is refused by both, by the lexer's parser."""
+        rng = random.Random(5)
+        for _ in range(3000):
+            text = "".join(rng.choice("0123./e+-_ ") for _ in range(rng.randint(1, 5)))
+            if re.search(r"/0+$", text.strip()):
+                continue
+            parser = None
+            try:
+                parser = _Parser(text.strip())
+            except ParseError:
+                pass
+            one_number = parser is not None and parser.kinds == ["number", "end"]
+            try:
+                parse_truth(text)
+                read = True
+            except TruthError as exc:
+                read = "out of" in str(exc)
+            assert read == one_number, repr(text)
 
     @pytest.mark.parametrize("value,text", [
         (F(3, 10), "0.3"),
@@ -202,8 +233,13 @@ class TestCandidates:
 
 class TestReadJson:
     def test_numbers_are_exact(self):
-        assert read_json('{"a": 0.1, "b": [1, 2e-1], "c": "0.3"}') == {
+        assert read_json('{"a": 0.1, "b": [1, 0.20], "c": "0.3"}') == {
             "a": F(1, 10), "b": [F(1), F(1, 5)], "c": "0.3"}
+
+    @pytest.mark.parametrize("number", ["2e-1", "2E-1", "1e-99999999", "-0.5e0", "1e5"])
+    def test_exponent_refused(self, number):
+        with pytest.raises(ValueError, match="has an exponent"):
+            read_json(f'{{"a": [0, {number}]}}')
 
     def test_repeated_key_refused_at_any_depth(self):
         for text in ('{"a": 1, "a": 2}', '{"a": {"b": 1, "b": 1}}'):

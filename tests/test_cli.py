@@ -1,6 +1,7 @@
 """End-to-end runs of the command line through main(argv)."""
 import io
 import json
+import time
 
 import pytest
 
@@ -458,6 +459,22 @@ _UNICODE_DIGITS = [
 ]
 
 
+# Number forms outside docs/grammar.md.  An exponent would take Fraction
+# minutes to expand, so each of these also has a time limit.
+_NUMBER_FORMS = [
+    ["check", "--expr", "p", "--interp", "p=1e-99999999"],
+    ["check", "--expr", "p", "--interp", '{"p": 1e-99999999}'],
+    ["check", "--expr", "p", "--interp", '{"p": "1e-99999999"}'],
+    ["eval", "--expr", "p", "--interp", "p=+0.5"],
+    ["eval", "--expr", "p", "--interp", "p=1_0/2_0"],
+    ["eval", "--expr", "p", "--interp", '{"p": 5E-1}'],
+    ["check", "--expr", "p", "--interp", "p=1", "--threshold", "1e0"],
+    ["equilibrium", "--expr", "p", "--valuation", "h:p=[1e-1,1]; t:p=[1e-1,1]"],
+    ["equilibrium", "--expr", "p", "--valuation",
+     '{"h": {"p": [1e-99999999, 1]}, "t": {"p": [1e-99999999, 1]}}'],
+]
+
+
 # valuation JSON of the wrong shape
 _VALUATION_SHAPES = [
     ["equilibrium", "--expr", "p", "--valuation", text] for text in (
@@ -488,12 +505,20 @@ class TestHostileInput:
         *_UNICODE_DIGITS,
         *_REPEATED_JSON_KEYS,
         *_VALUATION_SHAPES,
+        *_NUMBER_FORMS,
     ])
     def test_exit_two_with_one_error_line(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", _NUMBER_FORMS[:3] + _NUMBER_FORMS[-1:])
+    def test_exponent_refused_within_a_second(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and err.count("\n") == 1
 
     def test_long_valuation_interval_names_its_atom(self, capsys):
         code, _, err = run(capsys, *_VALUATION_SHAPES[-1])
@@ -543,7 +568,7 @@ _SAME_INPUT = {
     "valuation": ("", [
         [*_EQUILIBRIUM_AT, "--valuation", _VALUATION_TEXT],
         [*_EQUILIBRIUM_AT, "--valuation",
-         '{"h": {"p": [0.2, 0.7]}, "t": {"p": [2e-1, "7/10"]}}'],
+         '{"h": {"p": [0.2, 0.7]}, "t": {"p": [0.20, "7/10"]}}'],
         [*_EQUILIBRIUM_AT, "--valuation", "@v.txt"],
         [*_EQUILIBRIUM_AT, "--valuation-file", "v.txt"],
     ]),
@@ -568,6 +593,19 @@ _TWO_SOURCES = {
                                      "--interp", "p=0.2"],
     "valuation file and interpretation file": [
         *_EQUILIBRIUM_AT, "--valuation-file", "v.txt", "--interp-file", "i.txt"],
+    # --enumerate reads no valuation, and translate choice no formula
+    "--enumerate and valuation": [*_EQUILIBRIUM_AT, "--enumerate",
+                                  "--valuation", _VALUATION_TEXT],
+    "--enumerate and valuation file": [*_EQUILIBRIUM_AT, "--enumerate",
+                                       "--valuation-file", "v.txt"],
+    "--enumerate and interpretation": [*_EQUILIBRIUM_AT, "--enumerate",
+                                       "--interp", "p=0.2"],
+    "--enumerate and interpretation file": [*_EQUILIBRIUM_AT, "--enumerate",
+                                            "--interp-file", "i.txt"],
+    "choice and --expr": ["translate", "choice", "--atoms", "p", "--expr", "p"],
+    "choice and --formula": ["translate", "choice", "--atoms", "p", "--formula", "f.fz"],
+    "choice and a file": ["translate", "choice", "f.fz", "--atoms", "p"],
+    "choice and stdin": ["translate", "choice", "-", "--atoms", "p"],
 }
 
 

@@ -246,6 +246,27 @@ class TestCheckStable:
             assert v.witness == (None if witness is None
                                  else parse_interpretation(witness))
 
+    @pytest.mark.parametrize("strategy", [Exhaustive(), Sampled(40, 3)])
+    @pytest.mark.parametrize("interp, status, hunts", [
+        ("p=1, q=0", "stable", 1),
+        ("p=0.5, q=0.5", "unstable", 1),
+        ("p=0, q=0.5", "not_a_model", 0),
+    ])
+    def test_one_signature_walk_per_call(self, monkeypatch, strategy, interp,
+                                         status, hunts):
+        """The signature is walked once per verdict, and the witness hunt
+        still goes through the module's find_witness, where a tracer
+        counts it."""
+        walks, calls = [], []
+        atoms, find = fuzzysm.syntax.atoms, fuzzysm.stable.find_witness
+        monkeypatch.setattr(fuzzysm.syntax, "atoms", lambda f: walks.append(f) or atoms(f))
+        monkeypatch.setattr(fuzzysm.stable, "find_witness",
+                            lambda *a, **k: calls.append(a) or find(*a, **k))
+        f = parse_formula("not_s q ->r p")
+        v = check_stable(f, parse_interpretation(interp), lattice=D10, strategy=strategy)
+        assert v.status == status
+        assert (len(walks), len(calls)) == (1, hunts)
+
 
 class TestSampledStream:
     """The sampled hunt draws, sample by sample and atom by atom, what
