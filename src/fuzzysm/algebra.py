@@ -68,8 +68,10 @@ def parse_truth(text: str) -> Fraction:
     """Parse '0.56', '.5', '1', or '14/25' into an exact degree.
 
     Only those forms: Fraction alone would also read '1e-5', '+0.5', '1_0'
-    and '٠.٥', and an exponent such as '1e-99999999' takes it minutes."""
-    s = text.strip()
+    and '٠.٥', and an exponent such as '1e-99999999' takes it minutes.
+    Only the spaces the formula lexer skips are stripped: ' ', tab, CR
+    and LF, not every Unicode space."""
+    s = text.strip(" \t\r\n")
     try:
         if not _NUMBER_RE.fullmatch(s):
             raise ValueError

@@ -553,7 +553,14 @@ _INPUT_ERRORS = (UsageError, ResourceLimitError, ValueError, OSError)
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # argparse fills `translate MODE [SOURCE]` in one step, so a source
+    # after an option (`translate fasp --conj '&m' FILE`) comes back
+    # unparsed; it is the source when the slot is still empty.
+    if extra and getattr(args, "source", "") is None and not extra[0].startswith("-"):
+        args.source = extra.pop(0)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:

@@ -52,6 +52,19 @@ test over a stream of pool products and returns the first hit other
 than I.  The exhaustive witness scan is one product, whose pools each
 end with I's value; a sampled draw is a product of one-value pools.
 
+least_model proves stability without a scan where the reduct is
+Horn-shaped at the top value: every check a moving atom (a fact), or a
+residual implication whose varying body is built from t-norms and
+t-conorms and whose head is a moving atom or does not vary.  Such a
+check holds exactly when body(J) <= J(head), and bodies are monotone, so
+the reduct's models in a product of pools are closed under pointwise
+min and have a least one: the least fixpoint of "raise the head to the
+least pool value at or above the body", started at each pool's minimum
+(Dowling and Gallier, "Linear-time algorithms for testing the
+satisfiability of propositional Horn formulae", JLP 1984; Lee and Wang,
+"Stable Models of Fuzzy Propositional Formulas", JELIA 2014).  I has no
+witness in the product exactly when that least model is I.
+
 semantics.evaluate and semantics.fuzzy_reduct stay the reference
 definitions; the compiled-evaluation-agreement suite checks this module,
 the kernel's reduct test included, against both.
@@ -59,6 +72,8 @@ the kernel's reduct test included, against both.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -123,6 +138,7 @@ class Program:
     slots: tuple  # initial slot values: constants set, the rest at 0
     code: tuple[Instruction, ...]
     root: int
+    residual: frozenset  # the slots of residual implications (->r, ->l)
 
     def value(self, x) -> Fraction:
         """A domain value as the degree it stands for."""
@@ -331,6 +347,64 @@ def first_witness(plan: Plan, moving: Sequence[int], at_i: Sequence, cut,
     return None
 
 
+def least_model(prog: Program, checks: Sequence[Check], moving: Sequence[int],
+                pools: Sequence[Sequence], at_i: Sequence) -> tuple | None:
+    """The least J in the product of pools, one ascending pool of domain
+    values per slot of `moving`, that passes `checks`
+    (prog.reduct_checks(moving, top), the reduct test at the top value),
+    as its values on the moving slots; None when some check is not
+    Horn-shaped (see the module docstring).  at_i is evaluate() at I,
+    whose root must be top, and each pool must hold I's value.
+
+    A check with a head that does not vary holds at every J below I and
+    is left out.  A rule's body instructions run again only when a moving
+    slot they read rises."""
+    position = {k: p for p, k in enumerate(moving)}
+    monotone = (OpFamily.CONJUNCTION, OpFamily.DISJUNCTION)
+    rules = []  # (body instructions, body slot or None for a fact, head position)
+    for slot, code in checks:
+        if slot in position:
+            rules.append(((), None, position[slot]))
+            continue
+        if slot not in prog.residual:
+            return None
+        _, _, body, head, _ = code[-1]
+        if head not in position:
+            if any(ins[0] == head for ins in code):
+                return None
+            continue
+        if any(ins[4] not in monotone for ins in code[:-1]):
+            return None
+        rules.append((code[:-1], body, position[head]))
+    readers: list[list[int]] = [[] for _ in moving]
+    for r, (code, body, _) in enumerate(rules):
+        read = {body}.union(*((a, b) for _, _, a, b, _ in code))
+        for k in read & position.keys():
+            readers[position[k]].append(r)
+    vals = list(at_i)
+    for k, pool in zip(moving, pools):
+        vals[k] = pool[0]
+    top = prog.points[-1]
+    queued = [True] * len(rules)
+    queue = deque(range(len(rules)))
+    while queue:
+        r = queue.popleft()
+        queued[r] = False
+        code, body, h = rules[r]
+        for k, fn, a, b, _ in code:
+            vals[k] = fn(vals[a], vals[b])
+        x = top if body is None else vals[body]
+        k = moving[h]
+        if x > vals[k]:
+            pool = pools[h]
+            vals[k] = pool[bisect_left(pool, x)]
+            for s in readers[h]:
+                if not queued[s]:
+                    queued[s] = True
+                    queue.append(s)
+    return tuple([vals[k] for k in moving])
+
+
 def run(code: Sequence[Instruction], vals: list) -> None:
     """Execute instructions in place over the slot values."""
     for k, fn, a, b, _ in code:
@@ -383,5 +457,6 @@ def compile_formula(
     for k, c in constants:
         slots[k] = int(c * d) if integer else c
     code = tuple((k, fns[op], a, b, OPERATORS[op].family) for k, op, a, b in ops)
+    residual = frozenset(k for k, op, _, _ in ops if OPERATORS[op].residual)
     return Program(tuple(signature), lattice, integer, points, tuple(slots),
-                   code, root)
+                   code, root, residual)

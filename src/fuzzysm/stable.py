@@ -24,7 +24,12 @@ search is compiled.first_witness, which runs level_scan with the reduct
 test over products of pools and skips each run of candidates that share
 a failing prefix: the exhaustive search below I (in find_witness and
 below each model of enumerate_stable) is one product, and the sampled
-hunt passes each seeded draw as a product of one-value pools.  The
+hunt passes each seeded draw as a product of one-value pools.  Before
+either, find_witness tries compiled.least_model on the same pools: when
+the reduct is Horn-shaped at the top value and its least model below I
+is I, no witness exists and nothing is scanned or drawn.  Otherwise the
+search runs unchanged, so the proof changes no verdict, witness or note;
+a sampled "stable" it proves still carries the sampled note.  The
 --jobs pool gives each worker the grid points of one value of the first
 atom, so it runs the same scans.  check_stable's model test stays
 semantics.satisfies.  semantics.evaluate and fuzzy_reduct remain the
@@ -37,9 +42,10 @@ nothing of what a candidate means; each route keeps its own acceptance
 test.  The Boolean and program oracles are capped at
 DEFAULT_CANDIDATE_CAP.  find_witness checks its exhaustive pools, and
 enumerate_stable its grid, against the cap through algebra.candidates
-too, before the scan; no witness scan below a grid point is larger than
-the grid.  A sampled hunt refuses more samples than its cap, in the same
-words.
+too, before the proof and the scan; no witness scan below a grid point
+is larger than the grid.  A sampled hunt refuses more samples than its
+cap, in the same words, and an exhaustive search refuses an I off the
+lattice, both before the proof.
 """
 from __future__ import annotations
 
@@ -59,7 +65,14 @@ from .algebra import (
     format_truth,
     get_operator,
 )
-from .compiled import Program, compile_formula, first_witness, level_plan, level_scan
+from .compiled import (
+    Program,
+    compile_formula,
+    first_witness,
+    least_model,
+    level_plan,
+    level_scan,
+)
 from .semantics import (
     BoolInterpretation,
     Interpretation,
@@ -225,20 +238,29 @@ def find_witness(
     mset = set(scan)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
     if isinstance(strategy, Sampled):
-        # A draw is a product of one-value pools, each value's 1-tuple
-        # shared.  An off-lattice value of I joins its own pool, so that
-        # J = I on that coordinate stays reachable.
-        one = {v: (v,) for v in prog.points}
-        pools = [[one[v] for v in prog.below(at_i[k])]
-                 + ([] if i[sig[k]] in lattice else [(at_i[k],)]) for k in moving]
-        products = _draws(pools, strategy.samples, strategy.seed)
+        # An off-lattice value of I joins its own pool, so that J = I on
+        # that coordinate stays reachable.
+        pools = [prog.below(at_i[k]) + (() if i[sig[k]] in lattice else (at_i[k],))
+                 for k in moving]
     else:
         _require_lattice(i, lattice)
         pools = [prog.below(at_i[k]) for k in moving]
         candidates(pools, cap)  # raises ResourceLimitError before the scan
+    checks = prog.reduct_checks(moving, cut)
+    # At the top value a Horn-shaped reduct has a least model in the
+    # product of pools; when it is I, no candidate can be a witness.
+    if (cut == prog.points[-1] and least_model(prog, checks, moving, pools, at_i)
+            == tuple([at_i[k] for k in moving])):
+        return None
+    if isinstance(strategy, Sampled):
+        # A draw is a product of one-value pools, each value's 1-tuple
+        # shared.
+        one = {v: (v,) for pool in pools for v in pool}
+        products = _draws([[one[v] for v in pool] for pool in pools],
+                          strategy.samples, strategy.seed)
+    else:
         products = [pools]
-    hit = first_witness(level_plan(prog.reduct_checks(moving, cut), moving),
-                        moving, at_i, cut, products)
+    hit = first_witness(level_plan(checks, moving), moving, at_i, cut, products)
     if hit is None:
         return None
     return i.updated(dict(zip(scan, map(prog.value, hit))))

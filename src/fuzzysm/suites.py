@@ -34,7 +34,7 @@ from .algebra import (
     op_check_axioms,
     residual_condition,
 )
-from .compiled import compile_formula, first_witness, level_plan
+from .compiled import compile_formula, first_witness, least_model, level_plan, level_scan
 from .equilibrium import (
     Interval,
     Valuation,
@@ -291,6 +291,60 @@ def _compiled_evaluation_agreement(rng: random.Random, lattice: Lattice) -> str 
                    j=format_interpretation(j), minimized=minimized,
                    threshold=format_truth(y), kernel=passed,
                    reference=reference, integer=prog.integer)
+
+
+def _least_model_problem(prog, at_i: list, moving: tuple, horn: bool) -> dict | None:
+    """What is wrong with least_model at the model I (at_i) at the top
+    value, checked against the exhaustive witness scan; None when
+    nothing is, or when the reduct is not Horn-shaped and need not be."""
+    top = prog.points[-1]
+    pools = [prog.below(at_i[k]) for k in moving]
+    checks = prog.reduct_checks(moving, top)
+    least = least_model(prog, checks, moving, pools, at_i)
+    if least is None:
+        return dict(problem="a program's reduct is not Horn-shaped") if horn else None
+    plan = level_plan(checks, moving)
+    base = tuple(at_i[k] for k in moving)
+    scanned = first_witness(plan, moving, at_i, top, [pools])
+    if (least == base) != (scanned is None):
+        return dict(least=least, scanned=scanned)
+    if least == base:
+        return None
+    if first_witness(plan, moving, at_i, top, [[(v,) for v in least]]) != least:
+        return dict(least=least, problem="the least model fails the reduct")
+    work = list(at_i)
+    for _ in level_scan(plan, moving, pools, work, top, caps=at_i):
+        hit = tuple(work[k] for k in moving)
+        if any(x > y for x, y in zip(least, hit)):
+            return dict(least=least, hit=hit, problem="the least model is not below a hit")
+    return None
+
+
+def _fixpoint_agreement(rng: random.Random, lattice: Lattice) -> str | None:
+    # gen_program output is always Horn-shaped; a formula only sometimes.
+    # '->s' stays in the formulas' pool: a proof that took it for a
+    # residual implication would show.
+    if rng.random() < 0.5:
+        rules = gen_program(_seed(rng), SIG3, max_rules=4,
+                            conj=rng.choice(CONJUNCTIONS), lattice=lattice)
+        f = program_to_formula(rules, rng.choice(CONJUNCTIONS))
+    else:
+        rules = None
+        f = gen_formula(_seed(rng), SIG3, max_depth=4,
+                        operator_pool=ALL_OPERATORS, lattice=lattice)
+    sig = signature_of(f)
+    prog = compile_formula(f, sig, lattice)
+    # The proof is only asked at a model, so each trial draws several I.
+    for _ in range(6):
+        i = gen_interpretation(_seed(rng), sig, lattice)
+        at_i = prog.evaluate([prog.domain(i[a]) for a in sig])
+        moving = tuple(k for k, a in enumerate(sig) if rng.random() < 0.7)
+        if at_i[prog.root] != prog.points[-1]:
+            continue
+        problem = _least_model_problem(prog, at_i, moving, rules is not None)
+        if problem is not None:
+            return _cx(formula=print_formula(f), i=format_interpretation(i),
+                       minimized=[sig[k] for k in moving], **problem)
 
 
 # stable ------------------------------------------------------------------
@@ -600,6 +654,7 @@ _SUITES: dict[str, tuple[Control | None, Trial | None, str]] = {
         _reduct_wrapper_counterexample, None,
         "pinned negative control; the trial count is ignored"),
     "compiled-evaluation-agreement": (None, _compiled_evaluation_agreement, ""),
+    "fixpoint-agreement": (None, _fixpoint_agreement, ""),
     "empty-minimization": (None, _empty_minimization, ""),
     "threshold-guard-agreement": (None, _threshold_guard_agreement, ""),
     "shadow-rewrite-agreement": (None, _shadow_rewrite_agreement, ""),

@@ -43,7 +43,9 @@ from fuzzysm import (
     signature_of,
 )
 from fuzzysm import semantics
+from fuzzysm.stable import _draws
 from fuzzysm.algebra import CONJUNCTIONS
+from fuzzysm.compiled import compile_formula, first_witness, level_plan
 from fuzzysm.generators import CLASSICAL_OPERATORS, LATTICE_SAFE_OPERATORS
 
 D3 = Lattice(3)
@@ -246,7 +248,7 @@ def test_criterion_10_property_suites(report):
         reports = run_all(trials=500, seed=0, lattice=D4)
         failed = [(r.suite, r.counterexample) for r in reports if not r.passed]
         assert failed == []
-        assert len(reports) == 29
+        assert len(reports) == 30
 
 
 def test_criterion_11_trust_corpus(report, corpus):
@@ -263,3 +265,17 @@ def test_criterion_11_trust_corpus(report, corpus):
             found = find_witness(f, i, signature_of(f),
                                  strategy=Sampled(samples=100_000, seed=0))
             assert found is None
+            # find_witness answers by the least-fixpoint proof before any
+            # draw, so the hunt itself runs here: the same draws through
+            # the witness kernel.
+            sig = signature_of(f)
+            prog = compile_formula(f, sig, D10, i.values())
+            at_i = prog.evaluate([prog.domain(i[a]) for a in sig])
+            moving = tuple(range(len(sig)))
+            top = prog.points[-1]
+            pools = [[(v,) for v in prog.below(at_i[k])]
+                     + ([] if i[a] in D10 else [(at_i[k],)])
+                     for k, a in enumerate(sig)]
+            plan = level_plan(prog.reduct_checks(moving, top), moving)
+            assert first_witness(plan, moving, at_i, top,
+                                 _draws(pools, 100_000, 0)) is None

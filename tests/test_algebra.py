@@ -73,6 +73,13 @@ class TestTruthValues:
         with pytest.raises(TruthError, match="not a rational truth degree"):
             parse_truth(text)
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000", "\x0b", "\x0c", "\x85"])
+    def test_parse_strips_only_the_lexer_spaces(self, space):
+        assert parse_truth(" \t\r\n0.5 \r\n") == F(1, 2)
+        for text in (space + "0.5", "0.5" + space):
+            with pytest.raises(TruthError, match="not a rational truth degree"):
+                parse_truth(text)
+
     def test_parse_agrees_with_the_formula_lexer(self):
         """A string has the form of a truth degree, whether in [0, 1] or
         not, exactly when the formula lexer reads it as one number token.

@@ -111,6 +111,14 @@ class TestEvalReduct:
                            "--interp-file", str(spec), "--decimal")
         assert out.strip() == "0.3"
 
+    def test_interp_value_with_a_unicode_space(self, capsys):
+        # parse_truth strips only the spaces the formula lexer skips.
+        code, _, err = run(capsys, "eval", "--expr", "p", "--interp", "p=\u00a00.5")
+        assert code == 2
+        assert err.startswith("error: not a rational truth degree")
+        code, _, err = run(capsys, "check", "--expr", "p", "--interp", "p=\u00a00.5")
+        assert code == 2
+
     def test_missing_interp(self, capsys):
         code, _, err = run(capsys, "eval", "--expr", "p")
         assert code == 2
@@ -326,6 +334,23 @@ class TestTranslate:
         assert code == 0
         assert out.strip() == "(not_s q ->r p) &m (not_s p ->r q)"
 
+    def test_fasp_source_after_an_option(self, capsys, tmp_path):
+        prog = tmp_path / "p.lp"
+        prog.write_text("p <- not q.\nq <- not p.\n")
+        after = run(capsys, "translate", "fasp", str(prog), "--conj", "&m")
+        before = run(capsys, "translate", "fasp", "--conj", "&m", str(prog))
+        assert before == after and after[0] == 0
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_fasp_extra_argument_exits_two(self, capsys, tmp_path, order):
+        prog = tmp_path / "p.lp"
+        prog.write_text("p.\n")
+        options = [["--conj", "&m"], [str(prog)]]
+        with pytest.raises(SystemExit) as exc:
+            main(["translate", "fasp", *options[order], *options[1 - order], "extra"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: extra" in capsys.readouterr().err
+
     def test_fasp_needs_conj(self, capsys):
         code, _, err = run(capsys, "translate", "fasp", "--expr", "p <- q.")
         assert code == 2
@@ -395,7 +420,7 @@ class TestProps:
         code, out, _ = run(capsys, "props", "--list")
         assert code == 0
         names = out.strip().splitlines()
-        assert "operator-axioms" in names and len(names) == 29
+        assert "operator-axioms" in names and len(names) == 30
 
     def test_single_suite(self, capsys):
         code, out, _ = run(capsys, "props", "--suite", "operator-axioms",
@@ -540,7 +565,7 @@ _EQUILIBRIUM_AT = ["equilibrium", "--expr", "(0.2 ->r p) &m (0.3 ->r ~p)"]
 
 
 def _fasp(*source):
-    # argparse reads the optional positional only right after the mode
+    # the source right after the mode; it may also follow the options
     return ["translate", "fasp", *source, "--conj", "&m"]
 
 

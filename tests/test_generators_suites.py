@@ -199,7 +199,7 @@ class TestSuites:
                 "formula = not_s p &m (0.5 |m p) &m ((q ->s 0) &m 1); "
                 "i = p=0, q=0.75; j = p=0, q=0.75; h_lower = 1/4; reduct_value = 0",
         }
-        assert len(reports) - len(failed) == 23
+        assert len(reports) - len(failed) == 24
 
     def test_pinned_suites_note_their_controls(self):
         # the wrapper and threshold suites carry fixed counterexamples;
