@@ -272,15 +272,24 @@ class Lattice:
         return (Fraction(k, d) for k in range(d + 1))
 
     def __contains__(self, value: Fraction) -> bool:
-        # k/m in lowest terms is a multiple of 1/D exactly when m divides D
-        return ZERO <= value <= ONE and self.denominator % value.denominator == 0
+        # k/m in lowest terms (m > 0) is in [0, 1] when 0 <= k <= m, on 1/D when m | D
+        return (0 <= value.numerator <= value.denominator
+                and self.denominator % value.denominator == 0)
 
     def points_up_to(self, bound: Fraction) -> list[Fraction]:
         """Lattice points <= bound, ascending."""
         return [v for v in self.points() if v <= bound]
 
 
-BOOLEAN = Lattice(1)
+DEFAULT_CANDIDATE_CAP = 10 ** 7
+
+
+def check_cap(total: int, cap: int) -> None:
+    """Raise ResourceLimitError when `total` candidates exceed `cap`."""
+    if total > cap:
+        raise ResourceLimitError(
+            f"{total} candidates exceed the cap of {cap}; "
+            "raise the cap to scan them all")
 
 
 def candidates(
@@ -293,11 +302,7 @@ def candidates(
     pools have more than `cap` combinations.  The caller decides what a
     combination means and which one it accepts.
     """
-    total = math.prod(len(p) for p in pools)
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} candidates exceed the cap of {cap}; "
-            "raise the cap to scan them all")
+    check_cap(math.prod(len(p) for p in pools), cap)
     combos = itertools.product(*pools)
     if skip is None:
         return combos

@@ -38,6 +38,7 @@ import sys
 from . import __version__
 from .algebra import (
     CONJUNCTIONS,
+    DEFAULT_CANDIDATE_CAP,
     DISJUNCTIONS,
     IMPLICATIONS,
     NEGATIONS,
@@ -426,7 +427,7 @@ def _add_search(p: argparse.ArgumentParser) -> None:
     p.add_argument("--denominator", type=integer, default=10,
                    help="lattice granularity D for 0, 1/D, ..., 1 "
                         "(default 10)")
-    p.add_argument("--cap", type=integer, default=10 ** 7,
+    p.add_argument("--cap", type=integer, default=DEFAULT_CANDIDATE_CAP,
                    help="candidate limit before the search refuses to run")
 
 
@@ -524,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", default=None,
                    help="with --enumerate: comma-separated atoms to range over")
     p.add_argument("--denominator", type=integer, default=10)
-    p.add_argument("--cap", type=integer, default=10 ** 7,
+    p.add_argument("--cap", type=integer, default=DEFAULT_CANDIDATE_CAP,
                    help="candidate limit per scan; with --enumerate it bounds "
                         "the pruned candidate count, in which an atom's lower "
                         "bound moves only if it occurs plain and its upper "

@@ -16,7 +16,9 @@ caller passes them, the atoms' values:
   Each such connective maps k/D values to k'/D values, so integer
   arithmetic on the numerators is exact;
 - exact Fractions through the registry's own connectives otherwise (the
-  product pair, or a constant or an atom's value off the lattice).
+  product pair, or a constant or an atom's value off the lattice; each
+  value meets the lattice test once, and Program.off_lattice keeps the
+  slots of the atoms that fail it).
 
 The reduct of f by I, in fuzzy_reduct's simplified form, needs no formula
 of its own: it is the same program with every negation frozen to its value
@@ -139,6 +141,7 @@ class Program:
     code: tuple[Instruction, ...]
     root: int
     residual: frozenset  # the slots of residual implications (->r, ->l)
+    off_lattice: frozenset  # the atom slots whose given value is off the lattice
 
     def value(self, x) -> Fraction:
         """A domain value as the degree it stands for."""
@@ -413,11 +416,12 @@ def run(code: Sequence[Instruction], vals: list) -> None:
 
 def compile_formula(
     f: Formula, signature: Sequence[str], lattice: Lattice,
-    values: Iterable[Fraction] = (),
+    values: Sequence[Fraction] = (),
 ) -> Program:
     """Compile f over the atoms of `signature` (slot k holds signature[k]).
-    `values` are the degrees the atoms will take, when the caller knows
-    them: like a constant, one off the lattice keeps the Fraction domain."""
+    `values` are the degrees the atoms will take, in signature order, when
+    the caller knows them: like a constant, one off the lattice keeps the
+    Fraction domain, and its slot goes in Program.off_lattice."""
     slot_of = {a: k for k, a in enumerate(signature)}
     constants: list[tuple[int, Fraction]] = []
     ops: list[tuple[int, str, int, int]] = []
@@ -444,9 +448,10 @@ def compile_formula(
 
     root = fold(f, leaf, node)
     d = lattice.denominator
-    integer = (all(OPERATORS[op].lattice_closed for _, op, _, _ in ops)
-               and all(c in lattice for _, c in constants)
-               and all(v in lattice for v in values))
+    off_lattice = frozenset(k for k, v in enumerate(values) if v not in lattice)
+    integer = (not off_lattice
+               and all(OPERATORS[op].lattice_closed for _, op, _, _ in ops)
+               and all(c in lattice for _, c in constants))
     if integer:
         fns = _numerator_fns(d)
         points: tuple = tuple(range(d + 1))
@@ -459,4 +464,4 @@ def compile_formula(
     code = tuple((k, fns[op], a, b, OPERATORS[op].family) for k, op, a, b in ops)
     residual = frozenset(k for k, op, _, _ in ops if OPERATORS[op].residual)
     return Program(tuple(signature), lattice, integer, points, tuple(slots),
-                   code, root, residual)
+                   code, root, residual, off_lattice)

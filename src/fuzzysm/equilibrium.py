@@ -39,6 +39,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import (
+    DEFAULT_CANDIDATE_CAP,
     ONE,
     Lattice,
     OpFamily,
@@ -258,7 +259,7 @@ def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int) -> tuple | N
 
 
 def find_h_violation(
-    v: Valuation, f: Formula, lattice: Lattice, cap: int = 10 ** 7
+    v: Valuation, f: Formula, lattice: Lattice, cap: int = DEFAULT_CANDIDATE_CAP
 ) -> Valuation | None:
     """First strictly h-wider lattice valuation that is still a model."""
     _check_on_lattice(v, lattice)
@@ -272,7 +273,7 @@ def find_h_violation(
 
 
 def is_equilibrium(
-    v: Valuation, f: Formula, lattice: Lattice = Lattice(10), cap: int = 10 ** 7
+    v: Valuation, f: Formula, lattice: Lattice = Lattice(10), cap: int = DEFAULT_CANDIDATE_CAP
 ) -> EquilibriumVerdict:
     """Model, then h-minimality over the lattice, then world agreement."""
     d = lattice.denominator
@@ -296,7 +297,7 @@ def enumerate_equilibrium(
     f: Formula,
     lattice: Lattice = Lattice(10),
     signature: Sequence[str] | None = None,
-    cap: int = 10 ** 7,
+    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[Valuation]:
     """All equilibrium models over the lattice.
 

@@ -3,7 +3,8 @@
 An interpretation assigns an exact rational degree to every atom of a
 signature.  Evaluation is the homomorphic extension of that assignment
 through the connective registry; satisfaction at threshold y means the
-formula evaluates to at least y (plain satisfaction is y = 1).
+formula evaluates to at least y (plain satisfaction is y = 1, which
+value_is_one tests conjunct by conjunct through the top-level t-norms).
 
 Two reducts are provided.  The fuzzy reduct freezes every negated
 subformula to its current value and, for implication nodes, caps the
@@ -162,26 +163,14 @@ def evaluate(f: Formula, i: Mapping[str, Fraction]) -> Fraction:
 
 
 def value_is_one(f: Formula, i: Mapping[str, Fraction]) -> bool:
-    """Exact test evaluate(f, i) == 1 with short-circuiting.
+    """Exact test evaluate(f, i) == 1, short-circuiting through t-norms.
 
-    Sound for every registry operator: a t-norm hits 1 only if both
-    arguments are 1, and a t-conorm hits 1 whenever either argument is 1.
+    A t-norm is 1 only when both arguments are (Hajek 1998); every other
+    node is one evaluate, so no subformula is evaluated twice and only a
+    t-norm whose left argument is below 1 skips evaluate's errors.
     """
-    if isinstance(f, Atom):
-        try:
-            return i[f.name] == ONE
-        except KeyError:
-            raise SignatureError(f"atom {f.name!r} is not interpreted") from None
-    if isinstance(f, Bin):
-        fam = f.op[0]
-        if fam == "&":
-            return value_is_one(f.left, i) and value_is_one(f.right, i)
-        if fam == "|":
-            if value_is_one(f.left, i) or value_is_one(f.right, i):
-                return True
-        return evaluate(f, i) == ONE
-    if isinstance(f, Const):
-        return f.value == ONE
+    if isinstance(f, Bin) and f.op[0] == "&":
+        return value_is_one(f.left, i) and value_is_one(f.right, i)
     return evaluate(f, i) == ONE
 
 

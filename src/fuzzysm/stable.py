@@ -44,8 +44,8 @@ DEFAULT_CANDIDATE_CAP.  find_witness checks its exhaustive pools, and
 enumerate_stable its grid, against the cap through algebra.candidates
 too, before the proof and the scan; no witness scan below a grid point
 is larger than the grid.  A sampled hunt refuses more samples than its
-cap, in the same words, and an exhaustive search refuses an I off the
-lattice, both before the proof.
+cap through the same algebra.check_cap, and an exhaustive search refuses
+an I with Program.off_lattice slots, both before the proof.
 """
 from __future__ import annotations
 
@@ -56,11 +56,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .algebra import (
+    DEFAULT_CANDIDATE_CAP,
     ONE,
     Lattice,
     OpFamily,
-    ResourceLimitError,
     candidates,
+    check_cap,
     check_truth,
     format_truth,
     get_operator,
@@ -99,9 +100,6 @@ from .syntax import (
     signature_of,
     walk,
 )
-
-DEFAULT_CANDIDATE_CAP = 10 ** 7
-
 
 @dataclass(frozen=True)
 class Exhaustive:
@@ -224,12 +222,11 @@ def find_witness(
     # Nothing strictly below i exists when no atom is minimized.
     if not scan:
         return None
-    if isinstance(strategy, Sampled) and strategy.samples > cap:
-        raise ResourceLimitError(
-            f"{strategy.samples} candidates exceed the cap of {cap}; "
-            "raise the cap to scan them all")
-    prog = compile_formula(f, sig, lattice, i.values())
-    at_i = prog.evaluate([prog.domain(i[a]) for a in sig])
+    if isinstance(strategy, Sampled):
+        check_cap(strategy.samples, cap)
+    values = [i[a] for a in sig]
+    prog = compile_formula(f, sig, lattice, values)
+    at_i = prog.evaluate([prog.domain(v) for v in values])
     cut = prog.level(y)
     # Reduct values never exceed the original formula's value, so a
     # sub-threshold formula cannot have a witness: skip the scan.
@@ -240,10 +237,11 @@ def find_witness(
     if isinstance(strategy, Sampled):
         # An off-lattice value of I joins its own pool, so that J = I on
         # that coordinate stays reachable.
-        pools = [prog.below(at_i[k]) + (() if i[sig[k]] in lattice else (at_i[k],))
+        pools = [prog.below(at_i[k]) + ((at_i[k],) if k in prog.off_lattice else ())
                  for k in moving]
     else:
-        _require_lattice(i, lattice)
+        if prog.off_lattice:
+            _require_lattice(i, lattice)
         pools = [prog.below(at_i[k]) for k in moving]
         candidates(pools, cap)  # raises ResourceLimitError before the scan
     checks = prog.reduct_checks(moving, cut)

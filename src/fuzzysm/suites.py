@@ -267,7 +267,7 @@ def _compiled_evaluation_agreement(rng: random.Random, lattice: Lattice) -> str 
     i = gen_interpretation(_seed(rng), SIG2, rng.choice((lattice, finer)))
     minimized = tuple(a for a in SIG2 if rng.random() < 0.6)
     j = gen_lower_interpretation(_seed(rng), i, minimized, lattice)
-    prog = compile_formula(f, SIG2, lattice, i.values())
+    prog = compile_formula(f, SIG2, lattice, [i[a] for a in SIG2])
     at_i = prog.evaluate([prog.domain(i[a]) for a in SIG2])
     value = prog.value(at_i[prog.root])
     if value != evaluate(f, i):

@@ -188,6 +188,10 @@ class TestLattice:
         assert F(3, 10) in lat
         assert F(1, 2) in lat  # 5/10 reduced
         assert F(1, 3) not in lat
+        assert 0 in lat and 1 in lat and F(0) in lat and F(1) in lat
+        assert F(-1, 10) not in lat and F(11, 10) not in lat
+        assert 2 not in lat and -1 not in lat
+        assert F(1, 3) in Lattice(6)
 
     def test_membership_agrees_with_the_definition(self):
         # value * D is a whole number, for value in [0, 1]

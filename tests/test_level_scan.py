@@ -143,6 +143,22 @@ def test_empty_minimized_set_keeps_every_model(text):
     assert enumerate_stable(f, (), F(2, 3), lattice) == models
 
 
+def test_off_lattice_names_the_atom_slots_off_the_lattice():
+    f = parse_formula("(p ->r q) &m (r |m s)")
+    sig = ("p", "q", "r", "s")
+    lattice = Lattice(4)
+    prog = compile_formula(f, sig, lattice, [F(1, 3), F(1, 2), F(2, 5), F(1)])
+    assert prog.off_lattice == {0, 2} and not prog.integer
+    prog = compile_formula(f, sig, lattice, [F(1, 4), F(1, 2), F(0), F(1)])
+    assert prog.off_lattice == frozenset() and prog.integer
+    assert compile_formula(f, sig, lattice).off_lattice == frozenset()
+    # The product pair keeps the Fraction domain with every value on the
+    # lattice.
+    f = parse_formula("(p &p q) |m (r |m s)")
+    prog = compile_formula(f, sig, lattice, [F(1, 4), F(1, 2), F(0), F(1)])
+    assert prog.off_lattice == frozenset() and not prog.integer
+
+
 def test_reduct_skips_what_only_a_frozen_negation_reads():
     # Slot 3 (p &m q) reads moving atoms, but only the frozen not_s reads it.
     f = parse_formula("not_s (p &m q) ->r r")

@@ -17,6 +17,7 @@ from fuzzysm import (
     StrongNegationError,
     TruthError,
     bool_satisfies,
+    check_stable,
     classical_reduct,
     evaluate,
     format_interpretation,
@@ -134,6 +135,42 @@ class TestEvaluate:
                         operator_pool=ALL_OPERATORS)
         i = gen_interpretation(seed + 1, ("p", "q"))
         assert value_is_one(f, i) == (evaluate(f, i) == 1)
+
+    @pytest.mark.parametrize("text, want", [
+        ("((p |m q) |m r) |m (s ->r p)", True),
+        ("(p |m q) &m (r ->r (s &l p))", False),
+        ("((p ->r q) &m (q ->r r)) &l ((r |l s) &p not_s s)", False),
+    ])
+    def test_value_is_one_visits_each_node_once(self, monkeypatch, text, want):
+        # Every node reached goes through evaluate, the recursive calls
+        # included, so the calls count the visits.
+        f = parse_formula(text)
+        i = Interpretation(dict.fromkeys("pqrs", F(1, 2)))
+        visits = []
+
+        def counted(g, j):
+            visits.append(g)
+            return evaluate(g, j)
+
+        monkeypatch.setattr(semantics, "evaluate", counted)
+        assert value_is_one(f, i) is want
+        assert len(visits) <= len(list(walk(f)))
+
+    @pytest.mark.parametrize("text, i, error", [
+        ("p |m ~q", {"p": 1, "q": 0}, StrongNegationError),
+        ("p |m q", {"p": 1}, SignatureError),
+        ("(p |l q) &m r", {"p": 1, "r": 1}, SignatureError),
+    ])
+    def test_satisfies_raises_where_evaluate_does(self, text, i, error):
+        # A t-conorm with an arm at 1 is evaluated whole, so its other arm
+        # raises as evaluate would; so does check_stable's model test, with
+        # no atom minimized and so no witness search after it.
+        f = parse_formula(text)
+        i = Interpretation(i)
+        for ask in (evaluate, satisfies,
+                    lambda f, i: check_stable(f, i, minimized=())):
+            with pytest.raises(error):
+                ask(f, i)
 
 
 class TestFuzzyReduct:

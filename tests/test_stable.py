@@ -11,6 +11,7 @@ import fuzzysm.stable
 
 from fuzzysm import (
     BoolInterpretation,
+    Const,
     Exhaustive,
     Interpretation,
     Lattice,
@@ -40,6 +41,7 @@ from fuzzysm import (
     strategy_to_json,
     verdict_from_json,
     verdict_to_json,
+    walk,
     y_to_one,
 )
 from fuzzysm.compiled import compile_formula
@@ -192,6 +194,24 @@ class TestCheckStable:
                              lattice=D2)
         with pytest.raises(SignatureError, match="outside the signature"):
             check_stable_via_star(f, i, minimized=("zz",), lattice=D2)
+
+    def test_each_value_meets_the_lattice_test_once(self, monkeypatch):
+        # A 300-rule chain at its answer set: every p at 1, every q at 0.
+        text = "p0.\n" + "".join(f"p{k + 1} <- p{k}, not q{k}.\n" for k in range(300))
+        f = program_to_formula(parse_fasp_program(text, "&m"), "&m")
+        i = Interpretation({a: 1 if a.startswith("p") else 0 for a in signature_of(f)})
+        constants = sum(isinstance(x, Const) for x in walk(f))
+        tested = []
+        contains = Lattice.__contains__
+
+        def counted(lattice, value):
+            tested.append(value)
+            return contains(lattice, value)
+
+        monkeypatch.setattr(Lattice, "__contains__", counted)
+        v = check_stable(f, i, lattice=D10, strategy=Sampled(200, 0))
+        assert v.status == "stable"
+        assert len(tested) == len(i) + constants == 602
 
     def test_sampled_note_is_honest(self):
         f = parse_formula("not_s q ->r p")
