@@ -16,6 +16,7 @@ candidate means, so the routes that share it share no semantics.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -39,7 +40,8 @@ class ResourceLimitError(RuntimeError):
 
 
 def check_truth(value: object) -> Fraction:
-    """Coerce int/Fraction/str to an exact degree in [0, 1].
+    """Coerce int/Fraction/str to an exact degree in [0, 1]; a Fraction in
+    range comes back unchanged, the same object.
 
     Floats are refused on purpose: they silently denote the wrong rational.
     """
@@ -51,8 +53,10 @@ def check_truth(value: object) -> Fraction:
     if isinstance(value, str):
         return parse_truth(value)
     if isinstance(value, (int, Fraction)):
-        v = Fraction(value)
-        if v < ZERO or v > ONE:
+        v = value if type(value) is Fraction else Fraction(value)
+        # In lowest terms with a positive denominator, so in [0, 1] exactly
+        # when 0 <= numerator <= denominator.
+        if not 0 <= v.numerator <= v.denominator:
             raise TruthError(f"truth degree out of [0, 1]: {v}")
         return v
     raise TruthError(f"cannot read a truth degree from {value!r}")
@@ -78,7 +82,7 @@ def parse_truth(text: str) -> Fraction:
         v = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise TruthError(f"not a rational truth degree: {text!r}") from exc
-    if v < ZERO or v > ONE:
+    if not 0 <= v.numerator <= v.denominator:
         raise TruthError(f"truth degree out of [0, 1]: {text!r}")
     return v
 
@@ -267,9 +271,15 @@ class Lattice:
     def size(self) -> int:
         return self.denominator + 1
 
-    def points(self) -> Iterator[Fraction]:
+    @functools.cached_property
+    def _points(self) -> tuple[Fraction, ...]:
+        # Built once per lattice; cached_property writes the instance
+        # __dict__ directly, which a frozen dataclass allows.
         d = self.denominator
-        return (Fraction(k, d) for k in range(d + 1))
+        return tuple(Fraction(k, d) for k in range(d + 1))
+
+    def points(self) -> Iterator[Fraction]:
+        return iter(self._points)
 
     def __contains__(self, value: Fraction) -> bool:
         # k/m in lowest terms (m > 0) is in [0, 1] when 0 <= k <= m, on 1/D when m | D

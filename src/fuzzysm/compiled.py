@@ -158,12 +158,14 @@ class Program:
     def domain(self, x: Fraction):
         """A degree as a domain value; on the integer domain x must be a
         lattice point."""
-        return int(x * self.lattice.denominator) if self.integer else x
+        if not self.integer:
+            return x
+        return x.numerator * self.lattice.denominator // x.denominator
 
     def below(self, x) -> tuple:
         """The domain values of the lattice points at or below domain
         value x, ascending."""
-        k = x if self.integer else int(x * self.lattice.denominator)
+        k = x if self.integer else x.numerator * self.lattice.denominator // x.denominator
         return self.points[:k + 1]
 
     def evaluate(self, values: Sequence) -> list:
@@ -340,12 +342,13 @@ def first_witness(plan: Plan, moving: Sequence[int], at_i: Sequence, cut,
     exhaustive one (each pool ends with I's value) and a one-point draw
     do: a hit equal to I ends its product."""
     work = list(at_i)
-    base = tuple([at_i[k] for k in moving])
     for pools in products:
         for _ in level_scan(plan, moving, pools, work, cut, caps=at_i):
-            hit = tuple([work[k] for k in moving])
-            if hit != base:
-                return hit
+            # Compared slot by slot: most hits are I itself, so the
+            # witness tuple is built only for one that is not.
+            for k in moving:
+                if work[k] != at_i[k]:
+                    return tuple([work[k] for k in moving])
             break
     return None
 
@@ -437,9 +440,7 @@ def compile_formula(
             constants.append((next(free), x.value))
             return constants[-1][0]
         if isinstance(x, StrongNeg):
-            raise StrongNegationError(
-                "strong negation has no direct evaluation; "
-                "eliminate it first with transforms.nneg")
+            raise StrongNegationError()
         raise TypeError(f"not a formula: {x!r}")
 
     def node(x: Formula, a: int, b: int | None = None) -> int:
@@ -460,7 +461,7 @@ def compile_formula(
         points = tuple(lattice.points())
     slots = [points[0]] * next(free)
     for k, c in constants:
-        slots[k] = int(c * d) if integer else c
+        slots[k] = c.numerator * d // c.denominator if integer else c
     code = tuple((k, fns[op], a, b, OPERATORS[op].family) for k, op, a, b in ops)
     residual = frozenset(k for k, op, _, _ in ops if OPERATORS[op].residual)
     return Program(tuple(signature), lattice, integer, points, tuple(slots),

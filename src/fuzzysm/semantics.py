@@ -31,7 +31,13 @@ class SignatureError(ValueError):
 
 
 class StrongNegationError(ValueError):
-    """Strong negation reached an operation that requires it eliminated."""
+    """Strong negation reached an operation that requires it eliminated.
+    With no message, the refusal of every evaluating route."""
+
+    def __init__(self, message: str = (
+            "strong negation has no direct evaluation; "
+            "eliminate it first with transforms.nneg")) -> None:
+        super().__init__(message)
 
 
 class Interpretation(Mapping[str, Fraction]):
@@ -41,9 +47,9 @@ class Interpretation(Mapping[str, Fraction]):
 
     def __init__(self, assignment: Mapping[str, object] | Iterable[tuple[str, object]]):
         items = assignment.items() if isinstance(assignment, Mapping) else assignment
-        self._map: dict[str, Fraction] = {}
-        for name, value in items:
-            self._map[str(name)] = check_truth(value)
+        # One pass; a name given twice keeps its last value, as dict() does.
+        self._map: dict[str, Fraction] = {
+            str(name): check_truth(value) for name, value in items}
         self._hash: int | None = None
 
     def __getitem__(self, name: str) -> Fraction:
@@ -156,9 +162,7 @@ def evaluate(f: Formula, i: Mapping[str, Fraction]) -> Fraction:
     if isinstance(f, Neg):
         return op_apply(f.op, evaluate(f.body, i))
     if isinstance(f, StrongNeg):
-        raise StrongNegationError(
-            "strong negation has no direct evaluation; "
-            "eliminate it first with transforms.nneg")
+        raise StrongNegationError()
     raise TypeError(f"not a formula: {f!r}")
 
 

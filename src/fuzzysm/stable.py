@@ -32,9 +32,13 @@ search runs unchanged, so the proof changes no verdict, witness or note;
 a sampled "stable" it proves still carries the sampled note.  The
 --jobs pool gives each worker the grid points of one value of the first
 atom, so it runs the same scans.  check_stable's model test stays
-semantics.satisfies.  semantics.evaluate and fuzzy_reduct remain the
-reference definitions, and the shadow-atom route, the Boolean oracle
-and the program oracle below share no code with the compiled program.
+semantics.satisfies.  It raises StrongNegationError where it evaluates a
+strong negation, and a "not_a_model" verdict, which may stop before one,
+walks the formula for it first: with check_stable_via_star, a formula
+with ~ is refused whatever I is.  semantics.evaluate and fuzzy_reduct
+remain the reference definitions, and the shadow-atom route, the Boolean
+oracle and the program oracle below share no code with the compiled
+program.
 
 The cross-check routes scan algebra.candidates: the capped product of
 per-atom pools, minus I's own point where the route asks.  It knows
@@ -185,6 +189,15 @@ def _require_lattice(i: Mapping[str, Fraction], lattice: Lattice) -> None:
                 "lattice values (use a sampled strategy otherwise)")
 
 
+def _refuse_strong_negation(f: Formula) -> None:
+    """Raise StrongNegationError when f holds a strong negation.  The model
+    test raises it wherever it evaluates one, but a t-norm whose left
+    argument is below 1 never evaluates its right one, so a verdict that
+    I is not a model checks f whole: f is refused whatever I is."""
+    if any(isinstance(x, StrongNeg) for x in walk(f)):
+        raise StrongNegationError()
+
+
 def _draws(pools: Sequence[Sequence], samples: int, seed: int):
     """`samples` rows, one value from each pool per row, drawn exactly as
     `random.Random(seed).choice` would draw them pool by pool: an index
@@ -287,6 +300,7 @@ def check_stable(
     y = check_truth(threshold)
     order = _scan_order(f, i, minimized)
     if not satisfies(f, i, y):
+        _refuse_strong_negation(f)
         return StabilityVerdict(
             "not_a_model", y, lattice.denominator, strategy,
             note="the interpretation does not reach the threshold")
@@ -311,13 +325,14 @@ def _stable_points(
     pools = [points[start:stop]] + [points] * (n - 1) if n else []
     grid = level_plan(prog.model_checks(cut), range(n))
     reduct = level_plan(prog.reduct_checks(moving, cut), moving)
+    below = {v: prog.below(v) for v in points}  # each value's witness pool
     vals = list(prog.slots)
     # No cap check here: a point has at most as many candidates as the
     # grid has points, and enumerate_stable has checked those against its
     # cap.
     return [tuple(vals[:n]) for _ in level_scan(grid, range(n), pools, vals, cut)
             if first_witness(reduct, moving, vals, cut,
-                             [[prog.below(vals[k]) for k in moving]]) is None]
+                             [[below[vals[k]] for k in moving]]) is None]
 
 
 def _enumerate_chunk(args: tuple) -> list[tuple]:
@@ -432,6 +447,7 @@ def check_stable_via_star(
     strategy = Exhaustive()
     sig, scan = _scan_order(f, i, minimized)
     if not satisfies(f, i, ONE):
+        _refuse_strong_negation(f)
         return StabilityVerdict(
             "not_a_model", ONE, lattice.denominator, strategy,
             note="the interpretation is not a model")

@@ -201,6 +201,15 @@ class TestLattice:
             for v in values + [-1, 0, 1, 2]:
                 assert (v in lat) == (0 <= v <= 1 and (v * d).denominator == 1), (v, d)
 
+    def test_points_built_once(self):
+        lat = Lattice(6)
+        first = lat.points()
+        assert iter(first) is first  # still an iterator, not the tuple
+        again = list(lat.points())
+        assert again == [F(k, 6) for k in range(7)] == list(first)
+        assert all(a is b for a, b in zip(again, lat.points()))
+        assert lat == Lattice(6) and hash(lat) == hash(Lattice(6))
+
     def test_points_up_to(self):
         assert Lattice(4).points_up_to(F(1, 2)) == [F(0), F(1, 4), F(1, 2)]
 

@@ -159,6 +159,32 @@ def test_off_lattice_names_the_atom_slots_off_the_lattice():
     assert prog.off_lattice == frozenset() and not prog.integer
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_domain_and_below_floor_the_degree_times_d(d):
+    # Both take floor(x * D) from x's numerator and denominator; the
+    # reference is the Fraction product, int() of it.
+    lattice = Lattice(d)
+    sig = ("p", "q")
+    integer = compile_formula(parse_formula("p &m q"), sig, lattice)
+    fraction = compile_formula(parse_formula("p &p q"), sig, lattice)
+    assert integer.integer and not fraction.integer
+    for x in lattice.points():
+        k = int(x * d)
+        assert integer.domain(x) == k and type(integer.domain(x)) is int
+        assert integer.below(k) == tuple(range(k + 1))
+        assert fraction.domain(x) is x
+        assert fraction.below(x) == fraction.points[:int(x * d) + 1]
+    # Off the lattice, as in a Sampled pool: the product pair, or I off
+    # the lattice, keeps the Fraction domain.
+    off = [F(1, 3), F(2, 7), F(5, 11), F(10 ** 12, 10 ** 12 + 1), F(1, 2 * d + 1)]
+    off_i = compile_formula(parse_formula("p &m q"), sig, lattice, [F(1, 13), F(0)])
+    assert off_i.off_lattice == {0} and not off_i.integer
+    for prog in (fraction, off_i):
+        for x in off:
+            assert prog.below(x) == prog.points[:int(x * d) + 1]
+            assert all(v <= x for v in prog.below(x))
+
+
 def test_reduct_skips_what_only_a_frozen_negation_reads():
     # Slot 3 (p &m q) reads moving atoms, but only the frozen not_s reads it.
     f = parse_formula("not_s (p &m q) ->r r")

@@ -144,6 +144,15 @@ class TestCheckStable:
         assert check_stable(f, parse_interpretation("p=0, q=0.5"),
                             lattice=D10).status == "not_a_model"
 
+    @pytest.mark.parametrize("interp", ["p=0, q=0", "p=1, q=0", "p=1/2, q=1"])
+    @pytest.mark.parametrize("check", [check_stable, check_stable_via_star])
+    def test_strong_negation_refused_whatever_i_is(self, check, interp):
+        # At p=0 the model test stops at the left conjunct, below 1, and
+        # never reaches ~q; the verdict is refused all the same.
+        f = parse_formula("p &m ~q")
+        with pytest.raises(StrongNegationError, match="transforms.nneg"):
+            check(f, parse_interpretation(interp), minimized=("p",))
+
     def test_default_minimizes_whole_signature(self):
         f = parse_formula("p ->r p")
         v = check_stable(f, parse_interpretation("p=0.5"), lattice=D10)
