@@ -272,8 +272,7 @@ def _cmd_enumerate(args) -> int:
     minimized = _atom_list(args.minimize, "--minimize")
     threshold = parse_truth(args.threshold)
     lattice = Lattice(args.denominator)
-    models = enumerate_stable(f, minimized, threshold, lattice,
-                              jobs=args.jobs, cap=args.cap)
+    models = enumerate_stable(f, minimized, threshold, lattice, cap=args.cap)
     return _print_models(args, models, interpretation_to_json,
                          format_interpretation)
 
@@ -485,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all stable models on the lattice")
     _add_source(p)
     _add_search(p)
-    p.add_argument("--jobs", type=integer, default=1, help="parallel workers")
     p.add_argument("--count", action="store_true", help="print only the count")
     _add_json(p)
     p.set_defaults(fn=_cmd_enumerate)

@@ -34,6 +34,7 @@ lattice interval, so their counters stay the first in full scan order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -44,6 +45,7 @@ from .algebra import (
     Lattice,
     OpFamily,
     candidates,
+    check_cap,
     check_truth,
     format_truth,
     get_operator,
@@ -245,10 +247,19 @@ def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int) -> tuple | N
     lattice valuation that is still a model; None when there is none.
 
     Per atom the candidates are the lattice intervals that contain the
-    current h-interval, lower ascending then upper ascending."""
+    current h-interval, lower ascending then upper ascending: the lattice
+    points up to its lower bound, each paired with those from its upper
+    bound on.  Both runs are counted in integers and checked against the
+    cap before any pair is built."""
+    d = lattice.denominator
+    # The points k/d up to x, and (by k -> d - k) those from x on.
+    runs = [(lo.numerator * d // lo.denominator + 1,
+             (hi.denominator - hi.numerator) * d // hi.denominator + 1)
+            for (lo, hi), _ in env.values()]
+    check_cap(math.prod(a * b for a, b in runs), cap)
     points = list(lattice.points())
-    pools = [[(lo, hi) for lo in points if lo <= h[0] for hi in points if hi >= h[1]]
-             for h, _ in env.values()]
+    pools = [[(lo, hi) for lo in points[:a] for hi in points[d + 1 - b:]]
+             for a, b in runs]
     scan = dict(env)
     for combo in candidates(pools, cap, skip=tuple(h for h, _ in env.values())):
         for (a, (_, t)), h in zip(env.items(), combo):
@@ -318,6 +329,12 @@ def enumerate_equilibrium(
     nodes = list(walk(f))
     plain = {x.name for x in nodes if isinstance(x, Atom)}
     negated = {x.name for x in nodes if isinstance(x, StrongNeg)}
+    # Pool sizes, checked before any pool is built: the pairs lo <= hi of
+    # the lattice's n points when both endpoints move, n when one does.
+    n = lattice.size
+    sizes = {(True, True): n * (n + 1) // 2, (True, False): n, (False, True): n,
+             (False, False): 1}
+    check_cap(math.prod(sizes[a in plain, a in negated] for a in sig), cap)
     points = list(lattice.points())
     pools = [[(lo, hi) for lo in (points if a in plain else points[:1])
               for hi in (points if a in negated else points[-1:]) if lo <= hi]

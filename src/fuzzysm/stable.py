@@ -29,13 +29,12 @@ either, find_witness tries compiled.least_model on the same pools: when
 the reduct is Horn-shaped at the top value and its least model below I
 is I, no witness exists and nothing is scanned or drawn.  Otherwise the
 search runs unchanged, so the proof changes no verdict, witness or note;
-a sampled "stable" it proves still carries the sampled note.  The
---jobs pool gives each worker the grid points of one value of the first
-atom, so it runs the same scans.  check_stable's model test stays
-semantics.satisfies.  It raises StrongNegationError where it evaluates a
-strong negation, and a "not_a_model" verdict, which may stop before one,
-walks the formula for it first: with check_stable_via_star, a formula
-with ~ is refused whatever I is.  semantics.evaluate and fuzzy_reduct
+a sampled "stable" it proves still carries the sampled note.
+check_stable's model test stays semantics.satisfies.  It raises
+StrongNegationError where it evaluates a strong negation, and a
+"not_a_model" verdict, which may stop before one, walks the formula for
+it first: with check_stable_via_star, a formula with ~ is refused
+whatever I is.  semantics.evaluate and fuzzy_reduct
 remain the reference definitions, and the shadow-atom route, the Boolean
 oracle and the program oracle below share no code with the compiled
 program.
@@ -44,16 +43,16 @@ The cross-check routes scan algebra.candidates: the capped product of
 per-atom pools, minus I's own point where the route asks.  It knows
 nothing of what a candidate means; each route keeps its own acceptance
 test.  The Boolean and program oracles are capped at
-DEFAULT_CANDIDATE_CAP.  find_witness checks its exhaustive pools, and
-enumerate_stable its grid, against the cap through algebra.candidates
-too, before the proof and the scan; no witness scan below a grid point
-is larger than the grid.  A sampled hunt refuses more samples than its
-cap through the same algebra.check_cap, and an exhaustive search refuses
-an I with Program.off_lattice slots, both before the proof.
+DEFAULT_CANDIDATE_CAP.  find_witness checks its exhaustive pools
+against the cap through algebra.candidates too, before the proof and the
+scan, and enumerate_stable its grid through algebra.check_cap, before it
+compiles; no witness scan below a grid point is larger than the grid.
+A sampled hunt refuses more samples than its cap through the same
+algebra.check_cap, and an exhaustive search refuses an I with
+Program.off_lattice slots, both before the proof.
 """
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,18 +313,15 @@ def check_stable(
         note=_strategy_note(strategy, lattice, False))
 
 
-def _stable_points(
-    prog: Program, moving: tuple[int, ...], cut, start: int, stop: int
-) -> list[tuple]:
-    """The lattice points, as tuples of domain values, whose first atom
-    takes one of the lattice values with index in [start, stop), that
-    reach `cut` and have no witness on the moving slots."""
+def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
+    """The lattice points, as tuples of domain values, that reach `cut`
+    and have no witness on the moving slots."""
     n = len(prog.signature)
     points = prog.points
-    pools = [points[start:stop]] + [points] * (n - 1) if n else []
     grid = level_plan(prog.model_checks(cut), range(n))
     reduct = level_plan(prog.reduct_checks(moving, cut), moving)
     below = {v: prog.below(v) for v in points}  # each value's witness pool
+    pools = [points] * n
     vals = list(prog.slots)
     # No cap check here: a point has at most as many candidates as the
     # grid has points, and enumerate_stable has checked those against its
@@ -333,14 +329,6 @@ def _stable_points(
     return [tuple(vals[:n]) for _ in level_scan(grid, range(n), pools, vals, cut)
             if first_witness(reduct, moving, vals, cut,
                              [[below[vals[k]] for k in moving]]) is None]
-
-
-def _enumerate_chunk(args: tuple) -> list[tuple]:
-    """_stable_points in a worker process, which compiles its own program
-    (the compiled connectives are closures and do not pickle)."""
-    (f, sig, moving, threshold, lattice, start, stop) = args
-    prog = compile_formula(f, sig, lattice)
-    return _stable_points(prog, moving, prog.level(threshold), start, stop)
 
 
 def enumerate_stable(
@@ -353,29 +341,16 @@ def enumerate_stable(
 ) -> list[Interpretation]:
     """All stable models over the lattice, in lexicographic scan order:
     the points whose check_stable verdict is "stable", found on the
-    compiled program."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    compiled program.  The scan runs in this process.  `jobs` is
+    accepted and ignored, so that callers which still pass it (the
+    benchmark's pool probe) keep working."""
     y = check_truth(threshold)
     sig = signature_of(f)
     mset = set(_minimized_in(sig, minimized))
+    check_cap(lattice.size ** len(sig), cap)  # before compiling the grid
     prog = compile_formula(f, sig, lattice)
-    candidates([prog.points] * len(sig), cap)  # raises before the scan
-    total = lattice.size ** len(sig)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
-    if jobs <= 1 or total < 1024:
-        found = _stable_points(prog, moving, prog.level(y), 0, lattice.size)
-    else:
-        # Imported here: most runs start no pool, and the module costs
-        # every process about 20 ms of start-up and 2 MiB of memory.
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(jobs, os.cpu_count() or 1)  # never more than the cores
-        # One task per value of the first atom: each scans its own slice
-        # of the grid, and the slices follow each other in scan order.
-        chunks = [(f, sig, moving, y, lattice, v, v + 1) for v in range(lattice.size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = [i for part in pool.map(_enumerate_chunk, chunks) for i in part]
+    found = _stable_points(prog, moving, prog.level(y))
     return [Interpretation(zip(sig, map(prog.value, i))) for i in found]
 
 

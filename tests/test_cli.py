@@ -263,10 +263,11 @@ class TestEnumerate:
         assert data["count"] == 1
         assert data["models"] == [{"q": "0", "p": "1"}]
 
-    def test_jobs_below_one_is_an_input_error(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--expr", "p", "--jobs", "0")
-        assert code == 2
-        assert "jobs must be at least 1" in err
+    def test_jobs_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--expr", "p", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestTranslate:
@@ -694,7 +695,7 @@ _NOT_ASCII_INTEGERS = [
     [*_CHECK, "--seed", "\u0663", "--strategy", "sampled:3"],
     [*_CHECK, "--seed", "1_0", "--strategy", "sampled:3"],
     [*_CHECK, "--cap", "1_000"],
-    ["enumerate", "--expr", "p", "--jobs", "\u0662"],
+    ["enumerate", "--expr", "p", "--cap", "\u0662"],
     ["enumerate", "--expr", "p", "--cap", "100 "],
     ["enumerate", "--expr", "p", "--denominator", "+4"],
     ["equilibrium", "--expr", "p", "--enumerate", "--denominator", "\u0664"],

@@ -4,6 +4,7 @@ Expected intervals in the pinned tests were computed by hand from the
 evaluation clauses and are frozen here; the enumeration answers were
 derived once by solving the lower-bound conditions on paper.
 """
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -263,6 +264,53 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_equilibrium(parse_formula("p &m q"), D10, cap=10)
+
+
+def _refusal_peak(call, message):
+    """The traced allocation peak of a call that the cap refuses."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestCapBeforePools:
+    """The interval pools grow with the square of the lattice, so each
+    scan counts them in integers and refuses past the cap before it
+    builds a point list or a pair."""
+
+    CAP_TEXT = "candidates exceed the cap of 100; raise the cap to scan them all"
+
+    def test_enumerate(self):
+        f = parse_formula("p |m ~p")
+        peak = _refusal_peak(
+            lambda: enumerate_equilibrium(f, Lattice(1000), cap=100),
+            f"501501 {self.CAP_TEXT}")  # the 1001 * 1002 / 2 pairs lo <= hi
+        assert peak < 2 ** 20
+
+    def test_h_violation(self):
+        f = parse_formula("p ->r p")
+        v = parse_valuation("h:p=[0.5,0.5]; t:p=[0.5,0.5]")
+        peak = _refusal_peak(
+            lambda: is_equilibrium(v, f, Lattice(1000), cap=100),
+            f"251001 {self.CAP_TEXT}")  # 501 lower bounds times 501 upper
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("lo, hi, d", [
+        (F(0), F(1), 4), (F(1, 2), F(1, 2), 4), (F(1), F(1), 3),
+        (F(1, 3), F(2, 3), 6), (F(0), F(0), 5)])
+    def test_counted_pools_are_the_filtered_ones(self, lo, hi, d):
+        # A cap one short of the filtered pool's size refuses it.
+        points = list(Lattice(d).points())
+        pool = [(a, b) for a in points if a <= lo for b in points if b >= hi]
+        v = Valuation({(w, "p"): Interval(lo, hi) for w in ("h", "t")})
+        with pytest.raises(ResourceLimitError, match=f"^{len(pool)} candidates"):
+            find_h_violation(v, parse_formula("p |m ~p"), Lattice(d),
+                             cap=len(pool) - 1)
 
 
 class TestBridges:

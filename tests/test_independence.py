@@ -2,8 +2,9 @@
 routes share no semantics with the direct checker, which runs on the
 compiled program, and the scan and fold helpers they share know no
 semantics.  Also: formula rewrites go through syntax.fold, not through
-recursion."""
+recursion, and the package starts no process."""
 import ast
+import pathlib
 import types
 
 import fuzzysm.algebra as algebra
@@ -211,3 +212,31 @@ def test_counter_routes_keep_the_full_scan():
     for fn in (equilibrium._h_violation, equilibrium.find_h_violation,
                equilibrium.is_equilibrium):
         assert not _names(fn.__code__) & {"walk", "StrongNeg"}, fn.__name__
+
+
+PROCESS_MODULES = {"concurrent", "multiprocessing", "subprocess"}
+
+
+def _imported_modules(source: str) -> set[str]:
+    """Every module an import statement names, at any depth of the
+    module (function bodies included), by its top-level package."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_package_starts_no_process():
+    """Every search runs in the calling process: no module imports a
+    process or thread-pool module, so nothing can spawn workers."""
+    package = pathlib.Path(algebra.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    assert "concurrent" in _imported_modules(
+        "def f():\n    from concurrent.futures import ProcessPoolExecutor\n")
+    for path in modules:
+        found = _imported_modules(path.read_text(encoding="utf-8"))
+        assert not found & PROCESS_MODULES, path.name

@@ -222,17 +222,3 @@ def test_threshold_below_the_top_tests_the_root_alone(text):
     assert [slot for slot, _ in prog.model_checks(cut)] == [prog.root]
     assert enumerate_stable(f, threshold=F(3, 4), lattice=lattice) == \
         reference_models(f, signature_of(f), F(3, 4), lattice)
-
-
-@pytest.mark.parametrize("text, minimized, y", [
-    # 11^3 = 1331 points: past the size where the pool is used.
-    ("(not_s q ->r p) &m (not_s p ->r q) &m (r |l q)", None, F(1)),
-    ("(q ->r p) &m (not_s r ->r q) &m (0.5 ->r r)", ("q", "r"), F(1)),
-    ("(not_s q ->l p) &l (p |p r)", ("p",), F(3, 5)),
-])
-def test_jobs_split_the_grid_by_the_first_atom(text, minimized, y):
-    f = parse_formula(text)
-    lattice = Lattice(10)
-    sequential = enumerate_stable(f, minimized, y, lattice)
-    assert sequential
-    assert enumerate_stable(f, minimized, y, lattice, jobs=2) == sequential

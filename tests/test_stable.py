@@ -1,6 +1,4 @@
-import concurrent.futures
 import itertools
-import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -460,47 +458,19 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError):
             enumerate_stable(parse_formula("p &m q &m r &m s"), lattice=D10, cap=1000)
 
-    def test_pool_matches_sequential(self):
-        # 6^4 = 1296 points: past the size where the pool is used.
-        f = parse_formula("(not_s q ->r p) &m (not_s p ->r q) &m (s |p not_s r)")
-        lattice = Lattice(5)
-        sequential = enumerate_stable(f, ("p", "q", "r"), F(1, 2), lattice)
-        assert sequential
-        assert enumerate_stable(f, ("p", "q", "r"), F(1, 2), lattice, jobs=2) == sequential
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for
-    and maps in this process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-class TestJobs:
-    def test_rejects_fewer_than_one(self):
-        with pytest.raises(ValueError, match="jobs"):
-            enumerate_stable(parse_formula("p"), lattice=D2, jobs=0)
-
-    def test_pool_size_clamped_to_cores(self, monkeypatch):
-        monkeypatch.setattr(_RecordingPool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        f = parse_formula("(not_s q ->r p) &m (not_s p ->r q) &m (r |m s)")
-        assert enumerate_stable(f, lattice=Lattice(5), jobs=64) == \
-            enumerate_stable(f, lattice=Lattice(5))
-        assert _RecordingPool.sizes == [2]
+    def test_cap_refuses_before_compiling(self):
+        # Compiling builds the lattice's D + 1 points; the grid is refused
+        # before that, so a refusal costs the same at any D.
+        f = parse_formula("p &m q")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=(
+                    f"^{(10 ** 6 + 1) ** 2} candidates exceed the cap of ")):
+                enumerate_stable(f, lattice=Lattice(10 ** 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestStarTransform:
