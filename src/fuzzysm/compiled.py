@@ -40,10 +40,14 @@ in signature order, earlier atoms varying more slowly, values ascending.
 level_plan assigns each instruction to the scan position of the last
 moving atom it reads, and each check to the level of its slot, so a
 level's instructions and checks run only when its position takes a new
-value; what reads no moving atom runs once, before the scan.  When a
-check fails, every candidate that shares the failing position's prefix
-fails it too, so the scan moves that same position on (backtracking, as
-in Bitner and Reingold, "Backtrack programming techniques", CACM 1975).
+value; what reads no moving atom runs once, before the scan, through
+run, the one uncapped instruction loop (evaluate and least_model use it
+too).  A reduct plan puts nothing there, since every instruction and
+check of reduct_checks reads a moving atom, so the implication cap lives
+in the per-level loop alone.  When a check fails, every candidate that
+shares the failing position's prefix fails it too, so the scan moves
+that same position on (backtracking, as in Bitner and Reingold,
+"Backtrack programming techniques", CACM 1975).
 A candidate is accepted exactly when all its checks pass, and skipped
 candidates are only ever ones that fail, so the scan accepts the same
 candidates in the same order as testing the whole product one candidate
@@ -286,23 +290,20 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
     vals holds the value of every slot the plan does not write; the scan
     writes the rest.  With caps None the instructions run as run() runs
     them (the model test); otherwise each implication is capped at its
-    value in caps (the reduct test).
+    value in caps (the reduct test), except at level 0, which a reduct
+    plan leaves empty.
 
     When a check of level p + 1 fails, every candidate that shares the
     values of positions 0..p fails it too, so the scan moves position p
     on to its next value."""
-    impl = None if caps is None else OpFamily.IMPLICATION
     for code, slot in plan[0]:
-        for k, fn, a, b, family in code:
-            x = fn(vals[a], vals[b])
-            if family is impl and x > caps[k]:
-                x = caps[k]
-            vals[k] = x
+        run(code, vals)
         if slot is not None and vals[slot] < cut:
             return
     if not positions:
         yield
         return
+    impl = None if caps is None else OpFamily.IMPLICATION
     last = len(positions) - 1
     values = [None] * len(positions)  # each position's remaining values
     values[0] = iter(pools[0])
@@ -397,8 +398,7 @@ def least_model(prog: Program, checks: Sequence[Check], moving: Sequence[int],
         r = queue.popleft()
         queued[r] = False
         code, body, h = rules[r]
-        for k, fn, a, b, _ in code:
-            vals[k] = fn(vals[a], vals[b])
+        run(code, vals)
         x = top if body is None else vals[body]
         k = moving[h]
         if x > vals[k]:

@@ -109,11 +109,6 @@ class BoolInterpretation:
             raise SignatureError(
                 f"true atoms outside the signature: {sorted(extra)}")
 
-    def holds(self, name: str) -> bool:
-        if name not in self.signature:
-            raise SignatureError(f"atom {name!r} is not in the signature")
-        return name in self.true_atoms
-
 
 def parse_interpretation(text: str) -> Interpretation:
     """Read 'p=0.3, q=7/10' or a JSON object {"p": "0.3", "q": 0.7}.

@@ -23,11 +23,13 @@ lattice grid with compiled.level_scan and the model test.  Every witness
 search is compiled.first_witness, which runs level_scan with the reduct
 test over products of pools and skips each run of candidates that share
 a failing prefix: the exhaustive search below I (in find_witness and
-below each model of enumerate_stable) is one product, and the sampled
-hunt passes each seeded draw as a product of one-value pools.  Before
-either, find_witness tries compiled.least_model on the same pools: when
-the reduct is Horn-shaped at the top value and its least model below I
-is I, no witness exists and nothing is scanned or drawn.  Otherwise the
+below each model of enumerate_stable) is one product.  The sampled hunt
+draws from the same pools (I's own value joins a pool where it lies off
+the lattice, which only a sampled search reaches) and wraps each draw,
+as it is made, as a product of one-value pools.  Before either,
+find_witness tries compiled.least_model on those pools: when the reduct
+is Horn-shaped at the top value and its least model below I is I, no
+witness exists and nothing is scanned or drawn.  Otherwise the
 search runs unchanged, so the proof changes no verdict, witness or note;
 a sampled "stable" it proves still carries the sampled note.
 check_stable's model test stays semantics.satisfies.  It raises
@@ -246,15 +248,13 @@ def find_witness(
         return None
     mset = set(scan)
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
-    if isinstance(strategy, Sampled):
-        # An off-lattice value of I joins its own pool, so that J = I on
-        # that coordinate stays reachable.
-        pools = [prog.below(at_i[k]) + ((at_i[k],) if k in prog.off_lattice else ())
-                 for k in moving]
-    else:
+    # An off-lattice value of I joins its own pool, so that J = I on that
+    # coordinate stays reachable; an exhaustive search refuses such an I.
+    pools = [prog.below(at_i[k]) + ((at_i[k],) if k in prog.off_lattice else ())
+             for k in moving]
+    if not isinstance(strategy, Sampled):
         if prog.off_lattice:
             _require_lattice(i, lattice)
-        pools = [prog.below(at_i[k]) for k in moving]
         candidates(pools, cap)  # raises ResourceLimitError before the scan
     checks = prog.reduct_checks(moving, cut)
     # At the top value a Horn-shaped reduct has a least model in the
@@ -263,11 +263,9 @@ def find_witness(
             == tuple([at_i[k] for k in moving])):
         return None
     if isinstance(strategy, Sampled):
-        # A draw is a product of one-value pools, each value's 1-tuple
-        # shared.
-        one = {v: (v,) for pool in pools for v in pool}
-        products = _draws([[one[v] for v in pool] for pool in pools],
-                          strategy.samples, strategy.seed)
+        # Each draw is scanned as a product of one-value pools.
+        products = ([(v,) for v in row]
+                    for row in _draws(pools, strategy.samples, strategy.seed))
     else:
         products = [pools]
     hit = first_witness(level_plan(checks, moving), moving, at_i, cut, products)

@@ -2,6 +2,7 @@
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -240,6 +241,21 @@ class TestCheck:
                            "--interp", "p=1/3", "--denominator", "10")
         assert code == 2
         assert "outside the 1/10 lattice" in err
+
+    def test_sampled_search_stores_nothing_per_pool_value(self, capsys):
+        # Three draws at D = 10^5: the pools are slices of the compiled
+        # program's D + 1 points, and no value is wrapped before it is
+        # drawn.
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "check", "--expr", "p |m q",
+                               "--interp", "p=1, q=1/2", "--strategy", "sampled:3",
+                               "--cap", "100", "--denominator", "100000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "status: stable" in out
+        assert peak <= 6 * 2 ** 20
 
 
 class TestEnumerate:
@@ -550,6 +566,33 @@ class TestHostileInput:
         code, _, err = run(capsys, *_VALUATION_SHAPES[-1])
         assert code == 2
         assert "'p'" in err
+
+
+_DEEP = " &m ".join(["p"] * 3001)  # 3000 nested t-norms
+
+
+class TestDeepInput:
+    """A formula nested 3000 deep either gets its answer or exits 2 with
+    one line that says so, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--expr", _DEEP, "--interp", "p=1"],
+        ["check", "--expr", _DEEP, "--interp", "p=1"],
+        ["check", "--expr", _DEEP, "--interp", "p=1", "--engine", "star"],
+        ["equilibrium", "--expr", _DEEP, "--interp", "p=1"],
+    ], ids=["eval", "check", "check-star", "equilibrium"])
+    def test_answers_or_says_it_nests_too_deeply(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        if code == 0:
+            assert out and err == ""
+        else:
+            assert (code, out) == (2, "")
+            assert err == "error: the input nests too deeply to process\n"
+
+    def test_enumerate_answers(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--expr", _DEEP,
+                             "--denominator", "2")
+        assert (code, out, err) == (0, "p=1\n", "")
 
 
 _FORMULA = "not_s q ->r p"

@@ -20,7 +20,7 @@ from fuzzysm import (
     signature_of,
 )
 from fuzzysm.algebra import candidates
-from fuzzysm.compiled import compile_formula
+from fuzzysm.compiled import compile_formula, level_plan
 from fuzzysm.generators import ALL_OPERATORS, gen_formula
 
 SIG3 = ("p", "q", "r")
@@ -222,3 +222,21 @@ def test_threshold_below_the_top_tests_the_root_alone(text):
     assert [slot for slot, _ in prog.model_checks(cut)] == [prog.root]
     assert enumerate_stable(f, threshold=F(3, 4), lattice=lattice) == \
         reference_models(f, signature_of(f), F(3, 4), lattice)
+
+
+def test_reduct_plans_run_nothing_before_the_scan():
+    """Level 0 of a plan runs uncapped, once before the scan.  A reduct
+    plan leaves it empty, since every instruction and check of
+    reduct_checks reads a moving slot: 600 generated formulas over every
+    connective, random moving sets, cuts at the top value and below it."""
+    rng = random.Random(19)
+    for t in range(600):
+        lattice = Lattice(1 + t % 4)
+        f = gen_formula(rng.randrange(2 ** 32), SIG3, max_depth=rng.randint(1, 4),
+                        operator_pool=ALL_OPERATORS,
+                        lattice=rng.choice((lattice, Lattice(2 * lattice.denominator))))
+        prog = compile_formula(f, SIG3, lattice)
+        moving = tuple(k for k in range(len(SIG3)) if rng.random() < 0.6)
+        for cut in (prog.points[-1], rng.choice(prog.points)):
+            plan = level_plan(prog.reduct_checks(moving, cut), moving)
+            assert plan[0] == (), (print_formula(f), moving, cut)
