@@ -4,7 +4,9 @@
 
 Each case is a seeded formula (`gen_formula` over every connective, about
 one in ten with `~`, or a `gen_program` program as one formula), a lattice
-1/D with D from 1 to 6, an interpretation I (often a model, sometimes
+1/D with D from 1 to 6 (in one case of ten, D just above the largest
+denominator whose connectives the compiled kernel tabulates, over at most
+two atoms), an interpretation I (often a model, sometimes
 with a value off the lattice), a random minimized set, a threshold of 1
 or below it, `Exhaustive` or `Sampled` with a seed of either sign, and a
 small or large cap.  Each side answers every case with `check_stable`,
@@ -62,14 +64,16 @@ for case in json.load(open(sys.argv[2], encoding="utf-8")):
 def cases(count: int) -> list[dict]:
     sys.path.insert(0, str(ROOT / "src"))
     from fuzzysm import Lattice, evaluate, print_formula, program_to_formula, signature_of
+    from fuzzysm.compiled import _TABLE_BOUND
     from fuzzysm.generators import ALL_OPERATORS, gen_formula, gen_program
 
     rng = random.Random(19)
     out = []
     for _ in range(count):
-        d = rng.randint(1, 6)
+        tabled = rng.random() < 0.9
+        d = rng.randint(1, 6) if tabled else _TABLE_BOUND + rng.randint(1, 2)
         lattice = Lattice(d)
-        sig = ("p", "q", "r", "s")[:rng.randint(1, 4)]
+        sig = ("p", "q", "r", "s")[:rng.randint(1, 4 if tabled else 2)]
         seed = rng.randrange(2 ** 32)
         if rng.random() < 0.3:
             conj = rng.choice(("&m", "&l", "&p"))

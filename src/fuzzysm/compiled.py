@@ -4,8 +4,8 @@ compile_formula folds a formula once (syntax.fold: post-order, no
 recursion) and lays its values out in slots: one per atom of the
 signature (in signature order), then one per constant and one per
 connective.  Each connective becomes an instruction (slot, fn, left slot,
-right slot, family); a negation reads its one argument from both argument
-slots.
+right slot, family), whose value is fn[left][right]; a negation reads its
+one argument from both argument slots.
 
 Values live in one of two domains, chosen from the formula and, when the
 caller passes them, the atoms' values:
@@ -14,11 +14,18 @@ caller passes them, the atoms' values:
   connective is lattice-closed and every constant and value is a lattice
   point.
   Each such connective maps k/D values to k'/D values, so integer
-  arithmetic on the numerators is exact;
+  arithmetic on the numerators is exact.  Up to a fixed D
+  (_TABLE_BOUND) each connective is a (D + 1) x (D + 1) table of
+  numerators, built once per connective and D and shared by every program
+  over D, so an instruction is two lookups, not a call;
 - exact Fractions through the registry's own connectives otherwise (the
   product pair, or a constant or an atom's value off the lattice; each
   value meets the lattice test once, and Program.off_lattice keeps the
   slots of the atoms that fail it).
+
+A connective without a table (on Fractions, or on numerators over a D
+above the bound) is its function wrapped to be read as fn[x][y] too, so
+run and level_scan have one instruction loop for every domain.
 
 The reduct of f by I, in fuzzy_reduct's simplified form, needs no formula
 of its own: it is the same program with every negation frozen to its value
@@ -29,9 +36,13 @@ something other than a frozen negation reads.
 
 A test "value >= cut" is a tuple of checks, each a slot that must reach
 the cut and the instructions that compute it: Program.model_checks for f
-itself, Program.reduct_checks for the reduct by I.  At the top value a
-t-norm is top only when both arguments are, so each top-level t-norm
-conjunct is its own check; below the top the root is the only one.
+itself, Program.reduct_checks for the reduct by I.  Each top-level t-norm
+conjunct is its own check at every cut, since a t-norm is at most the
+minimum of its arguments (Hajek, "Metamathematics of Fuzzy Logic", 1998):
+a conjunct below the cut sinks the whole.  At the top value a t-norm is
+top exactly when both arguments are, so the conjuncts decide; below the
+top they are only necessary, and a last check runs the t-norms above them
+and tests the root.
 
 level_scan is the one scan, over the lattice grid (the model test,
 negations live) and over candidates J below a model I (the reduct test).
@@ -77,6 +88,7 @@ the kernel's reduct test included, against both.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from collections import deque
@@ -88,11 +100,17 @@ from .algebra import OPERATORS, Lattice, OpFamily
 from .semantics import SignatureError, StrongNegationError
 from .syntax import Atom, Const, Formula, StrongNeg, fold
 
-Instruction = tuple  # (slot, fn, left slot, right slot, OpFamily)
+Instruction = tuple  # (slot, fn, left slot, right slot, OpFamily); fn[x][y]
 Check = tuple  # (slot, instructions): see Program.reduct_checks
 Step = tuple  # (instructions, slot or None): see level_plan
 Plan = tuple  # one tuple of steps per level: see level_plan
 _DONE = object()  # a position's values are used up
+# The largest denominator whose connectives become tables.  A table over
+# D holds (D + 1)^2 numerators and takes about 130 ns each to build, once
+# per connective and D: 0.55 ms and 38 KB at D = 64, but 8 ms and 0.55 MB
+# at D = 256.  The tables of all eight connectives at every D up to 64
+# hold about 7 MB.
+_TABLE_BOUND = 64
 
 
 def _numerator_fns(d: int) -> dict[str, Callable]:
@@ -124,6 +142,38 @@ def _numerator_fns(d: int) -> dict[str, Callable]:
         "->s": impl_kleene_dienes,
         "->l": impl_luk,
     }
+
+
+@functools.cache
+def _table(token: str, d: int) -> tuple[tuple[int, ...], ...]:
+    """The lattice-closed connective `token` on numerators over d as a
+    table: _table(token, d)[x][y] is its value at x/D and y/D, times D."""
+    fn = _numerator_fns(d)[token]
+    r = range(d + 1)
+    return tuple([tuple([fn(x, y) for y in r]) for x in r])
+
+
+class _Rows:
+    """A connective fn(x, y) read as rows[x][y], like a table: for a domain
+    too large to tabulate, or not finite."""
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+
+    def __getitem__(self, x) -> _Row:
+        return _Row(self.fn, x)
+
+
+class _Row:
+    __slots__ = ("fn", "x")
+
+    def __init__(self, fn: Callable, x) -> None:
+        self.fn = fn
+        self.x = x
+
+    def __getitem__(self, y):
+        return self.fn(self.x, y)
 
 
 def _fraction_fn(token: str) -> Callable:
@@ -182,10 +232,9 @@ class Program:
     def model_checks(self, cut) -> tuple[Check, ...]:
         """The model test "value >= cut" as (slot, instructions) pairs: a
         point passes when, running each pair's instructions in turn with
-        run, every slot reaches cut.  Below the top value the one pair is
-        the whole program and its root; at the top, one pair per top-level
-        t-norm conjunct (see reduct_checks), each with every instruction
-        beneath it."""
+        run, every slot reaches cut: one pair per top-level t-norm
+        conjunct, each with every instruction beneath it, and below the top
+        value a last pair for the root (see reduct_checks)."""
         return self._checks(cut, None)
 
     def reduct_checks(self, moving: Sequence[int], cut) -> tuple[Check, ...]:
@@ -197,14 +246,16 @@ class Program:
         that the root reads, neither through a negation, are run: a frozen
         negation reads nothing, and the rest keep their value at I.
 
-        Below the top value the one pair is the whole reduct and its root.
-        At the top a t-norm is top only when both arguments are, so the
-        reduct splits into its top-level t-norm conjuncts, left to right,
-        each with the varying instructions beneath it (post-order keeps a
-        subtree's instructions contiguous).  A pair whose slot reads no
+        The reduct splits into its top-level t-norm conjuncts, left to
+        right, each with the varying instructions beneath it (post-order
+        keeps a subtree's instructions contiguous): a t-norm is at most
+        the minimum of its arguments, so each conjunct must reach cut.  At
+        the top value a t-norm is top only when both arguments are, so
+        that is the whole test; below it a last pair runs the t-norms above
+        the conjuncts and tests the root.  A pair whose slot reads no
         moving atom keeps its value at I and is left out: the test is only
-        asked of points I whose value reaches cut, so that slot reaches
-        cut too.
+        asked of points I whose value reaches cut, so that slot, the root
+        or a conjunct at least as large, reaches cut too.
         """
         varies = [False] * len(self.slots)
         for k in moving:
@@ -227,24 +278,25 @@ class Program:
         for p, (k, _, a, b, _) in enumerate(self.code):
             first[k] = min(first.get(a, p), first.get(b, p))
         slots = []
+        spine = []  # the positions of the top-level t-norms
         stack = [self.root]
         while stack:
             k = stack.pop()
             p = position.get(k)
-            if (cut == self.points[-1] and p is not None
-                    and self.code[p][4] is OpFamily.CONJUNCTION):
+            if p is not None and self.code[p][4] is OpFamily.CONJUNCTION:
+                spine.append(p)
                 stack.append(self.code[p][3])
                 stack.append(self.code[p][2])
             else:
                 slots.append(k)
-        checks = []
-        for k in slots:
-            below = () if k not in position else self.code[first[k]:position[k] + 1]
-            if varies is None:
-                checks.append((k, below))
-            elif varies[k]:
-                checks.append((k, tuple(ins for ins in below if varies[ins[0]])))
-        return tuple(checks)
+        pairs = [(k, () if k not in position else self.code[first[k]:position[k] + 1])
+                 for k in slots]
+        if spine and cut != self.points[-1]:
+            pairs.append((self.root, tuple(self.code[p] for p in sorted(spine))))
+        if varies is None:
+            return tuple(pairs)
+        return tuple((k, tuple(ins for ins in code if varies[ins[0]]))
+                     for k, code in pairs if varies[k])
 
 
 def level_plan(checks: Sequence[Check], positions: Sequence[int]) -> Plan:
@@ -318,7 +370,7 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
         vals[positions[p]] = v
         for code, slot in plan[p + 1]:
             for k, fn, a, b, family in code:
-                x = fn(vals[a], vals[b])
+                x = fn[vals[a]][vals[b]]
                 if family is impl and x > caps[k]:
                     x = caps[k]
                 vals[k] = x
@@ -345,8 +397,10 @@ def first_witness(plan: Plan, moving: Sequence[int], at_i: Sequence, cut,
     work = list(at_i)
     for pools in products:
         for _ in level_scan(plan, moving, pools, work, cut, caps=at_i):
-            # Compared slot by slot: most hits are I itself, so the
-            # witness tuple is built only for one that is not.
+            # A hit equal to I ends its product; any other is the witness.
+            # Most scans end on a witness, often the first candidate: below
+            # the models of the enumerate benchmark's formulas, 4,301 of
+            # 4,329 scans do, 3,391 at the first.
             for k in moving:
                 if work[k] != at_i[k]:
                     return tuple([work[k] for k in moving])
@@ -414,7 +468,7 @@ def least_model(prog: Program, checks: Sequence[Check], moving: Sequence[int],
 def run(code: Sequence[Instruction], vals: list) -> None:
     """Execute instructions in place over the slot values."""
     for k, fn, a, b, _ in code:
-        vals[k] = fn(vals[a], vals[b])
+        vals[k] = fn[vals[a]][vals[b]]
 
 
 def compile_formula(
@@ -450,14 +504,16 @@ def compile_formula(
     root = fold(f, leaf, node)
     d = lattice.denominator
     off_lattice = frozenset(k for k, v in enumerate(values) if v not in lattice)
+    tokens = {op for _, op, _, _ in ops}
     integer = (not off_lattice
-               and all(OPERATORS[op].lattice_closed for _, op, _, _ in ops)
+               and all(OPERATORS[op].lattice_closed for op in tokens)
                and all(c in lattice for _, c in constants))
     if integer:
-        fns = _numerator_fns(d)
         points: tuple = tuple(range(d + 1))
+        fns = ({op: _table(op, d) for op in tokens} if d <= _TABLE_BOUND
+               else {op: _Rows(fn) for op, fn in _numerator_fns(d).items()})
     else:
-        fns = {op: _fraction_fn(op) for _, op, _, _ in ops}
+        fns = {op: _Rows(_fraction_fn(op)) for op in tokens}
         points = tuple(lattice.points())
     slots = [points[0]] * next(free)
     for k, c in constants:

@@ -195,8 +195,20 @@ def _refuse_strong_negation(f: Formula) -> None:
     test raises it wherever it evaluates one, but a t-norm whose left
     argument is below 1 never evaluates its right one, so a verdict that
     I is not a model checks f whole: f is refused whatever I is."""
-    if any(isinstance(x, StrongNeg) for x in walk(f)):
-        raise StrongNegationError()
+    # Class identity, not isinstance, as in syntax.atoms: the walk runs on
+    # every "not_a_model" verdict.
+    stack = [f]
+    push, pop = stack.append, stack.pop
+    while stack:
+        x = pop()
+        cls = x.__class__
+        if cls is Bin:
+            push(x.right)
+            push(x.left)
+        elif cls is Neg:
+            push(x.body)
+        elif cls is StrongNeg:
+            raise StrongNegationError()
 
 
 def _draws(pools: Sequence[Sequence], samples: int, seed: int):

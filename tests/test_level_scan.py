@@ -20,7 +20,7 @@ from fuzzysm import (
     signature_of,
 )
 from fuzzysm.algebra import candidates
-from fuzzysm.compiled import compile_formula, level_plan
+from fuzzysm.compiled import compile_formula, level_plan, level_scan
 from fuzzysm.generators import ALL_OPERATORS, gen_formula
 
 SIG3 = ("p", "q", "r")
@@ -213,15 +213,35 @@ def test_fraction_domain(text, y):
     "(p &p q) &m (not_s q ->r r)",
 ])
 def test_threshold_below_the_top_tests_the_root_alone(text):
-    # Below the top a t-norm conjunction can reach the cut with neither
-    # argument reaching it, so the root is the only check.
+    # Below the top a t-norm conjunction reaches the cut only when both
+    # arguments do, since T(x, y) <= min(x, y), but both can reach it while
+    # the conjunction does not.  So each top-level conjunct is a check, and
+    # the root, tested after them, is the one that decides.
     f = parse_formula(text)
     lattice = Lattice(4)
     prog = compile_formula(f, signature_of(f), lattice)
     cut = prog.level(F(3, 4))
-    assert [slot for slot, _ in prog.model_checks(cut)] == [prog.root]
+    conjuncts = [slot for slot, _ in prog.model_checks(prog.points[-1])]
+    assert len(conjuncts) > 1
+    assert [slot for slot, _ in prog.model_checks(cut)] == conjuncts + [prog.root]
     assert enumerate_stable(f, threshold=F(3, 4), lattice=lattice) == \
         reference_models(f, signature_of(f), F(3, 4), lattice)
+
+
+def test_conjuncts_that_reach_the_cut_leave_the_root_to_decide():
+    # p &l q at p = q = 3/4: both conjuncts reach 3/4, the root is 1/2.
+    f = parse_formula("p &l q")
+    prog = compile_formula(f, ("p", "q"), Lattice(4))
+    cut = prog.level(F(3, 4))
+    checks = prog.model_checks(cut)
+    assert [slot for slot, _ in checks] == [0, 1, prog.root]
+    plan = level_plan(checks, range(2))
+    vals = list(prog.slots)
+    assert list(level_scan(plan, range(2), [[3], [3]], vals, cut)) == []
+    assert vals[:2] == [3, 3] and vals[prog.root] == 2
+    assert evaluate(f, {"p": F(3, 4), "q": F(3, 4)}) == F(1, 2)
+    hits = [tuple(vals[:2]) for _ in level_scan(plan, range(2), [[3, 4], [3]], vals, cut)]
+    assert hits == [(4, 3)]
 
 
 def test_reduct_plans_run_nothing_before_the_scan():
