@@ -101,7 +101,6 @@ from .stable import (
     verdict_to_json,
     y_to_one,
 )
-from .suites import PropertyReport, run_all, run_suite, suite_names
 from .syntax import (
     Atom,
     Bin,
@@ -134,6 +133,19 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
+
+# The property suites serve `fuzzysm props` and the tests alone, so they
+# load on their first use (PEP 562), not with the package.
+_SUITES = frozenset({"PropertyReport", "run_all", "run_suite", "suite_names"})
+
+
+def __getattr__(name: str):
+    if name in _SUITES:
+        from . import suites
+
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Atom", "Bin", "BoolInterpretation", "BoolStabilityVerdict",

@@ -75,7 +75,6 @@ from .stable import (
     verdict_to_json,
     y_to_one,
 )
-from .suites import run_all, run_suite, suite_names
 from .syntax import (
     atoms,
     parse_fasp_program,
@@ -372,6 +371,8 @@ def _require_atoms(f, names, complaint: str) -> None:
 
 
 def _cmd_props(args) -> int:
+    from .suites import run_all, run_suite, suite_names
+
     if args.list:
         for name in suite_names():
             print(name)

@@ -46,6 +46,11 @@ and tests the root.
 
 level_scan is the one scan, over the lattice grid (the model test,
 negations live) and over candidates J below a model I (the reduct test).
+It is a plain function, not a generator: it calls back at each candidate
+that passes and returns at the first that the callback accepts, or at
+the first that passes when there is no callback.  So a witness scan
+below a model is one call, made from the grid scan's callback, with no
+generator to build.
 It walks the product of per-atom pools in itertools.product order: atoms
 in signature order, earlier atoms varying more slowly, values ascending.
 level_plan assigns each instruction to the scan position of the last
@@ -64,10 +69,15 @@ candidates are only ever ones that fail, so the scan accepts the same
 candidates in the same order as testing the whole product one candidate
 at a time.
 
-first_witness is the witness kernel: it runs level_scan with the reduct
-test over a stream of pool products and returns the first hit other
-than I.  The exhaustive witness scan is one product, whose pools each
+witness_in holds the witness rule: it runs level_scan with the reduct
+test over one product of pools, which its first hit ends, and tells
+whether that hit is other than I.  first_witness, the witness kernel of
+find_witness, runs it over a stream of products and returns the first
+witness.  The exhaustive witness scan is one product, whose pools each
 end with I's value; a sampled draw is a product of one-value pools.
+enumerate_stable's scan below each model is one witness_in call, made
+from the grid scan's callback into one work list refilled for each
+model.
 
 least_model proves stability without a scan where the reduct is
 Horn-shaped at the top value: every check a moving atom (a fact), or a
@@ -94,7 +104,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import OPERATORS, Lattice, OpFamily
 from .semantics import SignatureError, StrongNegationError
@@ -105,6 +115,9 @@ Check = tuple  # (slot, instructions): see Program.reduct_checks
 Step = tuple  # (instructions, slot or None): see level_plan
 Plan = tuple  # one tuple of steps per level: see level_plan
 _DONE = object()  # a position's values are used up
+# Read once here: an Enum member costs about 140 ns to look up on its
+# class, once per scan.
+_IMPLICATION = OpFamily.IMPLICATION
 # The largest denominator whose connectives become tables.  A table over
 # D holds (D + 1)^2 numerators and takes about 130 ns each to build, once
 # per connective and D: 0.55 ms and 38 KB at D = 64, but 8 ms and 0.55 MB
@@ -333,11 +346,15 @@ def level_plan(checks: Sequence[Check], positions: Sequence[int]) -> Plan:
 
 
 def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
-               vals: list, cut, caps: Sequence | None = None) -> Iterator[None]:
+               vals: list, cut, caps: Sequence | None = None,
+               accept: Callable[[], bool] | None = None) -> bool:
     """Scan the candidates, one value of pools[p] for each slot
     positions[p], in itertools.product order (earlier positions vary more
-    slowly), and yield once for each that passes every check of `plan`
+    slowly), and call accept() at each that passes every check of `plan`
     (level_plan(checks, positions)), with its values in place in vals.
+    Return True as soon as accept() does, with that candidate's values
+    left in vals, and False when the candidates run out.  With accept
+    None the first candidate that passes ends the scan.
 
     vals holds the value of every slot the plan does not write; the scan
     writes the rest.  With caps None the instructions run as run() runs
@@ -351,11 +368,10 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
     for code, slot in plan[0]:
         run(code, vals)
         if slot is not None and vals[slot] < cut:
-            return
+            return False
     if not positions:
-        yield
-        return
-    impl = None if caps is None else OpFamily.IMPLICATION
+        return accept is None or accept()
+    impl = None if caps is None else _IMPLICATION
     last = len(positions) - 1
     values = [None] * len(positions)  # each position's remaining values
     values[0] = iter(pools[0])
@@ -364,7 +380,7 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
         v = next(values[p], _DONE)
         if v is _DONE:
             if p == 0:
-                return
+                return False
             p -= 1
             continue
         vals[positions[p]] = v
@@ -377,34 +393,40 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
             if slot is not None and vals[slot] < cut:
                 break
         else:
-            if p == last:
-                yield
-            else:
+            if p < last:
                 p += 1
                 values[p] = iter(pools[p])
+            elif accept is None or accept():
+                return True
+
+
+def witness_in(plan: Plan, moving: Sequence[int], pools: Sequence[Sequence],
+               work: list, cut, at_i: Sequence) -> bool:
+    """Whether the first candidate of a product of pools (one pool of
+    domain values per slot of `moving`) that passes the reduct test plan
+    (level_plan(reduct_checks(moving, cut), moving)) is a witness: other
+    than I's own values.  The scan writes into work, which must hold
+    at_i's values off the moving slots, and leaves the hit there.  at_i
+    is evaluate() at I, whose root must reach cut.  A product that holds
+    I's values must hold them last, as the exhaustive one (each pool ends
+    with I's value) and a one-point draw do: a hit equal to I ends its
+    product."""
+    if level_scan(plan, moving, pools, work, cut, at_i):
+        for k in moving:
+            if work[k] != at_i[k]:
+                return True
+    return False
 
 
 def first_witness(plan: Plan, moving: Sequence[int], at_i: Sequence, cut,
                   products: Iterable[Sequence[Sequence]]) -> tuple | None:
-    """The witness kernel: scan each product of pools, one pool of domain
-    values per slot of `moving`, with level_scan under the reduct test
-    plan (level_plan(reduct_checks(moving, cut), moving)), and return the
-    first candidate that passes other than I's own values; None when no
-    product has one.  at_i is evaluate() at I, whose root must reach
-    cut.  A product that holds I's values must hold them last, as the
-    exhaustive one (each pool ends with I's value) and a one-point draw
-    do: a hit equal to I ends its product."""
+    """The witness kernel: the first witness of the products of pools in
+    turn, each scanned by witness_in, as the tuple of its values on the
+    moving slots; None when no product has one."""
     work = list(at_i)
     for pools in products:
-        for _ in level_scan(plan, moving, pools, work, cut, caps=at_i):
-            # A hit equal to I ends its product; any other is the witness.
-            # Most scans end on a witness, often the first candidate: below
-            # the models of the enumerate benchmark's formulas, 4,301 of
-            # 4,329 scans do, 3,391 at the first.
-            for k in moving:
-                if work[k] != at_i[k]:
-                    return tuple([work[k] for k in moving])
-            break
+        if witness_in(plan, moving, pools, work, cut, at_i):
+            return tuple([work[k] for k in moving])
     return None
 
 

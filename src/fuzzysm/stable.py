@@ -19,11 +19,13 @@ find_witness (and with it check_stable) and enumerate_stable compile the
 formula once (see compiled.py) and run on the compiled program, exact
 over integer numerators when the formula is lattice-closed and I lies on
 the lattice, and over Fractions otherwise.  enumerate_stable scans the
-lattice grid with compiled.level_scan and the model test.  Every witness
-search is compiled.first_witness, which runs level_scan with the reduct
-test over products of pools and skips each run of candidates that share
-a failing prefix: the exhaustive search below I (in find_witness and
-below each model of enumerate_stable) is one product.  The sampled hunt
+lattice grid with compiled.level_scan and the model test, and at each
+model the grid scan's callback runs compiled.witness_in: one scan of
+the model's pools under the reduct test, ended by its first hit, in one
+work list refilled for each model.  find_witness runs
+compiled.first_witness, which runs witness_in over products of pools.
+Both scans skip each run of candidates that share a failing prefix,
+and the exhaustive search below I is one product.  The sampled hunt
 draws from the same pools (I's own value joins a pool where it lies off
 the lattice, which only a sampled search reaches) and wraps each draw,
 as it is made, as a product of one-value pools.  Before either,
@@ -78,6 +80,7 @@ from .compiled import (
     least_model,
     level_plan,
     level_scan,
+    witness_in,
 )
 from .semantics import (
     BoolInterpretation,
@@ -325,20 +328,35 @@ def check_stable(
 
 def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
     """The lattice points, as tuples of domain values, that reach `cut`
-    and have no witness on the moving slots."""
+    and have no witness on the moving slots.
+
+    One level_scan call scans the grid under the model test; at each
+    point that passes, its callback scans the candidates below it with
+    one witness_in call, into a work list refilled with the point's
+    values: no generator, pool product stream or copy of the point."""
     n = len(prog.signature)
     points = prog.points
     grid = level_plan(prog.model_checks(cut), range(n))
     reduct = level_plan(prog.reduct_checks(moving, cut), moving)
     below = {v: prog.below(v) for v in points}  # each value's witness pool
-    pools = [points] * n
     vals = list(prog.slots)
+    work = list(vals)
+    found = []
+
+    def no_witness() -> bool:
+        # False goes on with the grid.  Most of these scans end on a
+        # witness, often the first candidate: in an enumerate benchmark
+        # pass, 4,301 of 4,329 do, 3,391 at the first.
+        work[:] = vals
+        if not witness_in(reduct, moving, [below[vals[k]] for k in moving], work, cut, vals):
+            found.append(tuple(vals[:n]))
+        return False
+
     # No cap check here: a point has at most as many candidates as the
     # grid has points, and enumerate_stable has checked those against its
     # cap.
-    return [tuple(vals[:n]) for _ in level_scan(grid, range(n), pools, vals, cut)
-            if first_witness(reduct, moving, vals, cut,
-                             [[below[vals[k]] for k in moving]]) is None]
+    level_scan(grid, range(n), [points] * n, vals, cut, accept=no_witness)
+    return found
 
 
 def enumerate_stable(

@@ -313,10 +313,13 @@ def _least_model_problem(prog, at_i: list, moving: tuple, horn: bool) -> dict | 
     if first_witness(plan, moving, at_i, top, [[(v,) for v in least]]) != least:
         return dict(least=least, problem="the least model fails the reduct")
     work = list(at_i)
-    for _ in level_scan(plan, moving, pools, work, top, caps=at_i):
-        hit = tuple(work[k] for k in moving)
-        if any(x > y for x, y in zip(least, hit)):
-            return dict(least=least, hit=hit, problem="the least model is not below a hit")
+
+    def above_least() -> bool:
+        return any(x > work[k] for x, k in zip(least, moving))
+
+    if level_scan(plan, moving, pools, work, top, at_i, above_least):
+        return dict(least=least, hit=tuple(work[k] for k in moving),
+                    problem="the least model is not below a hit")
     return None
 
 

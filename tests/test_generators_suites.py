@@ -1,10 +1,14 @@
 """Determinism of the random generators and the invariant suite registry."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fuzzysm
 import fuzzysm.suites as suites
 
 from fuzzysm import (
@@ -97,6 +101,19 @@ class TestGenerators:
 
 
 class TestSuites:
+    def test_import_leaves_the_suites_unloaded(self):
+        """`import fuzzysm` does not load the suites; the package names
+        them, and `from fuzzysm import *` brings them, on first use."""
+        code = ("import sys, fuzzysm\n"
+                "assert 'fuzzysm.suites' not in sys.modules\n"
+                "from fuzzysm import *\n"
+                "assert 'fuzzysm.suites' in sys.modules\n"
+                "assert run_all is fuzzysm.run_all is sys.modules['fuzzysm.suites'].run_all\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(suites.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            fuzzysm.no_such_name
+
     def test_registry_matches_documented_manifest(self):
         rows = re.findall(r"^\| `([a-z0-9-]+)` \|", MANIFEST.read_text(), re.M)
         assert rows == list(suite_names())

@@ -71,12 +71,85 @@ def test_find_witness_runs_on_the_compiled_program():
     assert not _names(stable.find_witness.__code__) & {"fuzzy_reduct", "value_is_one"}
 
 
+def _capping_loops(source: str) -> set[str]:
+    """The functions (qualified by their enclosing functions and classes)
+    that hold a capped instruction loop: a for loop or comprehension that
+    unpacks an instruction 5-tuple (slot, fn, left, right, family) and
+    compares a value with one indexed by the instruction's slot, or takes
+    the min of the two, as the reduct test's implication cap does."""
+    found = set()
+
+    def capped(loop: ast.AST, target: ast.AST) -> bool:
+        slots = {t.elts[0].id for t in ast.walk(target)
+                 if isinstance(t, ast.Tuple) and len(t.elts) == 5
+                 and all(isinstance(e, ast.Name) for e in t.elts)}
+
+        def by_slot(x: ast.AST) -> bool:
+            return (isinstance(x, ast.Subscript) and isinstance(x.slice, ast.Name)
+                    and x.slice.id in slots)
+
+        for n in ast.walk(loop):
+            if isinstance(n, ast.Compare) and any(map(by_slot, [n.left, *n.comparators])):
+                return True
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "min" and any(map(by_slot, n.args))):
+                return True
+        return False
+
+    def visit(node: ast.AST, qual: str) -> None:
+        for n in _own_nodes(node):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(n, f"{qual}.{n.name}" if qual else n.name)
+            elif isinstance(n, ast.For) and capped(n, n.target):
+                found.add(qual)
+            elif isinstance(n, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                if any(capped(n, gen.target) for gen in n.generators):
+                    found.add(qual)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_capping_guard_sees_a_second_capped_loop():
+    """A witness test of the bottom candidate with its own capped loop,
+    outside level_scan, is what the guard below must catch."""
+    source = """
+def _stable_points(prog, moving, cut):
+    def bottom(code, work, vals):
+        for k, fn, a, b, family in code:
+            x = fn[work[a]][work[b]]
+            if family is OpFamily.IMPLICATION and x > vals[k]:
+                x = vals[k]
+            work[k] = x
+    return bottom
+
+class Scan:
+    def first(self, code, work, at_i):
+        return [min(fn[work[a]][work[b]], at_i[k]) for k, fn, a, b, _ in code]
+
+def run(code, vals):
+    for k, fn, a, b, _ in code:
+        vals[k] = fn[vals[a]][vals[b]]
+"""
+    assert _capping_loops(source) == {"_stable_points.bottom", "Scan.first"}
+
+
 def test_only_level_scan_caps_implications():
-    # The reduct test's implication cap is applied in one place.
+    # The reduct test's implication cap is applied in one loop, in
+    # level_scan: no other function of the package holds a capped
+    # instruction loop.
+    package = pathlib.Path(compiled.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    loops = {f"{path.stem}:{name}"
+             for path in modules
+             for name in _capping_loops(path.read_text(encoding="utf-8"))}
+    assert loops == {"compiled:level_scan"}
+    # And within compiled, level_scan alone reads the implication family.
     capping = {name for name, obj in vars(compiled).items()
                if isinstance(obj, types.FunctionType)
                and obj.__module__ == compiled.__name__
-               and "IMPLICATION" in _names(obj.__code__)}
+               and {"IMPLICATION", "_IMPLICATION"} & _names(obj.__code__)}
     assert capping == {"level_scan"}
 
 

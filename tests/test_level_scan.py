@@ -2,6 +2,7 @@
 against a reference that shares nothing with the compiled program: every
 lattice point, and every candidate below it, tested with
 semantics.evaluate on f and on fuzzy_reduct(f, I)."""
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -19,8 +20,15 @@ from fuzzysm import (
     print_formula,
     signature_of,
 )
+from fuzzysm import compiled
 from fuzzysm.algebra import candidates
-from fuzzysm.compiled import compile_formula, level_plan, level_scan
+from fuzzysm.compiled import (
+    compile_formula,
+    first_witness,
+    level_plan,
+    level_scan,
+    witness_in,
+)
 from fuzzysm.generators import ALL_OPERATORS, gen_formula
 
 SIG3 = ("p", "q", "r")
@@ -237,10 +245,12 @@ def test_conjuncts_that_reach_the_cut_leave_the_root_to_decide():
     assert [slot for slot, _ in checks] == [0, 1, prog.root]
     plan = level_plan(checks, range(2))
     vals = list(prog.slots)
-    assert list(level_scan(plan, range(2), [[3], [3]], vals, cut)) == []
+    assert not level_scan(plan, range(2), [[3], [3]], vals, cut)
     assert vals[:2] == [3, 3] and vals[prog.root] == 2
     assert evaluate(f, {"p": F(3, 4), "q": F(3, 4)}) == F(1, 2)
-    hits = [tuple(vals[:2]) for _ in level_scan(plan, range(2), [[3, 4], [3]], vals, cut)]
+    hits = []
+    level_scan(plan, range(2), [[3, 4], [3]], vals, cut,
+               accept=lambda: hits.append(tuple(vals[:2])))
     assert hits == [(4, 3)]
 
 
@@ -260,3 +270,118 @@ def test_reduct_plans_run_nothing_before_the_scan():
         for cut in (prog.points[-1], rng.choice(prog.points)):
             plan = level_plan(prog.reduct_checks(moving, cut), moving)
             assert plan[0] == (), (print_formula(f), moving, cut)
+
+
+# The scan contract ----------------------------------------------------
+
+
+def test_scan_stops_at_the_first_candidate_accept_takes():
+    # p |m q >= 1/2 over D = 2: the passing candidates, in product order,
+    # are those with p or q at 1/2 or more.
+    f = parse_formula("p |m q")
+    prog = compile_formula(f, ("p", "q"), Lattice(2))
+    cut = prog.level(F(1, 2))
+    plan = level_plan(prog.model_checks(cut), range(2))
+    pools = [prog.points] * 2
+    passing = [c for c in itertools.product(*pools)
+               if evaluate(f, dict(zip(("p", "q"), map(prog.value, c)))) >= F(1, 2)]
+    seen = []
+
+    def third() -> bool:
+        seen.append(tuple(vals[:2]))
+        return len(seen) == 3
+
+    vals = list(prog.slots)
+    assert level_scan(plan, range(2), pools, vals, cut, accept=third)
+    assert seen == passing[:3] and tuple(vals[:2]) == passing[2]
+    seen.clear()
+    assert not level_scan(plan, range(2), pools, vals, cut, accept=lambda: seen.append(
+        tuple(vals[:2])))
+    assert seen == passing
+    # With no accept the first passing candidate ends the scan.
+    assert level_scan(plan, range(2), pools, vals, cut) and tuple(vals[:2]) == passing[0]
+
+
+def test_a_hit_equal_to_i_ends_its_product():
+    # Every candidate below I = (1, 1) passes the reduct test.  A product
+    # that ends with I's values stops there with no witness, and the next
+    # product is scanned.  A hit equal to I ends its product even when
+    # more candidates follow it.
+    f = parse_formula("(p ->r p) &m (q ->r q)")
+    prog = compile_formula(f, ("p", "q"), Lattice(2))
+    top = prog.points[-1]
+    at_i = prog.evaluate([2, 2])
+    moving = (0, 1)
+    plan = level_plan(prog.reduct_checks(moving, top), moving)
+    assert first_witness(plan, moving, at_i, top, [[(2,), (2,)]]) is None
+    assert first_witness(plan, moving, at_i, top, [[(2,), (2,)], [(0,), (2,)]]) == (0, 2)
+    assert first_witness(plan, moving, at_i, top, [[(2, 0), (2, 0)]]) is None
+    assert first_witness(plan, moving, at_i, top, [[prog.points] * 2]) == (0, 0)
+    # witness_in, the rule first_witness runs on each product, leaves its
+    # hit in the work list.
+    work = list(at_i)
+    assert not witness_in(plan, moving, [(2, 0), (2, 0)], work, top, at_i)
+    work[:] = at_i
+    assert witness_in(plan, moving, [(0, 2), (2,)], work, top, at_i)
+    assert work[:2] == [0, 2]
+
+
+def test_the_bottom_point_is_stable_exactly_when_the_reference_says_so():
+    """The only candidate below the all-bottom point is the point itself,
+    so its witness scan ends at a hit equal to I: 300 generated formulas
+    over 3 atoms at D = 1..4."""
+    rng = random.Random(21)
+    for t in range(300):
+        f, minimized, y, lattice = _case(rng, t)
+        sig = signature_of(f)
+        bottom = Interpretation({a: F(0) for a in sig})
+        want = evaluate(f, bottom) >= y and \
+            reference_witness(f, bottom, minimized, y, lattice) is None
+        models = enumerate_stable(f, minimized, y, lattice)
+        assert (bool(models) and models[0] == bottom) == want, (
+            print_formula(f), minimized, y, lattice)
+
+
+def _kernel_domain(kind: str):
+    """A lattice, formula constants and an operator pool that compile to
+    connectives read through the _Rows wrapper: numerators just above
+    the table bound, or Fractions."""
+    if kind == "fraction":
+        return Lattice(4), Lattice(12), ALL_OPERATORS
+    # A multiple of 5, so that constants on the 1/5 lattice lie on it.
+    return Lattice(5 * (compiled._TABLE_BOUND // 5 + 1)), Lattice(5), None
+
+
+@pytest.mark.parametrize("kind", ["above-table", "fraction"])
+def test_scans_match_the_reference_on_untabled_domains(kind):
+    """On each domain without tables: over one atom (four formulas), the
+    stable models (a grid scan and a witness scan below every model) are
+    the reference's; over two atoms (one formula), the grid's models are
+    the points whose value reaches y, and the first witness below the
+    first few models is the reference's."""
+    lattice, constants, pool = _kernel_domain(kind)
+    points = list(lattice.points())
+    rng = random.Random(22)
+    tested = 0
+    while tested < 5:
+        sig = ("p", "q") if tested == 0 else ("p",)
+        f = gen_formula(rng.randrange(2 ** 32), sig, max_depth=3,
+                        operator_pool=pool, lattice=constants)
+        prog = compile_formula(f, sig, lattice)
+        if signature_of(f) != sig or not prog.code or \
+                not isinstance(prog.code[-1][1], compiled._Rows):
+            continue
+        tested += 1
+        y = rng.choice((F(1), F(1, 2)))
+        if len(sig) == 1:
+            assert enumerate_stable(f, sig, y, lattice) == \
+                reference_models(f, sig, y, lattice), (print_formula(f), y)
+            continue
+        grid = [Interpretation(zip(sig, combo))
+                for combo in itertools.product(points, repeat=2)]
+        models = [i for i in grid if evaluate(f, i) >= y]
+        assert enumerate_stable(f, (), y, lattice) == models, (print_formula(f), y)
+        for i in models[:3]:
+            got = find_witness(f, i, sig, y, lattice, strategy=Exhaustive())
+            assert got == reference_witness(f, i, sig, y, lattice), (
+                print_formula(f), dict(i), y)
