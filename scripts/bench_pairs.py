@@ -20,9 +20,11 @@ more than the bound, as a fraction of the parent's median) and `gain`
 (the change wins at least nine tenths of the pairs, and the medians
 differ by more than the parent's interquartile range).  Next to the
 metrics, `correctness` gives for each side the indices of the runs whose
-`correct` is false and the spread of the failed share (failed over
+`correct` is false, the spread of the failed share (failed over
 attempted operations), so that a correctness regression shows in the
-summary too.
+summary too, and the spread of the attempted operations: a metric that
+grows with the op count, such as `peak_rss_mb` while the benchmark
+keeps a record per op, shows next to the count that drives it.
 """
 from __future__ import annotations
 
@@ -57,6 +59,7 @@ def spread(values: list[float]) -> dict:
 
 def correctness(runs: list[dict]) -> dict:
     return {"incorrect_runs": [k for k, r in enumerate(runs) if not r["correct"]],
+            "attempted": spread([r["attempted"] for r in runs]),
             "failed_share": spread([r["failed"] / r["attempted"] if r["attempted"] else 0.0
                                     for r in runs])}
 

@@ -14,6 +14,8 @@ floats anywhere.  The main entry points:
   equilibrium checker used to cross-validate the stable-model engine.
 - run_suite / run_all: randomized invariant suites.
 """
+import importlib
+
 from .algebra import (
     CONJUNCTIONS,
     DISJUNCTIONS,
@@ -35,34 +37,6 @@ from .algebra import (
     op_check_axioms,
     parse_truth,
     residual_condition,
-)
-from .equilibrium import (
-    EquilibriumVerdict,
-    Interval,
-    Valuation,
-    enumerate_equilibrium,
-    equilibrium_verdict_to_json,
-    find_h_violation,
-    format_valuation,
-    interpretation_of,
-    is_equilibrium,
-    is_n5_model,
-    n5_evaluate,
-    nneg_valuation,
-    paired_valuation,
-    parse_valuation,
-    prec,
-    preceq,
-    valuation_from_json,
-    valuation_of,
-    valuation_to_json,
-)
-from .generators import (
-    gen_bool_interpretation,
-    gen_formula,
-    gen_interpretation,
-    gen_lower_interpretation,
-    gen_program,
 )
 from .semantics import (
     BoolInterpretation,
@@ -120,31 +94,35 @@ from .syntax import (
     signature_of,
     walk,
 )
-from .transforms import (
-    CLASSICAL_SELECTION,
-    NnegResult,
-    OpSelection,
-    boolean_embed,
-    choice,
-    complement_names,
-    crisp_interp,
-    defuz,
-    nneg,
-)
 
 __version__ = "0.1.0"
 
-# The property suites serve `fuzzysm props` and the tests alone, so they
-# load on their first use (PEP 562), not with the package.
-_SUITES = frozenset({"PropertyReport", "run_all", "run_suite", "suite_names"})
+# The interval engine, the rewrites, the generators and the property
+# suites are not needed to check or enumerate, so they load on their
+# first use (PEP 562), not with the package.
+_LAZY = {
+    "equilibrium": (
+        "EquilibriumVerdict", "Interval", "Valuation", "enumerate_equilibrium",
+        "equilibrium_verdict_to_json", "find_h_violation", "format_valuation",
+        "interpretation_of", "is_equilibrium", "is_n5_model", "n5_evaluate",
+        "nneg_valuation", "paired_valuation", "parse_valuation", "prec",
+        "preceq", "valuation_from_json", "valuation_of", "valuation_to_json"),
+    "generators": (
+        "gen_bool_interpretation", "gen_formula", "gen_interpretation",
+        "gen_lower_interpretation", "gen_program"),
+    "suites": ("PropertyReport", "run_all", "run_suite", "suite_names"),
+    "transforms": (
+        "CLASSICAL_SELECTION", "NnegResult", "OpSelection", "boolean_embed",
+        "choice", "complement_names", "crisp_interp", "defuz", "nneg"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _SUITES:
-        from . import suites
-
-        return getattr(suites, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 __all__ = [

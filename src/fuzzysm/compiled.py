@@ -75,9 +75,25 @@ whether that hit is other than I.  first_witness, the witness kernel of
 find_witness, runs it over a stream of products and returns the first
 witness.  The exhaustive witness scan is one product, whose pools each
 end with I's value; a sampled draw is a product of one-value pools.
-enumerate_stable's scan below each model is one witness_in call, made
-from the grid scan's callback into one work list refilled for each
-model.
+
+Every witness scan below a grid point starts at the bottom candidate,
+J at points[0] on every moving slot, so Program.bottom_checks writes the
+reduct test at that one candidate as a program of its own: reduct_checks
+copied onto fresh slots, every moving atom read from one slot that holds
+points[0], the rest of the inputs read from I's slots, and each
+implication k followed by "&m" against I's slot for k, since
+min(x, I_k) is exactly the cap level_scan applies:
+
+    bottom  = points[0]
+    x'      = fn[a'][b']         (a', b': the copy, bottom, or I's slot)
+    x''     = &m[x'][I_k]        (after an implication k)
+
+These are plain instructions, so the grid scan of enumerate_stable runs
+them as one more check with no test, each at the level its inputs wait
+for, and its callback reads at each model whether the bottom candidate
+passes.  Where it passes and differs from the model, it is the witness
+and no witness scan starts; elsewhere the callback runs one witness_in
+call into one work list refilled for each model.
 
 least_model proves stability without a scan where the reduct is
 Horn-shaped at the top value: every check a moving atom (a fact), or a
@@ -197,6 +213,16 @@ def _fraction_fn(token: str) -> Callable:
     return op.fn
 
 
+def _connective(token: str, integer: bool, d: int):
+    """The connective `token` read as fn[x][y] on a domain: a table on
+    numerators over d up to _TABLE_BOUND, else its function in _Rows."""
+    if not integer:
+        return _Rows(_fraction_fn(token))
+    if d <= _TABLE_BOUND:
+        return _table(token, d)
+    return _Rows(_numerator_fns(d)[token])
+
+
 @dataclass(frozen=True)
 class Program:
     """A formula as instructions over value slots; see the module docstring."""
@@ -283,6 +309,37 @@ class Program:
                 live[a] = live[b] = True
         return self._checks(cut, [v and r for v, r in zip(varies, live)])
 
+    def bottom_checks(self, checks: Sequence[Check], moving: Sequence[int],
+                      ) -> tuple[tuple[int, ...], tuple[Instruction, ...], int]:
+        """The reduct test `checks` (reduct_checks(moving, cut)) at the
+        bottom candidate, J at points[0] on every moving slot, as plain
+        instructions that read I's slots: (test slots, instructions, slot
+        count).  Run after I's own instructions, in vals extended to the
+        slot count with points[0], they leave the bottom candidate's
+        value of each check in its test slot, so J passes the reduct test
+        exactly when every test slot reaches cut.
+
+        The copies write fresh slots from len(slots) on.  The first holds
+        points[0] and stands for every moving atom; an input that the
+        reduct writes is read from its copy, any other from I's own slot.
+        Each implication is followed by an &m against I's slot for it:
+        min(x, I_k) is the cap that level_scan applies, so no capped loop
+        runs them."""
+        bottom = len(self.slots)
+        cap = _connective("&m", self.integer, self.lattice.denominator)
+        copy = dict.fromkeys(moving, bottom)
+        code = []
+        tests = []
+        for slot, check in checks:
+            for k, fn, a, b, family in check:
+                free = bottom + 1 + len(code)
+                code.append((free, fn, copy.get(a, a), copy.get(b, b), family))
+                if family is OpFamily.IMPLICATION:
+                    code.append((free + 1, cap, free, k, OpFamily.CONJUNCTION))
+                copy[k] = code[-1][0]
+            tests.append(copy[slot])
+        return tuple(tests), tuple(code), bottom + 1 + len(code)
+
     def _checks(self, cut, varies: list[bool] | None) -> tuple[Check, ...]:
         """model_checks (varies None) or reduct_checks (only the slots
         marked in varies)."""
@@ -324,7 +381,9 @@ def level_plan(checks: Sequence[Check], positions: Sequence[int]) -> Plan:
     instructions it needs, so a failing check skips the rest of its level.
     A slot that no instruction of the checks writes (a constant, an atom
     outside `positions`, a frozen negation, a node that keeps its value
-    at I) belongs to level 0.
+    at I) belongs to level 0.  A check whose slot is None tests nothing:
+    each of its instructions runs at its own level, after that level's
+    steps of the checks before it.
     """
     level = {k: p + 1 for p, k in enumerate(positions)}
     plan: list[list[Step]] = [[] for _ in range(len(positions) + 1)]
@@ -530,13 +589,8 @@ def compile_formula(
     integer = (not off_lattice
                and all(OPERATORS[op].lattice_closed for op in tokens)
                and all(c in lattice for _, c in constants))
-    if integer:
-        points: tuple = tuple(range(d + 1))
-        fns = ({op: _table(op, d) for op in tokens} if d <= _TABLE_BOUND
-               else {op: _Rows(fn) for op, fn in _numerator_fns(d).items()})
-    else:
-        fns = {op: _Rows(_fraction_fn(op)) for op in tokens}
-        points = tuple(lattice.points())
+    points = tuple(range(d + 1)) if integer else tuple(lattice.points())
+    fns = {op: _connective(op, integer, d) for op in tokens}
     slots = [points[0]] * next(free)
     for k, c in constants:
         slots[k] = c.numerator * d // c.denominator if integer else c

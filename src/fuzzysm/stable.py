@@ -19,8 +19,10 @@ find_witness (and with it check_stable) and enumerate_stable compile the
 formula once (see compiled.py) and run on the compiled program, exact
 over integer numerators when the formula is lattice-closed and I lies on
 the lattice, and over Fractions otherwise.  enumerate_stable scans the
-lattice grid with compiled.level_scan and the model test, and at each
-model the grid scan's callback runs compiled.witness_in: one scan of
+lattice grid with compiled.level_scan and the model test, with the
+reduct test at the bottom candidate (Program.bottom_checks) riding along
+as plain instructions.  At each model whose bottom candidate is not a
+witness, the grid scan's callback runs compiled.witness_in: one scan of
 the model's pools under the reduct test, ended by its first hit, in one
 work list refilled for each model.  find_witness runs
 compiled.first_witness, which runs witness_in over products of pools.
@@ -330,23 +332,38 @@ def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
     """The lattice points, as tuples of domain values, that reach `cut`
     and have no witness on the moving slots.
 
-    One level_scan call scans the grid under the model test; at each
-    point that passes, its callback scans the candidates below it with
-    one witness_in call, into a work list refilled with the point's
-    values: no generator, pool product stream or copy of the point."""
+    One level_scan call scans the grid under the model test.  Its plan
+    also runs Program.bottom_checks, the reduct test at the bottom
+    candidate (every moving slot at points[0]), as a check with no test,
+    so at each point that passes, the callback reads whether the first
+    candidate of the point's witness scan is a witness: it passes the
+    reduct test and is not the point itself.  Only where it is not does
+    the callback scan the candidates below the point, with one
+    witness_in call into a work list refilled with the point's values:
+    no generator, pool product stream or copy of the point."""
     n = len(prog.signature)
     points = prog.points
-    grid = level_plan(prog.model_checks(cut), range(n))
-    reduct = level_plan(prog.reduct_checks(moving, cut), moving)
+    least = points[0]
+    checks = prog.reduct_checks(moving, cut)
+    tests, bottom_code, size = prog.bottom_checks(checks, moving)
+    grid = level_plan(prog.model_checks(cut) + ((None, bottom_code),), range(n))
+    reduct = level_plan(checks, moving)
     below = {v: prog.below(v) for v in points}  # each value's witness pool
-    vals = list(prog.slots)
+    vals = list(prog.slots) + [least] * (size - len(prog.slots))
     work = list(vals)
     found = []
 
     def no_witness() -> bool:
-        # False goes on with the grid.  Most of these scans end on a
-        # witness, often the first candidate: in an enumerate benchmark
-        # pass, 4,301 of 4,329 do, 3,391 at the first.
+        # False goes on with the grid.  In an enumerate benchmark pass,
+        # 3,391 of the 4,329 models have the bottom candidate for their
+        # witness, and their witness scans are never started.
+        for k in tests:
+            if vals[k] < cut:
+                break
+        else:
+            for k in moving:
+                if vals[k] != least:
+                    return False
         work[:] = vals
         if not witness_in(reduct, moving, [below[vals[k]] for k in moving], work, cut, vals):
             found.append(tuple(vals[:n]))

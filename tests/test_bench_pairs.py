@@ -41,3 +41,14 @@ def test_correctness_next_to_the_metrics():
     assert parent["failed_share"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
     assert change["incorrect_runs"] == [1, 3]
     assert change["failed_share"]["median"] == pytest.approx(0.275)
+
+
+def test_attempted_spread_next_to_the_metrics():
+    # A metric that grows with the op count (peak_rss_mb while the bench
+    # keeps a record per op) is read next to each side's attempted count.
+    change = [_run(50, 18, 0, attempted=n) for n in (120, 100, 130, 110)]
+    out = bench_pairs.summarize({"parent": PARENT, "change": change}, BETTER, BOUNDS)
+    assert out["correctness"]["parent"]["attempted"] == {
+        "median": 100, "q1": 100, "q3": 100}
+    assert out["correctness"]["change"]["attempted"] == {
+        "median": 115, "q1": 102.5, "q3": 127.5}

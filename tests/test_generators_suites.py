@@ -102,13 +102,22 @@ class TestGenerators:
 
 class TestSuites:
     def test_import_leaves_the_suites_unloaded(self):
-        """`import fuzzysm` does not load the suites; the package names
-        them, and `from fuzzysm import *` brings them, on first use."""
+        """`import fuzzysm` loads neither the suites nor the interval
+        engine, the rewrites or the generators; the package names what
+        they define, and `from fuzzysm import *` brings it, on first
+        use."""
+        lazy = ("suites", "equilibrium", "transforms", "generators")
         code = ("import sys, fuzzysm\n"
-                "assert 'fuzzysm.suites' not in sys.modules\n"
+                f"lazy = {lazy!r}\n"
+                "assert not [m for m in lazy if 'fuzzysm.' + m in sys.modules]\n"
+                "assert fuzzysm.nneg is sys.modules['fuzzysm.transforms'].nneg\n"
                 "from fuzzysm import *\n"
-                "assert 'fuzzysm.suites' in sys.modules\n"
-                "assert run_all is fuzzysm.run_all is sys.modules['fuzzysm.suites'].run_all\n")
+                "assert all('fuzzysm.' + m in sys.modules for m in lazy)\n"
+                "assert run_all is fuzzysm.run_all is sys.modules['fuzzysm.suites'].run_all\n"
+                "assert Interval is sys.modules['fuzzysm.equilibrium'].Interval\n"
+                "assert gen_formula is sys.modules['fuzzysm.generators'].gen_formula\n"
+                "from fuzzysm import equilibrium, transforms\n"
+                "assert transforms.nneg is nneg and equilibrium.Interval is Interval\n")
         env = {**os.environ, "PYTHONPATH": str(Path(suites.__file__).parents[1])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
         with pytest.raises(AttributeError, match="no_such_name"):

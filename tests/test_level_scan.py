@@ -385,3 +385,85 @@ def test_scans_match_the_reference_on_untabled_domains(kind):
             got = find_witness(f, i, sig, y, lattice, strategy=Exhaustive())
             assert got == reference_witness(f, i, sig, y, lattice), (
                 print_formula(f), dict(i), y)
+
+
+def _bottom_case(rng: random.Random, t: int):
+    """A formula, minimized atoms, threshold and lattice on one of the
+    three domains: tables (D = 1..4), numerators just above the table
+    bound (D = 65, two atoms), or Fractions."""
+    kind = ("table", "above-table", "fraction")[t % 3]
+    if kind == "above-table":
+        sig, lattice, constants, pool = ("p", "q"), Lattice(65), Lattice(5), None
+    else:
+        lattice = Lattice(1 + t % 4)
+        sig, pool = SIG3, ALL_OPERATORS if kind == "fraction" else None
+        constants = Lattice(12) if kind == "fraction" else lattice
+    f = gen_formula(rng.randrange(2 ** 32), sig, max_depth=rng.randint(1, 3),
+                    operator_pool=pool, lattice=constants)
+    minimized = tuple(a for a in signature_of(f) if rng.random() < 0.7)
+    y = rng.choice((F(1), F(1), rng.choice(list(lattice.points())[1:])))
+    return f, minimized, y, lattice
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_the_bottom_check_is_witness_in_at_the_bottom(fixed):
+    """Program.bottom_checks, run by the grid scan as enumerate_stable
+    runs it, tells at every model I whether the bottom candidate is a
+    witness exactly as witness_in does over the one-point product at the
+    bottom: 300 generated formulas over the three domains (and, fixed,
+    frozen negations that feed implications), thresholds at and below 1,
+    some atoms not minimized."""
+    rng = random.Random(23)
+    cases = [_bottom_case(rng, t) for t in range(300)] if not fixed else [
+        (parse_formula(text), minimized, y, Lattice(d))
+        for text in ("(not_s q ->r p) &m (not_s p ->r q)", "not_s (p &m q) ->r q",
+                     "(not_s q ->s p) &l (p |m not_s q)", "not_s p ->l (q &p p)")
+        for minimized in (("p", "q"), ("p",))
+        for y, d in ((F(1), 3), (F(2, 3), 3), (F(1, 2), 66))]
+    seen = {"integer": 0, "table": 0, "fraction": 0, "witness": 0, "no witness": 0,
+            "unminimized": 0, "below 1": 0, "frozen into an implication": 0}
+    for f, minimized, y, lattice in cases:
+        sig = signature_of(f)
+        prog = compile_formula(f, sig, lattice)
+        moving = tuple(k for k, a in enumerate(sig) if a in minimized)
+        cut = prog.level(y)
+        checks = prog.reduct_checks(moving, cut)
+        tests, bottom_code, size = prog.bottom_checks(checks, moving)
+        grid = level_plan(prog.model_checks(cut) + ((None, bottom_code),),
+                          range(len(sig)))
+        reduct = level_plan(checks, moving)
+        least = prog.points[0]
+        vals = list(prog.slots) + [least] * (size - len(prog.slots))
+        work = list(vals)
+        models = []
+
+        def compare() -> bool:
+            fast = (all(vals[k] >= cut for k in tests)
+                    and any(vals[k] != least for k in moving))
+            work[:] = vals
+            slow = witness_in(reduct, moving, [(least,)] * len(moving), work, cut, vals)
+            assert fast == slow, (print_formula(f), vals[:len(sig)], minimized, y, lattice)
+            models.append(slow)
+            return False
+
+        level_scan(grid, range(len(sig)), [prog.points] * len(sig), vals, cut,
+                   accept=compare)
+        # The bottom check tests nothing: the grid finds the same models.
+        count = []
+        level_scan(level_plan(prog.model_checks(cut), range(len(sig))), range(len(sig)),
+                   [prog.points] * len(sig), list(prog.slots), cut,
+                   accept=lambda: count.append(1))
+        assert len(models) == len(count), print_formula(f)
+        kind = ("fraction" if not prog.integer else
+                "table" if lattice.denominator <= compiled._TABLE_BOUND else "integer")
+        seen[kind] += 1
+        seen["witness"] += sum(models)
+        seen["no witness"] += len(models) - sum(models)
+        seen["unminimized"] += len(moving) < len(sig)
+        seen["below 1"] += y < 1
+        frozen = {k for k, _, a, b, family in prog.code
+                  if family is compiled.OpFamily.NEGATION and a in moving}
+        seen["frozen into an implication"] += any(
+            family is compiled.OpFamily.IMPLICATION and {a, b} & frozen
+            for _, _, a, b, family in prog.code)
+    assert min(seen.values()) >= 4, seen
