@@ -13,6 +13,12 @@ small or large cap.  Each side answers every case with `check_stable`,
 `find_witness` and `enumerate_stable`, printing per call the verdict JSON,
 the witness, the model list, or the type and text of the error.  The
 script exits 1 on any difference and shows the first few.
+
+The summary counts the cases on each kernel domain, as `find_witness`
+compiles f at I: tables, integer numerators above the table bound, or
+Fractions (or none, where f holds a strong negation).  Connectives off the
+tables, the reduct's implication caps among them, run only on the last
+two.
 """
 from __future__ import annotations
 
@@ -61,6 +67,24 @@ for case in json.load(open(sys.argv[2], encoding="utf-8")):
 """
 
 
+DOMAINS = ("table", "integer above the table bound", "Fraction", "not compiled")
+
+
+def domain(f, i: dict, lattice) -> str:
+    """The kernel domain of f compiled at I, one of DOMAINS."""
+    from fuzzysm import StrongNegationError, signature_of
+    from fuzzysm.compiled import _TABLE_BOUND, compile_formula
+
+    sig = signature_of(f, extra=tuple(i))
+    try:
+        prog = compile_formula(f, sig, lattice, [i[a] for a in sig])
+    except StrongNegationError:
+        return DOMAINS[3]
+    if not prog.integer:
+        return DOMAINS[2]
+    return DOMAINS[0] if lattice.denominator <= _TABLE_BOUND else DOMAINS[1]
+
+
 def cases(count: int) -> list[dict]:
     sys.path.insert(0, str(ROOT / "src"))
     from fuzzysm import Lattice, evaluate, print_formula, program_to_formula, signature_of
@@ -107,6 +131,7 @@ def cases(count: int) -> list[dict]:
             "seed": rng.randint(-50, 50) if sampled else None,
             "samples": rng.randint(1, 40),
             "cap": rng.choice((5, 40, 10 ** 6, 10 ** 6)),
+            "domain": domain(f, i, lattice),
         })
     return out
 
@@ -132,8 +157,9 @@ def main(argv=None) -> int:
     answers = [json.loads(line) for line in change]
     unstable = sum(isinstance(a[0], dict) and a[0]["status"] == "unstable" for a in answers)
     errors = sum(isinstance(x, str) for a in answers for x in a)
+    domains = ", ".join(f"{sum(c['domain'] == d for c in todo)} {d}" for d in DOMAINS)
     print(f"{len(todo)} cases, {3 * len(todo)} calls: {unstable} unstable verdicts, "
-          f"{errors} errors; {len(differ)} cases differ")
+          f"{errors} errors; kernel domains: {domains}; {len(differ)} cases differ")
     for k in differ[:3]:
         print(json.dumps(todo[k]), parent[k][:300], change[k][:300], sep="\n  ")
     return 1 if differ or len(parent) != len(change) else 0

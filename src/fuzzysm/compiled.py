@@ -56,44 +56,39 @@ in signature order, earlier atoms varying more slowly, values ascending.
 level_plan assigns each instruction to the scan position of the last
 moving atom it reads, and each check to the level of its slot, so a
 level's instructions and checks run only when its position takes a new
-value; what reads no moving atom runs once, before the scan, through
-run, the one uncapped instruction loop (evaluate and least_model use it
-too).  A reduct plan puts nothing there, since every instruction and
-check of reduct_checks reads a moving atom, so the implication cap lives
-in the per-level loop alone.  When a check fails, every candidate that
-shares the failing position's prefix fails it too, so the scan moves
-that same position on (backtracking, as in Bitner and Reingold,
+value; what reads no moving atom runs once, before the scan.  Every
+level runs its instructions as run does: the scan has one instruction
+loop and no semantics of its own.  When a check fails, every candidate
+that shares the failing position's prefix fails it too, so the scan
+moves that same position on (backtracking, as in Bitner and Reingold,
 "Backtrack programming techniques", CACM 1975).
 A candidate is accepted exactly when all its checks pass, and skipped
 candidates are only ever ones that fail, so the scan accepts the same
 candidates in the same order as testing the whole product one candidate
 at a time.
 
-witness_in holds the witness rule: it runs level_scan with the reduct
-test over one product of pools, which its first hit ends, and tells
-whether that hit is other than I.  first_witness, the witness kernel of
-find_witness, runs it over a stream of products and returns the first
-witness.  The exhaustive witness scan is one product, whose pools each
-end with I's value; a sampled draw is a product of one-value pools.
+The implication cap is an instruction too.  Program.capped copies
+reduct_checks onto fresh slots past the program's own, so that each
+node's value at I stays in its slot, and follows each implication k with
+"&m" against I's slot k, since min(x, I_k) is the cap:
 
-Every witness scan below a grid point starts at the bottom candidate,
-J at points[0] on every moving slot, so Program.bottom_checks writes the
-reduct test at that one candidate as a program of its own: reduct_checks
-copied onto fresh slots, every moving atom read from one slot that holds
-points[0], the rest of the inputs read from I's slots, and each
-implication k followed by "&m" against I's slot for k, since
-min(x, I_k) is exactly the cap level_scan applies:
-
-    bottom  = points[0]
-    x'      = fn[a'][b']         (a', b': the copy, bottom, or I's slot)
+    x'      = fn[a'][b']         (a', b': a copy, a moving slot, or I's slot)
     x''     = &m[x'][I_k]        (after an implication k)
 
-These are plain instructions, so the grid scan of enumerate_stable runs
-them as one more check with no test, each at the level its inputs wait
-for, and its callback reads at each model whether the bottom candidate
-passes.  Where it passes and differs from the model, it is the witness
-and no witness scan starts; elsewhere the callback runs one witness_in
-call into one work list refilled for each model.
+In bottom mode every moving atom reads one more fresh slot, which holds
+points[0]: the copy then tests the bottom candidate, the first of every
+witness scan below a grid point, at whatever point its inputs hold.  The
+grid scan of enumerate_stable runs it as checks with no test, and its
+callback reads at each model whether that candidate is the witness;
+where it is, no witness scan starts.
+
+witness_in holds the witness rule: it runs level_scan with the capped
+reduct test over one product of pools, which its first hit ends, and
+tells whether that hit is other than I.  first_witness, the witness
+kernel of find_witness, runs it over a stream of products and returns
+the first witness.  The exhaustive witness scan is one product, whose
+pools each end with I's value; a sampled draw is a product of one-value
+pools.
 
 least_model proves stability without a scan where the reduct is
 Horn-shaped at the top value: every check a moving atom (a fact), or a
@@ -131,9 +126,6 @@ Check = tuple  # (slot, instructions): see Program.reduct_checks
 Step = tuple  # (instructions, slot or None): see level_plan
 Plan = tuple  # one tuple of steps per level: see level_plan
 _DONE = object()  # a position's values are used up
-# Read once here: an Enum member costs about 140 ns to look up on its
-# class, once per scan.
-_IMPLICATION = OpFamily.IMPLICATION
 # The largest denominator whose connectives become tables.  A table over
 # D holds (D + 1)^2 numerators and takes about 130 ns each to build, once
 # per connective and D: 0.55 ms and 38 KB at D = 64, but 8 ms and 0.55 MB
@@ -280,8 +272,8 @@ class Program:
         """The reduct test "value at J >= cut" as (slot, instructions)
         pairs, for J below I on the atom slots in `moving`: J passes when,
         running each pair's instructions in turn with every implication
-        capped at its value at I, every slot reaches cut (see
-        first_witness).  Only the instructions that read a moving atom and
+        capped at its value at I (Program.capped writes the caps), every
+        slot reaches cut.  Only the instructions that read a moving atom and
         that the root reads, neither through a negation, are run: a frozen
         negation reads nothing, and the rest keep their value at I.
 
@@ -309,36 +301,32 @@ class Program:
                 live[a] = live[b] = True
         return self._checks(cut, [v and r for v, r in zip(varies, live)])
 
-    def bottom_checks(self, checks: Sequence[Check], moving: Sequence[int],
-                      ) -> tuple[tuple[int, ...], tuple[Instruction, ...], int]:
-        """The reduct test `checks` (reduct_checks(moving, cut)) at the
-        bottom candidate, J at points[0] on every moving slot, as plain
-        instructions that read I's slots: (test slots, instructions, slot
-        count).  Run after I's own instructions, in vals extended to the
-        slot count with points[0], they leave the bottom candidate's
-        value of each check in its test slot, so J passes the reduct test
-        exactly when every test slot reaches cut.
-
-        The copies write fresh slots from len(slots) on.  The first holds
-        points[0] and stands for every moving atom; an input that the
-        reduct writes is read from its copy, any other from I's own slot.
-        Each implication is followed by an &m against I's slot for it:
-        min(x, I_k) is the cap that level_scan applies, so no capped loop
-        runs them."""
-        bottom = len(self.slots)
+    def capped(self, checks: Sequence[Check], moving: Sequence[int],
+               bottom: bool = False) -> tuple[tuple[Check, ...], int]:
+        """The reduct test `checks` (reduct_checks(moving, cut)) with each
+        implication k followed by "&m" against I's slot k, its cap: (checks,
+        slot count).  The copies write fresh slots from len(slots) on and
+        read a copied input from its copy, any other from I's own slot, so
+        a scan in vals that hold I's values, extended to the slot count,
+        runs the reduct test.  A moving atom reads its own slot or, with
+        `bottom`, the first fresh slot, which must hold points[0]: the
+        checks then test the bottom candidate at the point vals hold."""
+        free = len(self.slots)
+        copy = dict.fromkeys(moving, free) if bottom else {}
+        free += bottom
         cap = _connective("&m", self.integer, self.lattice.denominator)
-        copy = dict.fromkeys(moving, bottom)
-        code = []
-        tests = []
+        out = []
         for slot, check in checks:
+            code = []
             for k, fn, a, b, family in check:
-                free = bottom + 1 + len(code)
                 code.append((free, fn, copy.get(a, a), copy.get(b, b), family))
+                free += 1
                 if family is OpFamily.IMPLICATION:
-                    code.append((free + 1, cap, free, k, OpFamily.CONJUNCTION))
-                copy[k] = code[-1][0]
-            tests.append(copy[slot])
-        return tuple(tests), tuple(code), bottom + 1 + len(code)
+                    code.append((free, cap, free - 1, k, OpFamily.CONJUNCTION))
+                    free += 1
+                copy[k] = free - 1
+            out.append((copy.get(slot, slot), tuple(code)))
+        return tuple(out), free
 
     def _checks(self, cut, varies: list[bool] | None) -> tuple[Check, ...]:
         """model_checks (varies None) or reduct_checks (only the slots
@@ -405,8 +393,7 @@ def level_plan(checks: Sequence[Check], positions: Sequence[int]) -> Plan:
 
 
 def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
-               vals: list, cut, caps: Sequence | None = None,
-               accept: Callable[[], bool] | None = None) -> bool:
+               vals: list, cut, accept: Callable[[], bool] | None = None) -> bool:
     """Scan the candidates, one value of pools[p] for each slot
     positions[p], in itertools.product order (earlier positions vary more
     slowly), and call accept() at each that passes every check of `plan`
@@ -416,10 +403,8 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
     None the first candidate that passes ends the scan.
 
     vals holds the value of every slot the plan does not write; the scan
-    writes the rest.  With caps None the instructions run as run() runs
-    them (the model test); otherwise each implication is capped at its
-    value in caps (the reduct test), except at level 0, which a reduct
-    plan leaves empty.
+    writes the rest, running each instruction as run() does.  The reduct
+    test is a plan of Program.capped checks, whose caps are instructions.
 
     When a check of level p + 1 fails, every candidate that shares the
     values of positions 0..p fails it too, so the scan moves position p
@@ -430,7 +415,6 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
             return False
     if not positions:
         return accept is None or accept()
-    impl = None if caps is None else _IMPLICATION
     last = len(positions) - 1
     values = [None] * len(positions)  # each position's remaining values
     values[0] = iter(pools[0])
@@ -444,11 +428,8 @@ def level_scan(plan: Plan, positions: Sequence[int], pools: Sequence[Sequence],
             continue
         vals[positions[p]] = v
         for code, slot in plan[p + 1]:
-            for k, fn, a, b, family in code:
-                x = fn[vals[a]][vals[b]]
-                if family is impl and x > caps[k]:
-                    x = caps[k]
-                vals[k] = x
+            for k, fn, a, b, _ in code:
+                vals[k] = fn[vals[a]][vals[b]]
             if slot is not None and vals[slot] < cut:
                 break
         else:
@@ -463,14 +444,14 @@ def witness_in(plan: Plan, moving: Sequence[int], pools: Sequence[Sequence],
                work: list, cut, at_i: Sequence) -> bool:
     """Whether the first candidate of a product of pools (one pool of
     domain values per slot of `moving`) that passes the reduct test plan
-    (level_plan(reduct_checks(moving, cut), moving)) is a witness: other
-    than I's own values.  The scan writes into work, which must hold
-    at_i's values off the moving slots, and leaves the hit there.  at_i
-    is evaluate() at I, whose root must reach cut.  A product that holds
-    I's values must hold them last, as the exhaustive one (each pool ends
-    with I's value) and a one-point draw do: a hit equal to I ends its
-    product."""
-    if level_scan(plan, moving, pools, work, cut, at_i):
+    (level_plan of Program.capped(reduct_checks(moving, cut), moving)) is
+    a witness: other than I's own values.  The scan writes into work,
+    which must hold at_i's values off the moving slots, and leaves the hit
+    there.  at_i is evaluate() at I, whose root must reach cut, extended
+    to the capped checks' slot count.  A product that holds I's values
+    must hold them last, as the exhaustive one (each pool ends with I's
+    value) and a one-point draw do: a hit equal to I ends its product."""
+    if level_scan(plan, moving, pools, work, cut):
         for k in moving:
             if work[k] != at_i[k]:
                 return True
@@ -480,8 +461,9 @@ def witness_in(plan: Plan, moving: Sequence[int], pools: Sequence[Sequence],
 def first_witness(plan: Plan, moving: Sequence[int], at_i: Sequence, cut,
                   products: Iterable[Sequence[Sequence]]) -> tuple | None:
     """The witness kernel: the first witness of the products of pools in
-    turn, each scanned by witness_in, as the tuple of its values on the
-    moving slots; None when no product has one."""
+    turn, each scanned by witness_in (at_i extended to the capped checks'
+    slot count, as there), as the tuple of its values on the moving slots;
+    None when no product has one."""
     work = list(at_i)
     for pools in products:
         if witness_in(plan, moving, pools, work, cut, at_i):

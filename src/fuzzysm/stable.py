@@ -20,11 +20,11 @@ formula once (see compiled.py) and run on the compiled program, exact
 over integer numerators when the formula is lattice-closed and I lies on
 the lattice, and over Fractions otherwise.  enumerate_stable scans the
 lattice grid with compiled.level_scan and the model test, with the
-reduct test at the bottom candidate (Program.bottom_checks) riding along
-as plain instructions.  At each model whose bottom candidate is not a
+reduct test at the bottom candidate (Program.capped) riding along as
+plain instructions.  At each model whose bottom candidate is not a
 witness, the grid scan's callback runs compiled.witness_in: one scan of
-the model's pools under the reduct test, ended by its first hit, in one
-work list refilled for each model.  find_witness runs
+the model's pools under the capped reduct test, ended by its first hit,
+in one work list refilled for each model.  find_witness runs
 compiled.first_witness, which runs witness_in over products of pools.
 Both scans skip each run of candidates that share a failing prefix,
 and the exhaustive search below I is one product.  The sampled hunt
@@ -279,6 +279,8 @@ def find_witness(
     if (cut == prog.points[-1] and least_model(prog, checks, moving, pools, at_i)
             == tuple([at_i[k] for k in moving])):
         return None
+    checks, size = prog.capped(checks, moving)
+    at_i += [prog.points[0]] * (size - len(at_i))
     if isinstance(strategy, Sampled):
         # Each draw is scanned as a product of one-value pools.
         products = ([(v,) for v in row]
@@ -333,8 +335,8 @@ def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
     and have no witness on the moving slots.
 
     One level_scan call scans the grid under the model test.  Its plan
-    also runs Program.bottom_checks, the reduct test at the bottom
-    candidate (every moving slot at points[0]), as a check with no test,
+    also runs Program.capped's bottom copy, the reduct test at the bottom
+    candidate (every moving slot at points[0]), as checks with no test,
     so at each point that passes, the callback reads whether the first
     candidate of the point's witness scan is a witness: it passes the
     reduct test and is not the point itself.  Only where it is not does
@@ -345,9 +347,12 @@ def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
     points = prog.points
     least = points[0]
     checks = prog.reduct_checks(moving, cut)
-    tests, bottom_code, size = prog.bottom_checks(checks, moving)
-    grid = level_plan(prog.model_checks(cut) + ((None, bottom_code),), range(n))
-    reduct = level_plan(checks, moving)
+    bottom, size = prog.capped(checks, moving, bottom=True)
+    grid = level_plan(prog.model_checks(cut) + tuple((None, code) for _, code in bottom),
+                      range(n))
+    # vals fits the witness scan's copies too: they take one slot fewer.
+    reduct = level_plan(prog.capped(checks, moving)[0], moving)
+    tests = [slot for slot, _ in bottom]
     below = {v: prog.below(v) for v in points}  # each value's witness pool
     vals = list(prog.slots) + [least] * (size - len(prog.slots))
     work = list(vals)

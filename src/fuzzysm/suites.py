@@ -282,8 +282,9 @@ def _compiled_evaluation_agreement(rng: random.Random, lattice: Lattice) -> str 
     if candidate == tuple(at_i[k] for k in moving):
         return None  # the kernel never tests J = I
     cut = prog.level(y)
-    plan = level_plan(prog.reduct_checks(moving, cut), moving)
-    passed = first_witness(plan, moving, at_i, cut,
+    checks, size = prog.capped(prog.reduct_checks(moving, cut), moving)
+    at_i += [prog.points[0]] * (size - len(at_i))
+    passed = first_witness(level_plan(checks, moving), moving, at_i, cut,
                            [[(v,) for v in candidate]]) is not None
     reference = evaluate(fuzzy_reduct(f, i), j) >= y
     if passed != reference:
@@ -303,7 +304,9 @@ def _least_model_problem(prog, at_i: list, moving: tuple, horn: bool) -> dict | 
     least = least_model(prog, checks, moving, pools, at_i)
     if least is None:
         return dict(problem="a program's reduct is not Horn-shaped") if horn else None
-    plan = level_plan(checks, moving)
+    capped, size = prog.capped(checks, moving)
+    at_i = at_i + [prog.points[0]] * (size - len(at_i))
+    plan = level_plan(capped, moving)
     base = tuple(at_i[k] for k in moving)
     scanned = first_witness(plan, moving, at_i, top, [pools])
     if (least == base) != (scanned is None):
@@ -317,7 +320,7 @@ def _least_model_problem(prog, at_i: list, moving: tuple, horn: bool) -> dict | 
     def above_least() -> bool:
         return any(x > work[k] for x, k in zip(least, moving))
 
-    if level_scan(plan, moving, pools, work, top, at_i, above_least):
+    if level_scan(plan, moving, pools, work, top, above_least):
         return dict(least=least, hit=tuple(work[k] for k in moving),
                     problem="the least model is not below a hit")
     return None

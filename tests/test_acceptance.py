@@ -276,6 +276,7 @@ def test_criterion_11_trust_corpus(report, corpus):
             pools = [[(v,) for v in prog.below(at_i[k])]
                      + ([] if i[a] in D10 else [(at_i[k],)])
                      for k, a in enumerate(sig)]
-            plan = level_plan(prog.reduct_checks(moving, top), moving)
-            assert first_witness(plan, moving, at_i, top,
+            checks, size = prog.capped(prog.reduct_checks(moving, top), moving)
+            at_i += [prog.points[0]] * (size - len(at_i))
+            assert first_witness(level_plan(checks, moving), moving, at_i, top,
                                  _draws(pools, 100_000, 0)) is None

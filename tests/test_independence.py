@@ -134,9 +134,9 @@ def run(code, vals):
     assert _capping_loops(source) == {"_stable_points.bottom", "Scan.first"}
 
 
-def test_only_level_scan_caps_implications():
-    # The reduct test's implication cap is applied in one loop, in
-    # level_scan: no other function of the package holds a capped
+def test_no_loop_caps_implications():
+    # The reduct test's implication cap is an instruction that
+    # Program.capped writes: no function of the package holds a capped
     # instruction loop.
     package = pathlib.Path(compiled.__file__).parent
     modules = sorted(package.rglob("*.py"))
@@ -144,13 +144,14 @@ def test_only_level_scan_caps_implications():
     loops = {f"{path.stem}:{name}"
              for path in modules
              for name in _capping_loops(path.read_text(encoding="utf-8"))}
-    assert loops == {"compiled:level_scan"}
-    # And within compiled, level_scan alone reads the implication family.
+    assert loops == set()
+    # And no module-level function of compiled reads the implication
+    # family: the scan and the kernels that run it have no semantics.
     capping = {name for name, obj in vars(compiled).items()
                if isinstance(obj, types.FunctionType)
                and obj.__module__ == compiled.__name__
                and {"IMPLICATION", "_IMPLICATION"} & _names(obj.__code__)}
-    assert capping == {"level_scan"}
+    assert capping == set()
 
 
 SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "run", "first_witness"}

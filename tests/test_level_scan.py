@@ -302,6 +302,13 @@ def test_scan_stops_at_the_first_candidate_accept_takes():
     assert level_scan(plan, range(2), pools, vals, cut) and tuple(vals[:2]) == passing[0]
 
 
+def _witness_plan(prog, moving, cut, at_i):
+    """The witness scan's plan, of Program.capped checks, and I's slots
+    extended to their slot count."""
+    checks, size = prog.capped(prog.reduct_checks(moving, cut), moving)
+    return level_plan(checks, moving), at_i + [prog.points[0]] * (size - len(at_i))
+
+
 def test_a_hit_equal_to_i_ends_its_product():
     # Every candidate below I = (1, 1) passes the reduct test.  A product
     # that ends with I's values stops there with no witness, and the next
@@ -310,9 +317,8 @@ def test_a_hit_equal_to_i_ends_its_product():
     f = parse_formula("(p ->r p) &m (q ->r q)")
     prog = compile_formula(f, ("p", "q"), Lattice(2))
     top = prog.points[-1]
-    at_i = prog.evaluate([2, 2])
     moving = (0, 1)
-    plan = level_plan(prog.reduct_checks(moving, top), moving)
+    plan, at_i = _witness_plan(prog, moving, top, prog.evaluate([2, 2]))
     assert first_witness(plan, moving, at_i, top, [[(2,), (2,)]]) is None
     assert first_witness(plan, moving, at_i, top, [[(2,), (2,)], [(0,), (2,)]]) == (0, 2)
     assert first_witness(plan, moving, at_i, top, [[(2, 0), (2, 0)]]) is None
@@ -324,6 +330,33 @@ def test_a_hit_equal_to_i_ends_its_product():
     work[:] = at_i
     assert witness_in(plan, moving, [(0, 2), (2,)], work, top, at_i)
     assert work[:2] == [0, 2]
+
+
+def test_the_cap_binds_below_a_minimized_antecedent():
+    # At I = (p 1, q 1/2) the antecedent p ->r 0.5 is 1/2; at p = 0 it
+    # rises to 1, and the reduct caps it at 1/2, so 1/2 ->r q is 1 at
+    # q = 1/2: J = (0, 1/2) is the witness.  Uncapped, 1 ->r 1/2 is 1/2
+    # and I would have none.
+    f = parse_formula("(p ->r 0.5) ->r q")
+    i = Interpretation({"p": F(1), "q": F(1, 2)})
+    assert evaluate(fuzzy_reduct(f, i), {"p": F(0), "q": F(1, 2)}) == 1
+    prog = compile_formula(f, ("p", "q"), Lattice(2))
+    top = prog.points[-1]
+    moving = (0, 1)
+    plan, at_i = _witness_plan(prog, moving, top, prog.evaluate([2, 1]))
+    work = list(at_i)
+    assert witness_in(plan, moving, [prog.points, prog.points[:2]], work, top, at_i)
+    assert work[:2] == [0, 1]
+    # The antecedent's copy is 1 there, and its cap holds I's 1/2.
+    antecedent = prog.code[0][0]
+    (cap, _, copy, _, _), = [ins for level in plan for code, _ in level for ins in code
+                             if ins[3] == antecedent]
+    assert work[antecedent] == 1 and work[copy] == 2 and work[cap] == 1
+    assert find_witness(f, i, ("p", "q"), lattice=Lattice(2)) == \
+        reference_witness(f, i, ("p", "q"), F(1), Lattice(2)) == i.updated({"p": F(0)})
+    assert enumerate_stable(f, lattice=Lattice(2)) == \
+        reference_models(f, ("p", "q"), F(1), Lattice(2)) == \
+        [Interpretation({"p": F(0), "q": F(1)})]
 
 
 def test_the_bottom_point_is_stable_exactly_when_the_reference_says_so():
@@ -407,12 +440,12 @@ def _bottom_case(rng: random.Random, t: int):
 
 @pytest.mark.parametrize("fixed", [False, True])
 def test_the_bottom_check_is_witness_in_at_the_bottom(fixed):
-    """Program.bottom_checks, run by the grid scan as enumerate_stable
-    runs it, tells at every model I whether the bottom candidate is a
-    witness exactly as witness_in does over the one-point product at the
-    bottom: 300 generated formulas over the three domains (and, fixed,
-    frozen negations that feed implications), thresholds at and below 1,
-    some atoms not minimized."""
+    """Program.capped in bottom mode, run by the grid scan as
+    enumerate_stable runs it, tells at every model I whether the bottom
+    candidate is a witness exactly as witness_in does over the one-point
+    product at the bottom: 300 generated formulas over the three domains
+    (and, fixed, frozen negations that feed implications), thresholds at
+    and below 1, some atoms not minimized."""
     rng = random.Random(23)
     cases = [_bottom_case(rng, t) for t in range(300)] if not fixed else [
         (parse_formula(text), minimized, y, Lattice(d))
@@ -428,10 +461,11 @@ def test_the_bottom_check_is_witness_in_at_the_bottom(fixed):
         moving = tuple(k for k, a in enumerate(sig) if a in minimized)
         cut = prog.level(y)
         checks = prog.reduct_checks(moving, cut)
-        tests, bottom_code, size = prog.bottom_checks(checks, moving)
-        grid = level_plan(prog.model_checks(cut) + ((None, bottom_code),),
+        bottom, size = prog.capped(checks, moving, bottom=True)
+        tests = [slot for slot, _ in bottom]
+        grid = level_plan(prog.model_checks(cut) + tuple((None, code) for _, code in bottom),
                           range(len(sig)))
-        reduct = level_plan(checks, moving)
+        reduct = level_plan(prog.capped(checks, moving)[0], moving)
         least = prog.points[0]
         vals = list(prog.slots) + [least] * (size - len(prog.slots))
         work = list(vals)
