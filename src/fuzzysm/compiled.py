@@ -70,7 +70,9 @@ at a time.
 The implication cap is an instruction too.  Program.capped copies
 reduct_checks onto fresh slots past the program's own, so that each
 node's value at I stays in its slot, and follows each implication k with
-"&m" against I's slot k, since min(x, I_k) is the cap:
+"&m" against I's slot k, since min(x, I_k) is the cap.  It alone knows
+that layout: it also returns I's slot list extended over the fresh slots,
+the list a scan of the copy runs in.
 
     x'      = fn[a'][b']         (a', b': a copy, a moving slot, or I's slot)
     x''     = &m[x'][I_k]        (after an implication k)
@@ -82,13 +84,12 @@ grid scan of enumerate_stable runs it as checks with no test, and its
 callback reads at each model whether that candidate is the witness;
 where it is, no witness scan starts.
 
-witness_in holds the witness rule: it runs level_scan with the capped
-reduct test over one product of pools, which its first hit ends, and
-tells whether that hit is other than I.  first_witness, the witness
-kernel of find_witness, runs it over a stream of products and returns
-the first witness.  The exhaustive witness scan is one product, whose
+witness_in holds the witness rule and is the witness search's one
+kernel entry: it runs level_scan with the capped reduct test over one
+product of pools, which its first hit ends, and tells whether that hit
+is other than I.  The exhaustive witness scan is one product, whose
 pools each end with I's value; a sampled draw is a product of one-value
-pools.
+pools, and find_witness calls witness_in once per draw.
 
 least_model proves stability without a scan where the reduct is
 Horn-shaped at the top value: every check a moving atom (a fact), or a
@@ -115,7 +116,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import OPERATORS, Lattice, OpFamily
 from .semantics import SignatureError, StrongNegationError
@@ -221,7 +222,7 @@ class Program:
     signature: tuple[str, ...]
     lattice: Lattice
     integer: bool  # numerators over the lattice denominator, else Fractions
-    points: tuple  # the domain value of each lattice point k/D, k = 0..D
+    points: Sequence  # each lattice point k/D's domain value: range(D + 1) or Fractions
     slots: tuple  # initial slot values: constants set, the rest at 0
     code: tuple[Instruction, ...]
     root: int
@@ -247,9 +248,10 @@ class Program:
             return x
         return x.numerator * self.lattice.denominator // x.denominator
 
-    def below(self, x) -> tuple:
+    def below(self, x) -> Sequence:
         """The domain values of the lattice points at or below domain
-        value x, ascending."""
+        value x, ascending: a range on the integer domain, so a pool takes
+        no memory per point."""
         k = x if self.integer else x.numerator * self.lattice.denominator // x.denominator
         return self.points[:k + 1]
 
@@ -302,15 +304,16 @@ class Program:
         return self._checks(cut, [v and r for v, r in zip(varies, live)])
 
     def capped(self, checks: Sequence[Check], moving: Sequence[int],
-               bottom: bool = False) -> tuple[tuple[Check, ...], int]:
+               vals: Sequence, bottom: bool = False) -> tuple[tuple[Check, ...], list]:
         """The reduct test `checks` (reduct_checks(moving, cut)) with each
-        implication k followed by "&m" against I's slot k, its cap: (checks,
-        slot count).  The copies write fresh slots from len(slots) on and
-        read a copied input from its copy, any other from I's own slot, so
-        a scan in vals that hold I's values, extended to the slot count,
-        runs the reduct test.  A moving atom reads its own slot or, with
-        `bottom`, the first fresh slot, which must hold points[0]: the
-        checks then test the bottom candidate at the point vals hold."""
+        implication k followed by "&m" against I's slot k, its cap:
+        (checks, slots).  The copies write fresh slots past the program's
+        own and read a copied input from its copy, any other from I's own
+        slot; `slots` is vals, I's slot values, extended with points[0]
+        over every fresh slot, so a scan in it runs the reduct test.  A
+        moving atom reads its own slot or, with `bottom`, the first fresh
+        slot, which holds points[0]: the checks then test the bottom
+        candidate at the point the slots hold."""
         free = len(self.slots)
         copy = dict.fromkeys(moving, free) if bottom else {}
         free += bottom
@@ -326,7 +329,7 @@ class Program:
                     free += 1
                 copy[k] = free - 1
             out.append((copy.get(slot, slot), tuple(code)))
-        return tuple(out), free
+        return tuple(out), list(vals) + [self.points[0]] * (free - len(vals))
 
     def _checks(self, cut, varies: list[bool] | None) -> tuple[Check, ...]:
         """model_checks (varies None) or reduct_checks (only the slots
@@ -444,31 +447,19 @@ def witness_in(plan: Plan, moving: Sequence[int], pools: Sequence[Sequence],
                work: list, cut, at_i: Sequence) -> bool:
     """Whether the first candidate of a product of pools (one pool of
     domain values per slot of `moving`) that passes the reduct test plan
-    (level_plan of Program.capped(reduct_checks(moving, cut), moving)) is
-    a witness: other than I's own values.  The scan writes into work,
-    which must hold at_i's values off the moving slots, and leaves the hit
-    there.  at_i is evaluate() at I, whose root must reach cut, extended
-    to the capped checks' slot count.  A product that holds I's values
-    must hold them last, as the exhaustive one (each pool ends with I's
-    value) and a one-point draw do: a hit equal to I ends its product."""
+    (level_plan of the checks of Program.capped(reduct_checks(moving,
+    cut), moving, at_i)) is a witness: other than I's own values.  at_i
+    is evaluate() at I, whose root must reach cut.  The scan writes into
+    work, the slot list Program.capped returns with it (the moving slots
+    and the copy's may hold an earlier scan's values), and leaves the hit
+    there.  A product that holds I's values must hold them last, as the
+    exhaustive one (each pool ends with I's value) and a one-point draw
+    do: a hit equal to I ends its product."""
     if level_scan(plan, moving, pools, work, cut):
         for k in moving:
             if work[k] != at_i[k]:
                 return True
     return False
-
-
-def first_witness(plan: Plan, moving: Sequence[int], at_i: Sequence, cut,
-                  products: Iterable[Sequence[Sequence]]) -> tuple | None:
-    """The witness kernel: the first witness of the products of pools in
-    turn, each scanned by witness_in (at_i extended to the capped checks'
-    slot count, as there), as the tuple of its values on the moving slots;
-    None when no product has one."""
-    work = list(at_i)
-    for pools in products:
-        if witness_in(plan, moving, pools, work, cut, at_i):
-            return tuple([work[k] for k in moving])
-    return None
 
 
 def least_model(prog: Program, checks: Sequence[Check], moving: Sequence[int],
@@ -571,7 +562,7 @@ def compile_formula(
     integer = (not off_lattice
                and all(OPERATORS[op].lattice_closed for op in tokens)
                and all(c in lattice for _, c in constants))
-    points = tuple(range(d + 1)) if integer else tuple(lattice.points())
+    points = range(d + 1) if integer else tuple(lattice.points())
     fns = {op: _connective(op, integer, d) for op in tokens}
     slots = [points[0]] * next(free)
     for k, c in constants:

@@ -253,16 +253,19 @@ def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int) -> tuple | N
     current h-interval, lower ascending then upper ascending: the lattice
     points up to its lower bound, each paired with those from its upper
     bound on.  Both runs are counted in integers and checked against the
-    cap before any pair is built."""
+    cap before any pair is built, and only their points are built, not
+    the whole lattice."""
     d = lattice.denominator
     # The points k/d up to x, and (by k -> d - k) those from x on.
     runs = [(lo.numerator * d // lo.denominator + 1,
              (hi.denominator - hi.numerator) * d // hi.denominator + 1)
             for (lo, hi), _ in env.values()]
     check_cap(math.prod(a * b for a, b in runs), cap)
-    points = list(lattice.points())
-    pools = [[(lo, hi) for lo in points[:a] for hi in points[d + 1 - b:]]
-             for a, b in runs]
+    pools = []
+    for a, b in runs:
+        lows = [Fraction(k, d) for k in range(a)]
+        highs = [Fraction(k, d) for k in range(d + 1 - b, d + 1)]
+        pools.append([(lo, hi) for lo in lows for hi in highs])
     scan = dict(env)
     for combo in candidates(pools, cap, skip=tuple(h for h, _ in env.values())):
         for (a, (_, t)), h in zip(env.items(), combo):

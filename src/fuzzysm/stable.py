@@ -18,24 +18,24 @@ every supported Python.
 find_witness (and with it check_stable) and enumerate_stable compile the
 formula once (see compiled.py) and run on the compiled program, exact
 over integer numerators when the formula is lattice-closed and I lies on
-the lattice, and over Fractions otherwise.  enumerate_stable scans the
-lattice grid with compiled.level_scan and the model test, with the
-reduct test at the bottom candidate (Program.capped) riding along as
-plain instructions.  At each model whose bottom candidate is not a
-witness, the grid scan's callback runs compiled.witness_in: one scan of
-the model's pools under the capped reduct test, ended by its first hit,
-in one work list refilled for each model.  find_witness runs
-compiled.first_witness, which runs witness_in over products of pools.
-Both scans skip each run of candidates that share a failing prefix,
-and the exhaustive search below I is one product.  The sampled hunt
+the lattice (each pool then a range, which holds no value per point),
+and over Fractions otherwise.  enumerate_stable scans the lattice grid
+with compiled.level_scan and the model test, with the reduct test at the
+bottom candidate (Program.capped) riding along as plain instructions.  At
+each model whose bottom candidate is not a witness, the grid scan's
+callback runs compiled.witness_in: one scan of the model's pools under
+the capped reduct test, ended by its first hit, in one work list
+refilled for each model.  find_witness runs witness_in too, over one
+product of pools for the exhaustive search below I, and over one product
+of one-value pools per draw, as it is made, for the sampled hunt, which
 draws from the same pools (I's own value joins a pool where it lies off
-the lattice, which only a sampled search reaches) and wraps each draw,
-as it is made, as a product of one-value pools.  Before either,
+the lattice, which only a sampled search reaches).  Every scan skips each
+run of candidates that share a failing prefix.  Before either search,
 find_witness tries compiled.least_model on those pools: when the reduct
 is Horn-shaped at the top value and its least model below I is I, no
-witness exists and nothing is scanned or drawn.  Otherwise the
-search runs unchanged, so the proof changes no verdict, witness or note;
-a sampled "stable" it proves still carries the sampled note.
+witness exists and nothing is scanned or drawn.  Otherwise the search
+runs unchanged, so the proof changes no verdict, witness or note; a
+sampled "stable" it proves still carries the sampled note.
 check_stable's model test stays semantics.satisfies.  It raises
 StrongNegationError where it evaluates a strong negation, and a
 "not_a_model" verdict, which may stop before one, walks the formula for
@@ -49,16 +49,17 @@ The cross-check routes scan algebra.candidates: the capped product of
 per-atom pools, minus I's own point where the route asks.  It knows
 nothing of what a candidate means; each route keeps its own acceptance
 test.  The Boolean and program oracles are capped at
-DEFAULT_CANDIDATE_CAP.  find_witness checks its exhaustive pools
-against the cap through algebra.candidates too, before the proof and the
-scan, and enumerate_stable its grid through algebra.check_cap, before it
-compiles; no witness scan below a grid point is larger than the grid.
-A sampled hunt refuses more samples than its cap through the same
-algebra.check_cap, and an exhaustive search refuses an I with
-Program.off_lattice slots, both before the proof.
+DEFAULT_CANDIDATE_CAP.  find_witness checks the size of its exhaustive
+product against the cap through algebra.check_cap, before the proof and
+the scan, and enumerate_stable its grid, before it compiles; no witness
+scan below a grid point is larger than the grid.  A sampled hunt
+refuses more samples than its cap through the same algebra.check_cap,
+and an exhaustive search refuses an I with Program.off_lattice slots,
+both before the proof.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +79,6 @@ from .algebra import (
 from .compiled import (
     Program,
     compile_formula,
-    first_witness,
     least_model,
     level_plan,
     level_scan,
@@ -267,30 +267,32 @@ def find_witness(
     moving = tuple(k for k, a in enumerate(sig) if a in mset)
     # An off-lattice value of I joins its own pool, so that J = I on that
     # coordinate stays reachable; an exhaustive search refuses such an I.
-    pools = [prog.below(at_i[k]) + ((at_i[k],) if k in prog.off_lattice else ())
-             for k in moving]
+    # Only the Fraction domain has such a slot, and its pools are tuples.
+    pools = [prog.below(at_i[k]) + (at_i[k],) if k in prog.off_lattice
+             else prog.below(at_i[k]) for k in moving]
     if not isinstance(strategy, Sampled):
         if prog.off_lattice:
             _require_lattice(i, lattice)
-        candidates(pools, cap)  # raises ResourceLimitError before the scan
+        check_cap(math.prod(map(len, pools)), cap)  # before the proof and the scan
     checks = prog.reduct_checks(moving, cut)
     # At the top value a Horn-shaped reduct has a least model in the
     # product of pools; when it is I, no candidate can be a witness.
     if (cut == prog.points[-1] and least_model(prog, checks, moving, pools, at_i)
             == tuple([at_i[k] for k in moving])):
         return None
-    checks, size = prog.capped(checks, moving)
-    at_i += [prog.points[0]] * (size - len(at_i))
+    checks, work = prog.capped(checks, moving, at_i)
+    plan = level_plan(checks, moving)
+    # The exhaustive search is one product; each draw is a product of
+    # one-value pools, scanned in the same work list.
     if isinstance(strategy, Sampled):
-        # Each draw is scanned as a product of one-value pools.
         products = ([(v,) for v in row]
                     for row in _draws(pools, strategy.samples, strategy.seed))
     else:
-        products = [pools]
-    hit = first_witness(level_plan(checks, moving), moving, at_i, cut, products)
-    if hit is None:
-        return None
-    return i.updated(dict(zip(scan, map(prog.value, hit))))
+        products = (pools,)
+    for product in products:
+        if witness_in(plan, moving, product, work, cut, at_i):
+            return i.updated({a: prog.value(work[k]) for a, k in zip(scan, moving)})
+    return None
 
 
 def _strategy_note(strategy: Strategy, lattice: Lattice, found: bool) -> str:
@@ -347,14 +349,13 @@ def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
     points = prog.points
     least = points[0]
     checks = prog.reduct_checks(moving, cut)
-    bottom, size = prog.capped(checks, moving, bottom=True)
+    bottom, vals = prog.capped(checks, moving, prog.slots, bottom=True)
     grid = level_plan(prog.model_checks(cut) + tuple((None, code) for _, code in bottom),
                       range(n))
     # vals fits the witness scan's copies too: they take one slot fewer.
-    reduct = level_plan(prog.capped(checks, moving)[0], moving)
+    reduct = level_plan(prog.capped(checks, moving, prog.slots)[0], moving)
     tests = [slot for slot, _ in bottom]
     below = {v: prog.below(v) for v in points}  # each value's witness pool
-    vals = list(prog.slots) + [least] * (size - len(prog.slots))
     work = list(vals)
     found = []
 

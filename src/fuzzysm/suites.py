@@ -34,7 +34,7 @@ from .algebra import (
     op_check_axioms,
     residual_condition,
 )
-from .compiled import compile_formula, first_witness, least_model, level_plan, level_scan
+from .compiled import compile_formula, least_model, level_plan, level_scan, witness_in
 from .equilibrium import (
     Interval,
     Valuation,
@@ -282,10 +282,9 @@ def _compiled_evaluation_agreement(rng: random.Random, lattice: Lattice) -> str 
     if candidate == tuple(at_i[k] for k in moving):
         return None  # the kernel never tests J = I
     cut = prog.level(y)
-    checks, size = prog.capped(prog.reduct_checks(moving, cut), moving)
-    at_i += [prog.points[0]] * (size - len(at_i))
-    passed = first_witness(level_plan(checks, moving), moving, at_i, cut,
-                           [[(v,) for v in candidate]]) is not None
+    checks, work = prog.capped(prog.reduct_checks(moving, cut), moving, at_i)
+    passed = witness_in(level_plan(checks, moving), moving, [(v,) for v in candidate],
+                        work, cut, at_i)
     reference = evaluate(fuzzy_reduct(f, i), j) >= y
     if passed != reference:
         return _cx(formula=print_formula(f), i=format_interpretation(i),
@@ -304,18 +303,17 @@ def _least_model_problem(prog, at_i: list, moving: tuple, horn: bool) -> dict | 
     least = least_model(prog, checks, moving, pools, at_i)
     if least is None:
         return dict(problem="a program's reduct is not Horn-shaped") if horn else None
-    capped, size = prog.capped(checks, moving)
-    at_i = at_i + [prog.points[0]] * (size - len(at_i))
+    capped, work = prog.capped(checks, moving, at_i)
     plan = level_plan(capped, moving)
     base = tuple(at_i[k] for k in moving)
-    scanned = first_witness(plan, moving, at_i, top, [pools])
+    scanned = (tuple(work[k] for k in moving)
+               if witness_in(plan, moving, pools, work, top, at_i) else None)
     if (least == base) != (scanned is None):
         return dict(least=least, scanned=scanned)
     if least == base:
         return None
-    if first_witness(plan, moving, at_i, top, [[(v,) for v in least]]) != least:
+    if not witness_in(plan, moving, [(v,) for v in least], work, top, at_i):
         return dict(least=least, problem="the least model fails the reduct")
-    work = list(at_i)
 
     def above_least() -> bool:
         return any(x > work[k] for x, k in zip(least, moving))

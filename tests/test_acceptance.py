@@ -45,7 +45,7 @@ from fuzzysm import (
 from fuzzysm import semantics
 from fuzzysm.stable import _draws
 from fuzzysm.algebra import CONJUNCTIONS
-from fuzzysm.compiled import compile_formula, first_witness, level_plan
+from fuzzysm.compiled import compile_formula, level_plan, witness_in
 from fuzzysm.generators import CLASSICAL_OPERATORS, LATTICE_SAFE_OPERATORS
 
 D3 = Lattice(3)
@@ -276,7 +276,7 @@ def test_criterion_11_trust_corpus(report, corpus):
             pools = [[(v,) for v in prog.below(at_i[k])]
                      + ([] if i[a] in D10 else [(at_i[k],)])
                      for k, a in enumerate(sig)]
-            checks, size = prog.capped(prog.reduct_checks(moving, top), moving)
-            at_i += [prog.points[0]] * (size - len(at_i))
-            assert first_witness(level_plan(checks, moving), moving, at_i, top,
-                                 _draws(pools, 100_000, 0)) is None
+            checks, work = prog.capped(prog.reduct_checks(moving, top), moving, at_i)
+            plan = level_plan(checks, moving)
+            assert not any(witness_in(plan, moving, row, work, top, at_i)
+                           for row in _draws(pools, 100_000, 0))

@@ -300,6 +300,20 @@ class TestCapBeforePools:
             f"251001 {self.CAP_TEXT}")  # 501 lower bounds times 501 upper
         assert peak < 2 ** 20
 
+    def test_h_violation_builds_only_its_runs(self):
+        # At p = 0 the h-interval is [0, 1]: one lower bound and one upper
+        # bound, so one candidate, however fine the lattice.  Building
+        # every lattice point at D = 10^5 would take about 12 MiB.
+        v = valuation_of(parse_interpretation("p=0"))
+        tracemalloc.start()
+        try:
+            verdict = is_equilibrium(v, parse_formula("p |m not_s p"), Lattice(10 ** 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.status == "equilibrium"
+        assert peak < 2 ** 20
+
     @pytest.mark.parametrize("lo, hi, d", [
         (F(0), F(1), 4), (F(1, 2), F(1, 2), 4), (F(1), F(1), 3),
         (F(1, 3), F(2, 3), 6), (F(0), F(0), 5)])

@@ -1,7 +1,6 @@
 """The least-fixpoint proof that find_witness tries before any scan or
 draw: where it applies (a Horn-shaped reduct at the top value), where it
 declines, and that the errors of the search still come first."""
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,17 +12,15 @@ from fuzzysm import (
     Lattice,
     ResourceLimitError,
     Sampled,
-    evaluate,
     find_witness,
-    fuzzy_reduct,
     parse_fasp_program,
     parse_formula,
     parse_interpretation,
     program_to_formula,
     signature_of,
 )
-from fuzzysm.algebra import candidates
 from fuzzysm.compiled import compile_formula, least_model
+from witness_reference import reference_witness
 
 D2 = Lattice(2)
 D4 = Lattice(4)
@@ -38,8 +35,8 @@ def least(f, i, lattice, minimized=None):
     prog = compile_formula(f, sig, lattice, i.values())
     at_i = prog.evaluate([prog.domain(i[a]) for a in sig])
     moving = tuple(k for k, a in enumerate(sig) if minimized is None or a in minimized)
-    pools = [prog.below(at_i[k]) + (() if i[sig[k]] in lattice else (at_i[k],))
-             for k in moving]
+    pools = [prog.below(at_i[k]) if i[sig[k]] in lattice
+             else prog.below(at_i[k]) + (at_i[k],) for k in moving]
     top = prog.points[-1]
     found = least_model(prog, prog.reduct_checks(moving, top), moving, pools, at_i)
     if found is None:
@@ -52,7 +49,7 @@ def no_hunt(monkeypatch):
     def hunt(*args):
         raise AssertionError("find_witness scanned after the proof")
 
-    monkeypatch.setattr(fuzzysm.stable, "first_witness", hunt)
+    monkeypatch.setattr(fuzzysm.stable, "witness_in", hunt)
     monkeypatch.setattr(fuzzysm.stable, "_draws", hunt)
 
 
@@ -66,28 +63,6 @@ def chain(n, reverse=False):
     model = {f"p{k}": 1 for k in range(n + 1)}
     model.update({f"q{k}": 0 for k in range(n)})
     return f, Interpretation(model)
-
-
-def reference_witness(f, i, minimized, y, lattice, strategy=Exhaustive()):
-    """The first J below i, in scan order or in the seeded draw order,
-    that satisfies the reduct to y, tested with semantics.evaluate alone
-    (i on the lattice)."""
-    sig = signature_of(f, extra=tuple(i))
-    scan = [a for a in sig if a in set(minimized)]
-    reduct = fuzzy_reduct(f, i)
-    pools = [lattice.points_up_to(i[a]) for a in scan]
-    skip = tuple(i[a] for a in scan)
-    if isinstance(strategy, Sampled):
-        rng = random.Random(strategy.seed)
-        rows = (tuple(rng.choice(p) for p in pools) for _ in range(strategy.samples))
-        rows = (row for row in rows if row != skip)
-    else:
-        rows = candidates(pools, 10 ** 7, skip=skip)
-    for combo in rows:
-        j = i.updated(dict(zip(scan, combo)))
-        if evaluate(reduct, j) >= y:
-            return j
-    return None
 
 
 class TestProof:

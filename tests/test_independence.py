@@ -154,7 +154,7 @@ def test_no_loop_caps_implications():
     assert capping == set()
 
 
-SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "run", "first_witness"}
+SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "run", "witness_in"}
 
 
 def test_candidates_knows_no_semantics():
@@ -166,11 +166,18 @@ def test_fold_knows_no_semantics():
 
 
 def test_exhaustive_routes_scan_through_candidates():
-    for route in ROUTES + (stable.find_witness, stable.fasp_answer_sets,
-                           equilibrium._h_violation,
+    for route in ROUTES + (stable.fasp_answer_sets, equilibrium._h_violation,
                            equilibrium.enumerate_equilibrium):
         names = _names(route.__code__)
         assert "candidates" in names and "product" not in names, route.__name__
+
+
+def test_find_witness_scans_through_witness_in_alone():
+    # find_witness checks its cap with check_cap and scans only through
+    # the witness kernel: no candidates iterator, no product of its own.
+    names = _names(stable.find_witness.__code__)
+    assert "witness_in" in names and "check_cap" in names
+    assert not names & {"candidates", "product", "first_witness"}
 
 
 def test_h_violation_scans_plain_pairs():

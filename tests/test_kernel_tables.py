@@ -12,14 +12,14 @@ from fuzzysm import (
     Lattice,
     evaluate,
     find_witness,
-    fuzzy_reduct,
     parse_formula,
     print_formula,
 )
 from fuzzysm import compiled
-from fuzzysm.algebra import OPERATORS, candidates
+from fuzzysm.algebra import OPERATORS
 from fuzzysm.compiled import _TABLE_BOUND, _table, compile_formula
 from fuzzysm.generators import ALL_OPERATORS, gen_formula, gen_interpretation
+from witness_reference import reference_witness
 
 SIG2 = ("p", "q")
 CLOSED = tuple(t for t, op in OPERATORS.items() if op.lattice_closed)
@@ -67,18 +67,6 @@ def test_each_table_is_built_once_per_connective_and_denominator(monkeypatch):
     assert _table.cache_info().currsize == 8
 
 
-def _reference_witness(f, i, minimized, y, lattice):
-    """The first J in algebra.candidates order, I left out, whose value in
-    the reduct of f by I reaches y."""
-    reduct = fuzzy_reduct(f, i)
-    pools = [lattice.points_up_to(i[a]) for a in minimized]
-    for combo in candidates(pools, 10 ** 6, skip=tuple(i[a] for a in minimized)):
-        j = i.updated(dict(zip(minimized, combo)))
-        if evaluate(reduct, j) >= y:
-            return j
-    return None
-
-
 @pytest.mark.parametrize("integer", [True, False])
 def test_untabled_domains_agree_with_the_reference(integer):
     """Integer numerators over D = bound + 1, and Fractions over D = 4
@@ -108,5 +96,5 @@ def test_untabled_domains_agree_with_the_reference(integer):
             if y == 0:
                 continue
             got = find_witness(f, i, minimized, y, lattice, Exhaustive())
-            want = _reference_witness(f, i, minimized, y, lattice)
+            want = reference_witness(f, i, minimized, y, lattice)
             assert got == want, (print_formula(f), dict(i), minimized, y)

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fuzzysm.stable
 from fuzzysm import (
     Exhaustive,
     Interpretation,
@@ -22,31 +23,12 @@ from fuzzysm import (
 )
 from fuzzysm import compiled
 from fuzzysm.algebra import candidates
-from fuzzysm.compiled import (
-    compile_formula,
-    first_witness,
-    level_plan,
-    level_scan,
-    witness_in,
-)
+from fuzzysm.compiled import compile_formula, level_plan, level_scan, witness_in
 from fuzzysm.generators import ALL_OPERATORS, gen_formula
+from witness_reference import reference_witness
 
 SIG3 = ("p", "q", "r")
 CAP = 10 ** 7
-
-
-def reference_witness(f, i, minimized, y, lattice):
-    """The first J in algebra.candidates order, I left out, whose value in
-    the reduct of f by I reaches y."""
-    mset = set(minimized)
-    scan = [a for a in signature_of(f, extra=tuple(i)) if a in mset]
-    reduct = fuzzy_reduct(f, i)
-    pools = [lattice.points_up_to(i[a]) for a in scan]
-    for combo in candidates(pools, CAP, skip=tuple(i[a] for a in scan)):
-        j = i.updated(dict(zip(scan, combo)))
-        if evaluate(reduct, j) >= y:
-            return j
-    return None
 
 
 def reference_models(f, minimized, y, lattice):
@@ -179,7 +161,7 @@ def test_domain_and_below_floor_the_degree_times_d(d):
     for x in lattice.points():
         k = int(x * d)
         assert integer.domain(x) == k and type(integer.domain(x)) is int
-        assert integer.below(k) == tuple(range(k + 1))
+        assert integer.below(k) == range(k + 1)
         assert fraction.domain(x) is x
         assert fraction.below(x) == fraction.points[:int(x * d) + 1]
     # Off the lattice, as in a Sampled pool: the product pair, or I off
@@ -254,24 +236,6 @@ def test_conjuncts_that_reach_the_cut_leave_the_root_to_decide():
     assert hits == [(4, 3)]
 
 
-def test_reduct_plans_run_nothing_before_the_scan():
-    """Level 0 of a plan runs uncapped, once before the scan.  A reduct
-    plan leaves it empty, since every instruction and check of
-    reduct_checks reads a moving slot: 600 generated formulas over every
-    connective, random moving sets, cuts at the top value and below it."""
-    rng = random.Random(19)
-    for t in range(600):
-        lattice = Lattice(1 + t % 4)
-        f = gen_formula(rng.randrange(2 ** 32), SIG3, max_depth=rng.randint(1, 4),
-                        operator_pool=ALL_OPERATORS,
-                        lattice=rng.choice((lattice, Lattice(2 * lattice.denominator))))
-        prog = compile_formula(f, SIG3, lattice)
-        moving = tuple(k for k in range(len(SIG3)) if rng.random() < 0.6)
-        for cut in (prog.points[-1], rng.choice(prog.points)):
-            plan = level_plan(prog.reduct_checks(moving, cut), moving)
-            assert plan[0] == (), (print_formula(f), moving, cut)
-
-
 # The scan contract ----------------------------------------------------
 
 
@@ -303,33 +267,32 @@ def test_scan_stops_at_the_first_candidate_accept_takes():
 
 
 def _witness_plan(prog, moving, cut, at_i):
-    """The witness scan's plan, of Program.capped checks, and I's slots
-    extended to their slot count."""
-    checks, size = prog.capped(prog.reduct_checks(moving, cut), moving)
-    return level_plan(checks, moving), at_i + [prog.points[0]] * (size - len(at_i))
+    """The witness scan's plan, of Program.capped checks, and the work
+    list Program.capped returns with it."""
+    checks, work = prog.capped(prog.reduct_checks(moving, cut), moving, at_i)
+    return level_plan(checks, moving), work
 
 
 def test_a_hit_equal_to_i_ends_its_product():
     # Every candidate below I = (1, 1) passes the reduct test.  A product
     # that ends with I's values stops there with no witness, and the next
-    # product is scanned.  A hit equal to I ends its product even when
-    # more candidates follow it.
+    # product, scanned in the same work list as find_witness scans its
+    # draws, finds one.  A hit equal to I ends its product even when more
+    # candidates follow it.  witness_in leaves its hit in the work list.
     f = parse_formula("(p ->r p) &m (q ->r q)")
     prog = compile_formula(f, ("p", "q"), Lattice(2))
     top = prog.points[-1]
     moving = (0, 1)
-    plan, at_i = _witness_plan(prog, moving, top, prog.evaluate([2, 2]))
-    assert first_witness(plan, moving, at_i, top, [[(2,), (2,)]]) is None
-    assert first_witness(plan, moving, at_i, top, [[(2,), (2,)], [(0,), (2,)]]) == (0, 2)
-    assert first_witness(plan, moving, at_i, top, [[(2, 0), (2, 0)]]) is None
-    assert first_witness(plan, moving, at_i, top, [[prog.points] * 2]) == (0, 0)
-    # witness_in, the rule first_witness runs on each product, leaves its
-    # hit in the work list.
-    work = list(at_i)
+    at_i = prog.evaluate([2, 2])
+    plan, work = _witness_plan(prog, moving, top, at_i)
+    assert not witness_in(plan, moving, [(2,), (2,)], work, top, at_i)
+    assert witness_in(plan, moving, [(0,), (2,)], work, top, at_i)
+    assert work[:2] == [0, 2]
     assert not witness_in(plan, moving, [(2, 0), (2, 0)], work, top, at_i)
-    work[:] = at_i
     assert witness_in(plan, moving, [(0, 2), (2,)], work, top, at_i)
     assert work[:2] == [0, 2]
+    assert witness_in(plan, moving, [prog.points] * 2, work, top, at_i)
+    assert work[:2] == [0, 0]
 
 
 def test_the_cap_binds_below_a_minimized_antecedent():
@@ -343,8 +306,8 @@ def test_the_cap_binds_below_a_minimized_antecedent():
     prog = compile_formula(f, ("p", "q"), Lattice(2))
     top = prog.points[-1]
     moving = (0, 1)
-    plan, at_i = _witness_plan(prog, moving, top, prog.evaluate([2, 1]))
-    work = list(at_i)
+    at_i = prog.evaluate([2, 1])
+    plan, work = _witness_plan(prog, moving, top, at_i)
     assert witness_in(plan, moving, [prog.points, prog.points[:2]], work, top, at_i)
     assert work[:2] == [0, 1]
     # The antecedent's copy is 1 there, and its cap holds I's 1/2.
@@ -423,10 +386,11 @@ def test_scans_match_the_reference_on_untabled_domains(kind):
 def _bottom_case(rng: random.Random, t: int):
     """A formula, minimized atoms, threshold and lattice on one of the
     three domains: tables (D = 1..4), numerators just above the table
-    bound (D = 65, two atoms), or Fractions."""
+    bound (D = 65, one atom, so that the reference's grid stays small), or
+    Fractions."""
     kind = ("table", "above-table", "fraction")[t % 3]
     if kind == "above-table":
-        sig, lattice, constants, pool = ("p", "q"), Lattice(65), Lattice(5), None
+        sig, lattice, constants, pool = ("p",), Lattice(65), Lattice(5), None
     else:
         lattice = Lattice(1 + t % 4)
         sig, pool = SIG3, ALL_OPERATORS if kind == "fraction" else None
@@ -439,13 +403,14 @@ def _bottom_case(rng: random.Random, t: int):
 
 
 @pytest.mark.parametrize("fixed", [False, True])
-def test_the_bottom_check_is_witness_in_at_the_bottom(fixed):
-    """Program.capped in bottom mode, run by the grid scan as
-    enumerate_stable runs it, tells at every model I whether the bottom
-    candidate is a witness exactly as witness_in does over the one-point
-    product at the bottom: 300 generated formulas over the three domains
-    (and, fixed, frozen negations that feed implications), thresholds at
-    and below 1, some atoms not minimized."""
+def test_the_bottom_check_is_witness_in_at_the_bottom(fixed, monkeypatch):
+    """enumerate_stable's grid scan runs Program.capped in bottom mode and
+    skips the witness scan (witness_in) at a model I exactly when the
+    reference says the bottom candidate (every minimized atom at 0) is a
+    witness: it differs from I and its value in the reduct by I reaches
+    y.  300 generated formulas over the three domains (and, fixed, frozen
+    negations that feed implications, two atoms at D = 66 among them),
+    thresholds at and below 1, some atoms not minimized."""
     rng = random.Random(23)
     cases = [_bottom_case(rng, t) for t in range(300)] if not fixed else [
         (parse_formula(text), minimized, y, Lattice(d))
@@ -453,46 +418,39 @@ def test_the_bottom_check_is_witness_in_at_the_bottom(fixed):
                      "(not_s q ->s p) &l (p |m not_s q)", "not_s p ->l (q &p p)")
         for minimized in (("p", "q"), ("p",))
         for y, d in ((F(1), 3), (F(2, 3), 3), (F(1, 2), 66))]
+    scanned = []
+
+    def recording(plan, moving, pools, work, cut, at_i) -> bool:
+        # Which models reach the witness scan is what is tested, so the
+        # scan itself is left out and reports a witness.
+        scanned.append(tuple(at_i[:len(sig)]))
+        return True
+
+    monkeypatch.setattr(fuzzysm.stable, "witness_in", recording)
     seen = {"integer": 0, "table": 0, "fraction": 0, "witness": 0, "no witness": 0,
             "unminimized": 0, "below 1": 0, "frozen into an implication": 0}
     for f, minimized, y, lattice in cases:
         sig = signature_of(f)
         prog = compile_formula(f, sig, lattice)
-        moving = tuple(k for k, a in enumerate(sig) if a in minimized)
-        cut = prog.level(y)
-        checks = prog.reduct_checks(moving, cut)
-        bottom, size = prog.capped(checks, moving, bottom=True)
-        tests = [slot for slot, _ in bottom]
-        grid = level_plan(prog.model_checks(cut) + tuple((None, code) for _, code in bottom),
-                          range(len(sig)))
-        reduct = level_plan(prog.capped(checks, moving)[0], moving)
-        least = prog.points[0]
-        vals = list(prog.slots) + [least] * (size - len(prog.slots))
-        work = list(vals)
-        models = []
-
-        def compare() -> bool:
-            fast = (all(vals[k] >= cut for k in tests)
-                    and any(vals[k] != least for k in moving))
-            work[:] = vals
-            slow = witness_in(reduct, moving, [(least,)] * len(moving), work, cut, vals)
-            assert fast == slow, (print_formula(f), vals[:len(sig)], minimized, y, lattice)
-            models.append(slow)
-            return False
-
-        level_scan(grid, range(len(sig)), [prog.points] * len(sig), vals, cut,
-                   accept=compare)
-        # The bottom check tests nothing: the grid finds the same models.
-        count = []
-        level_scan(level_plan(prog.model_checks(cut), range(len(sig))), range(len(sig)),
-                   [prog.points] * len(sig), list(prog.slots), cut,
-                   accept=lambda: count.append(1))
-        assert len(models) == len(count), print_formula(f)
+        moving = {k for k, a in enumerate(sig) if a in minimized}
+        skipped = []
+        unskipped = []
+        for combo in itertools.product(list(lattice.points()), repeat=len(sig)):
+            i = Interpretation(zip(sig, combo))
+            if evaluate(f, i) < y:
+                continue
+            j = i.updated({a: F(0) for a in minimized})
+            bottom = j != i and evaluate(fuzzy_reduct(f, i), j) >= y
+            (skipped if bottom else unskipped).append(combo)
+        scanned.clear()
+        enumerate_stable(f, minimized, y, lattice)
+        assert [tuple(map(prog.value, point)) for point in scanned] == unskipped, (
+            print_formula(f), minimized, y, lattice)
         kind = ("fraction" if not prog.integer else
                 "table" if lattice.denominator <= compiled._TABLE_BOUND else "integer")
         seen[kind] += 1
-        seen["witness"] += sum(models)
-        seen["no witness"] += len(models) - sum(models)
+        seen["witness"] += len(skipped)
+        seen["no witness"] += len(unskipped)
         seen["unminimized"] += len(moving) < len(sig)
         seen["below 1"] += y < 1
         frozen = {k for k, _, a, b, family in prog.code

@@ -128,7 +128,7 @@ class TestFindWitness:
             for x in (F(0), F(1, 3), F(1, 2), F(1)):
                 if prog.integer and x not in d4:
                     continue
-                assert prog.below(prog.domain(x)) == tuple(
+                assert tuple(prog.below(prog.domain(x))) == tuple(
                     prog.domain(v) for v in d4.points_up_to(x))
 
 
@@ -384,6 +384,19 @@ class TestEnumerate:
         f = parse_formula("not_s not_s p ->r p")
         models = enumerate_stable(f, lattice=D2)
         assert models == [Interpretation({"p": v}) for v in (F(0), F(1, 2), F(1))]
+
+    def test_witness_pools_hold_no_value_per_point(self):
+        # Each lattice value's witness pool is a range on the integer
+        # domain, so the pool table grows with D, not with D^2 (about
+        # 61 MiB at D = 4000 as tuples).
+        tracemalloc.start()
+        try:
+            models = enumerate_stable(parse_formula("p ->r p"), lattice=Lattice(4000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert models == [parse_interpretation("p=0")]
+        assert peak < 2 * 2 ** 20
 
     def test_jobs_agree(self):
         f = parse_formula("(not_s q ->r p) &m (not_s p ->r q)")
