@@ -11,8 +11,20 @@ with a value off the lattice), a random minimized set, a threshold of 1
 or below it, `Exhaustive` or `Sampled` with a seed of either sign, and a
 small or large cap.  Each side answers every case with `check_stable`,
 `find_witness` and `enumerate_stable`, printing per call the verdict JSON,
-the witness, the model list, or the type and text of the error.  The
-script exits 1 on any difference and shows the first few.
+the witness, the model list, or the type and text of the error.
+
+The interval engine is asked too, on the cases with D up to 6: it has no
+kernel domains, so finer lattices only enlarge its scans (they took 85%
+of its time over 6,000 cases).  The valuation is drawn from the case:
+per atom t = [I(a), tu], with tu a lattice point at or above I(a) (often
+1), and h either t or a lattice interval around it, so the valuation is
+often a model.  Each side answers `is_n5_model`, `is_equilibrium` (its
+verdict JSON, counter included), `find_h_violation` and
+`enumerate_equilibrium` on the case's lattice, the last three under the
+case's cap lowered to at most 5,000: so `enumerate_equilibrium` scans
+only where its pruned pool product is that small, and refuses elsewhere
+before building a pool.  The script exits 1 on any difference and shows
+the first few.
 
 The summary counts the cases on each kernel domain, as `find_witness`
 compiles f at I: tables, integer numerators above the table bound, or
@@ -38,8 +50,11 @@ import json, sys
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 from fuzzysm import (Exhaustive, Interpretation, Lattice, Sampled, check_stable,
-                     enumerate_stable, find_witness, interpretation_to_json,
-                     parse_formula, verdict_to_json)
+                     enumerate_equilibrium, enumerate_stable,
+                     equilibrium_verdict_to_json, find_h_violation, find_witness,
+                     interpretation_to_json, is_equilibrium, is_n5_model,
+                     parse_formula, valuation_from_json, valuation_to_json,
+                     verdict_to_json)
 
 def show(call):
     try:
@@ -58,12 +73,28 @@ for case in json.load(open(sys.argv[2], encoding="utf-8")):
         j = find_witness(f, i, minimized, y, lattice, strategy, cap)
         return None if j is None else interpretation_to_json(j)
 
-    print(json.dumps([
+    def h_violation():
+        counter = find_h_violation(v, f, lattice, eq_cap)
+        return None if counter is None else valuation_to_json(counter)
+
+    answers = [
         show(lambda: verdict_to_json(check_stable(f, i, minimized, y, lattice, strategy, cap))),
         show(witness),
         show(lambda: [interpretation_to_json(m) for m in
                       enumerate_stable(f, minimized, y, lattice, cap=cap)]),
-    ]))
+    ]
+    if case["valuation"] is None:
+        print(json.dumps(answers))
+        continue
+    v, eq_cap = valuation_from_json(case["valuation"]), min(cap, 5000)
+    answers += [
+        show(lambda: is_n5_model(v, f)),
+        show(lambda: equilibrium_verdict_to_json(is_equilibrium(v, f, lattice, eq_cap))),
+        show(h_violation),
+        show(lambda: [valuation_to_json(m) for m in
+                      enumerate_equilibrium(f, lattice, cap=eq_cap)]),
+    ]
+    print(json.dumps(answers))
 """
 
 
@@ -83,6 +114,23 @@ def domain(f, i: dict, lattice) -> str:
     if not prog.integer:
         return DOMAINS[2]
     return DOMAINS[0] if lattice.denominator <= _TABLE_BOUND else DOMAINS[1]
+
+
+def two_worlds(seed: int, i: dict, lattice) -> dict:
+    """The case's valuation in JSON form: per atom t = [I(a), tu] and h
+    either t or a lattice interval around it.  It draws from a stream of
+    its own, so the other fields of a case do not depend on it."""
+    rng = random.Random(seed)
+    points = list(lattice.points())
+    out = {"h": {}, "t": {}}
+    for a, lo in i.items():
+        hi = 1 if rng.random() < 0.6 else rng.choice([x for x in points if x >= lo])
+        out["t"][a] = [str(lo), str(hi)]
+        if rng.random() < 0.5:
+            lo = rng.choice([x for x in points if x <= lo])
+            hi = rng.choice([x for x in points if x >= hi])
+        out["h"][a] = [str(lo), str(hi)]
+    return out
 
 
 def cases(count: int) -> list[dict]:
@@ -132,6 +180,7 @@ def cases(count: int) -> list[dict]:
             "samples": rng.randint(1, 40),
             "cap": rng.choice((5, 40, 10 ** 6, 10 ** 6)),
             "domain": domain(f, i, lattice),
+            "valuation": two_worlds(seed, i, lattice) if tabled else None,
         })
     return out
 
@@ -156,9 +205,12 @@ def main(argv=None) -> int:
     differ = [k for k, (a, b) in enumerate(zip(parent, change)) if a != b]
     answers = [json.loads(line) for line in change]
     unstable = sum(isinstance(a[0], dict) and a[0]["status"] == "unstable" for a in answers)
+    interval = [a[4]["status"] for a in answers if len(a) > 3 and isinstance(a[4], dict)]
     errors = sum(isinstance(x, str) for a in answers for x in a)
     domains = ", ".join(f"{sum(c['domain'] == d for c in todo)} {d}" for d in DOMAINS)
-    print(f"{len(todo)} cases, {3 * len(todo)} calls: {unstable} unstable verdicts, "
+    print(f"{len(todo)} cases, {sum(map(len, answers))} calls: {unstable} unstable verdicts, "
+          f"{interval.count('equilibrium')} equilibrium and "
+          f"{interval.count('not_h_minimal')} not_h_minimal interval verdicts, "
           f"{errors} errors; kernel domains: {domains}; {len(differ)} cases differ")
     for k in differ[:3]:
         print(json.dumps(todo[k]), parent[k][:300], change[k][:300], sep="\n  ")

@@ -12,16 +12,28 @@ stable.py: the two are developed from different definitions and used to
 cross-validate each other in the test suite.  Only the shared formula AST
 and operator registry are common ground.
 
-The interval clauses are implemented exactly as stated; an empty interval
-(lower above upper) from any clause is a hard error, not something to be
-repaired.  For valuations that respect the containment invariant the
-clauses never produce one.
+The interval clauses are implemented exactly as stated, in _pair, which
+n5_evaluate uses: an empty interval (lower above upper) from any clause is
+a hard error, not something to be repaired.  For valuations that respect
+the containment invariant the clauses never produce one, so the model
+tests, which only build such valuations, run no span checks.
+
+The model tests need one endpoint of f, its h-lower bound, and by the
+clauses that bound reads only the atoms' h-lower bounds, their h-upper
+bounds through '~', and the t-lower bounds of the bodies of not_s and of
+the arguments of implications.  So each test runs two passes of one
+Fraction operation per node: _t_lowers computes the t-lower bounds and
+records those the h-side reads, and _h_lower computes the h-lower bound
+from them.  Every candidate of the h-minimality scan keeps the t-intervals
+of the valuation it widens (preceq), so the scan runs the t-pass once and
+only the h-pass per candidate.
 
 Inside evaluation and the h-minimality scan an interval is a plain
 (lower, upper) pair of Fractions, and a valuation a dict from each atom to
-its (h, t) pairs.  Interval and Valuation objects, with their validation,
-are built only at the public boundary: the valuations passed in, the
-counters and models returned, and the intervals that n5_evaluate returns.
+its (h, t) pairs, or to its h-pair alone for the h-pass.  Interval and
+Valuation objects, with their validation, are built only at the public
+boundary: the valuations passed in, the counters and models returned, and
+the intervals that n5_evaluate returns.
 Candidates come from algebra.candidates, the capped product scan that
 knows nothing of what a candidate means.
 
@@ -56,7 +68,7 @@ from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, signature_of, wal
 
 WORLDS = ("h", "t")
 # Read once here: an Enum member costs about 140 ns to look up on its
-# class, and _pair would look up both at every binary node.
+# class, and the evaluators would look up both at every binary node.
 _MONOTONE = (OpFamily.CONJUNCTION, OpFamily.DISJUNCTION)
 
 
@@ -168,7 +180,9 @@ def _span(lower: Fraction, upper: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _pair(env: dict, f: Formula) -> tuple[tuple, tuple]:
-    """The (lower, upper) pairs of f at (h, t)."""
+    """The (lower, upper) pairs of f at (h, t): all four endpoints of
+    every subformula, each pair checked for emptiness.  Only n5_evaluate
+    needs them; the model tests read _t_lowers and _h_lower."""
     if isinstance(f, Atom):
         return _at(env, f.name)
     if isinstance(f, Const):
@@ -199,6 +213,53 @@ def _pair(env: dict, f: Formula) -> tuple[tuple, tuple]:
             _span(t_lower, fn(ltl, rtu)))
 
 
+def _t_lowers(env: dict, f: Formula, out: dict) -> Fraction:
+    """f's t-lower bound, _pair's clauses at one endpoint; out records it,
+    by node id, at each not_s and each implication, where the h-lower
+    bound reads it.  Nodes are visited in _pair's order, so a missing
+    atom or a foreign negator raises the same error first."""
+    if isinstance(f, Atom):
+        return _at(env, f.name)[1][0]
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, StrongNeg):
+        return 1 - _at(env, f.name)[1][1]
+    if isinstance(f, Neg):
+        if f.op != "not_s":
+            raise ValueError(
+                "the two-world interval semantics is defined for the "
+                "standard negator only")
+        out[id(f)] = lower = 1 - _t_lowers(env, f.body, out)
+        return lower
+    assert isinstance(f, Bin)
+    op = get_operator(f.op)
+    lower = op.fn(_t_lowers(env, f.left, out), _t_lowers(env, f.right, out))
+    if op.family not in _MONOTONE:
+        out[id(f)] = lower
+    return lower
+
+
+def _h_lower(h: dict, f: Formula, tl: dict) -> Fraction:
+    """f's h-lower bound, where h maps each atom to its h-pair and tl is
+    _t_lowers' table of f for the t-world, a pass that has already raised
+    any error f's atoms or negators call for.  The bound reads an atom's
+    h-lower bound, its h-upper bound only under '~', and the t-side only
+    through tl, at not_s and implications."""
+    if isinstance(f, Atom):
+        return h[f.name][0]
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, StrongNeg):
+        return 1 - h[f.name][1]
+    if isinstance(f, Neg):
+        return tl[id(f)]
+    op = get_operator(f.op)
+    lower = op.fn(_h_lower(h, f.left, tl), _h_lower(h, f.right, tl))
+    if op.family in _MONOTONE:
+        return lower
+    return min(lower, tl[id(f)])
+
+
 def n5_evaluate(v: Valuation, world: str, f: Formula) -> Interval:
     if world not in WORLDS:
         raise ValueError(f"unknown world {world!r}; use 'h' or 't'")
@@ -208,7 +269,9 @@ def n5_evaluate(v: Valuation, world: str, f: Formula) -> Interval:
 
 def is_n5_model(v: Valuation, f: Formula) -> bool:
     """The h-lower bound of f reaches 1."""
-    return _pair(_env(v), f)[0][0] == ONE
+    env, tl = _env(v), {}
+    _t_lowers(env, f, tl)
+    return _h_lower({a: h for a, (h, _) in env.items()}, f, tl) == ONE
 
 
 def preceq(candidate: Valuation, v: Valuation) -> bool:
@@ -245,9 +308,14 @@ def _check_on_lattice(v: Valuation, lattice: Lattice) -> None:
                     "lattice")
 
 
-def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int) -> tuple | None:
+def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int,
+                 tl: dict | None = None) -> tuple | None:
     """The h-pairs, in env's atom order, of the first strictly h-wider
     lattice valuation that is still a model; None when there is none.
+
+    Every candidate keeps env's t-intervals, so _t_lowers' table `tl` is
+    the same for all of them: it is built here once, unless the caller
+    has one, and each candidate runs only _h_lower.
 
     Per atom the candidates are the lattice intervals that contain the
     current h-interval, lower ascending then upper ascending: the lattice
@@ -266,11 +334,11 @@ def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int) -> tuple | N
         lows = [Fraction(k, d) for k in range(a)]
         highs = [Fraction(k, d) for k in range(d + 1 - b, d + 1)]
         pools.append([(lo, hi) for lo in lows for hi in highs])
-    scan = dict(env)
+    if tl is None:
+        tl = {}
+        _t_lowers(env, f, tl)
     for combo in candidates(pools, cap, skip=tuple(h for h, _ in env.values())):
-        for (a, (_, t)), h in zip(env.items(), combo):
-            scan[a] = (h, t)
-        if _pair(scan, f)[0][0] == ONE:
+        if _h_lower(dict(zip(env, combo)), f, tl) == ONE:
             return combo
     return None
 
@@ -347,10 +415,11 @@ def enumerate_equilibrium(
              for a in sig]
     out = []
     for combo in candidates(pools, cap):
-        env = {a: (iv, iv) for a, iv in zip(sig, combo)}
-        if _pair(env, f)[0][0] != ONE:
+        env, tl = {a: (iv, iv) for a, iv in zip(sig, combo)}, {}
+        _t_lowers(env, f, tl)
+        if _h_lower(dict(zip(sig, combo)), f, tl) != ONE:
             continue
-        if _h_violation(env, f, lattice, cap) is None:
+        if _h_violation(env, f, lattice, cap, tl) is None:
             data = {}
             for a, (iv, _) in env.items():
                 data[("h", a)] = data[("t", a)] = Interval(*iv)

@@ -4,6 +4,7 @@ Expected intervals in the pinned tests were computed by hand from the
 evaluation clauses and are frozen here; the enumeration answers were
 derived once by solving the lower-bound conditions on paper.
 """
+import random
 import tracemalloc
 from fractions import Fraction as F
 
@@ -37,6 +38,7 @@ from fuzzysm import (
     prec,
     print_formula,
     preceq,
+    signature_of,
     valuation_from_json,
     valuation_of,
     valuation_to_json,
@@ -174,6 +176,69 @@ class TestEvaluationClauses:
         # (atom -> (h-pair, t-pair)) is built by hand.
         with pytest.raises(ValueError, match="empty interval"):
             equilibrium._pair({"p": (h, t)}, parse_formula(text))
+
+
+def _nested_env(rng, sig, lattice):
+    """A random two-world valuation in the scans' form, t inside h: per
+    atom four sorted lattice points hl <= tl <= tu <= hu."""
+    points = list(lattice.points())
+    env = {}
+    for a in sig:
+        hl, tl, tu, hu = sorted(rng.choice(points) for _ in range(4))
+        env[a] = ((hl, hu), (tl, tu))
+    return env
+
+
+class TestLowerBoundPasses:
+    """The model tests read _t_lowers and _h_lower, not _pair."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_agree_with_pair_on_every_subformula(self, d):
+        lattice = Lattice(d)
+        rng = random.Random(d)
+        seen = {"not_s": 0, "~": 0}
+        for k in range(60):
+            sig = ["p", "q", "r"][:1 + k % 3]
+            f = gen_formula(1000 * d + k, sig, max_depth=3,
+                            operator_pool=ALL_OPERATORS, allow_strongneg=True,
+                            lattice=lattice)
+            nodes = list(walk(f))
+            seen["not_s"] += any(getattr(x, "op", None) == "not_s" for x in nodes)
+            seen["~"] += any(isinstance(x, StrongNeg) for x in nodes)
+            for _ in range(5):
+                env = _nested_env(rng, sig, lattice)
+                h, tl = {a: hp for a, (hp, _) in env.items()}, {}
+                equilibrium._t_lowers(env, f, tl)
+                # The table of f serves every subformula of f, f included.
+                for g in nodes:
+                    (hlo, _), (tlo, _) = equilibrium._pair(env, g)
+                    assert equilibrium._t_lowers(env, g, {}) == tlo
+                    assert equilibrium._h_lower(h, g, tl) == hlo, print_formula(g)
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("name", ["negation_loop.fz", "complementary_pair.fz"])
+    def test_model_tests_never_call_pair(self, corpus, monkeypatch, name):
+        f = parse_formula((corpus / name).read_text())
+        lattice = Lattice(4)
+
+        def answers():
+            models = enumerate_equilibrium(f, lattice)
+            out = [models]
+            sig = signature_of(f)
+            corners = [valuation_of(dict.fromkeys(sig, F(x))) for x in (0, 1)]
+            for v in models + corners:
+                out += [is_n5_model(v, f), find_h_violation(v, f, lattice),
+                        is_equilibrium(v, f, lattice)]
+            return out
+
+        want = answers()
+        assert want[0]
+
+        def refuse(*args):
+            raise AssertionError("_pair called")
+
+        monkeypatch.setattr(equilibrium, "_pair", refuse)
+        assert answers() == want
 
 
 class TestOrder:

@@ -154,7 +154,8 @@ def test_no_loop_caps_implications():
     assert capping == set()
 
 
-SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "run", "witness_in"}
+SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "_t_lowers", "_h_lower",
+             "run", "witness_in"}
 
 
 def test_candidates_knows_no_semantics():
