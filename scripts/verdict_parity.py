@@ -10,8 +10,10 @@ two atoms), an interpretation I (often a model, sometimes
 with a value off the lattice), a random minimized set, a threshold of 1
 or below it, `Exhaustive` or `Sampled` with a seed of either sign, and a
 small or large cap.  Each side answers every case with `check_stable`,
-`find_witness` and `enumerate_stable`, printing per call the verdict JSON,
-the witness, the model list, or the type and text of the error.
+`find_witness`, `enumerate_stable` and the shadow-rewrite route
+`check_stable_via_star` (always at threshold 1, exhaustively), printing
+per call the verdict JSON, the witness, the model list, or the type and
+text of the error.
 
 The interval engine is asked too, on the cases with D up to 6: it has no
 kernel domains, so finer lattices only enlarge its scans (they took 85%
@@ -50,7 +52,7 @@ import json, sys
 from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 from fuzzysm import (Exhaustive, Interpretation, Lattice, Sampled, check_stable,
-                     enumerate_equilibrium, enumerate_stable,
+                     check_stable_via_star, enumerate_equilibrium, enumerate_stable,
                      equilibrium_verdict_to_json, find_h_violation, find_witness,
                      interpretation_to_json, is_equilibrium, is_n5_model,
                      parse_formula, valuation_from_json, valuation_to_json,
@@ -82,6 +84,7 @@ for case in json.load(open(sys.argv[2], encoding="utf-8")):
         show(witness),
         show(lambda: [interpretation_to_json(m) for m in
                       enumerate_stable(f, minimized, y, lattice, cap=cap)]),
+        show(lambda: verdict_to_json(check_stable_via_star(f, i, minimized, lattice, cap))),
     ]
     if case["valuation"] is None:
         print(json.dumps(answers))
@@ -205,7 +208,7 @@ def main(argv=None) -> int:
     differ = [k for k, (a, b) in enumerate(zip(parent, change)) if a != b]
     answers = [json.loads(line) for line in change]
     unstable = sum(isinstance(a[0], dict) and a[0]["status"] == "unstable" for a in answers)
-    interval = [a[4]["status"] for a in answers if len(a) > 3 and isinstance(a[4], dict)]
+    interval = [a[5]["status"] for a in answers if len(a) > 4 and isinstance(a[5], dict)]
     errors = sum(isinstance(x, str) for a in answers for x in a)
     domains = ", ".join(f"{sum(c['domain'] == d for c in todo)} {d}" for d in DOMAINS)
     print(f"{len(todo)} cases, {sum(map(len, answers))} calls: {unstable} unstable verdicts, "

@@ -20,6 +20,8 @@ it appears:
   atom list           --minimize, --signature, --atoms: comma-separated
                       names, at least one; '--minimize none' is the
                       empty set (_atom_list)
+Every atom name these readers take is one a formula can spell
+(syntax.check_atom_name).
 JSON interpretations and valuations are read by algebra.read_json, which
 keeps every number exact.  Two sources for one input (and, in
 equilibrium, a valuation together with an interpretation) are a usage
@@ -77,11 +79,11 @@ from .stable import (
 )
 from .syntax import (
     atoms,
+    check_atom_name,
     parse_fasp_program,
     parse_formula,
     print_formula,
     program_to_formula,
-    signature_of,
 )
 from .transforms import OpSelection, boolean_embed, choice, nneg
 
@@ -145,8 +147,9 @@ def _load_spec(args, name: str, parse, missing: str | None = None):
 
 def _atom_list(text: str | None, option: str) -> tuple[str, ...] | None:
     """The comma-separated atom names of an option; None when it is not
-    given.  A list without names is an input error, except that
-    '--minimize none' is the empty set."""
+    given.  A list without names, or with a name that a formula cannot
+    spell, is an input error, except that '--minimize none' is the empty
+    set."""
     if text is None:
         return None
     if option == "--minimize" and text == "none":
@@ -155,6 +158,8 @@ def _atom_list(text: str | None, option: str) -> tuple[str, ...] | None:
     if not names:
         hint = " (use 'none' for the empty set)" if option == "--minimize" else ""
         raise UsageError(f"{option} got no atom names{hint}")
+    for a in names:
+        check_atom_name(a)
     return names
 
 
@@ -313,10 +318,11 @@ def _cmd_translate(args) -> int:
         _print_translation(args, boolean_embed(f, selection))
         return 0
     if mode == "star":
+        sig = atoms(f)
         minimized = _atom_list(args.minimize, "--minimize")
         if minimized is None:
-            minimized = signature_of(f)
-        fresh = shadow_names(signature_of(f), minimized)
+            minimized = sig
+        fresh = shadow_names(sig, minimized)
         text = print_formula(star_transform(f, minimized, fresh))
         _output(args, {"formula": text, "shadows": fresh},
                 "".join(f"# shadow of {a}: {fresh[a]}\n" for a in fresh) + text)

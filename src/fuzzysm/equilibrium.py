@@ -64,7 +64,7 @@ from .algebra import (
     parse_truth,
     read_json,
 )
-from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, signature_of, walk
+from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, check_atom_name, leaves
 
 WORLDS = ("h", "t")
 # Read once here: an Enum member costs about 140 ns to look up on its
@@ -399,10 +399,8 @@ def enumerate_equilibrium(
     subsequence of the full pool in its order, and `cap` bounds the
     product of these pools.
     """
-    sig = tuple(dict.fromkeys(signature)) if signature is not None else signature_of(f)
-    nodes = list(walk(f))
-    plain = {x.name for x in nodes if isinstance(x, Atom)}
-    negated = {x.name for x in nodes if isinstance(x, StrongNeg)}
+    names, plain, negated = leaves(f)
+    sig = names if signature is None else tuple(dict.fromkeys(signature))
     # Pool sizes, checked before any pool is built: the pairs lo <= hi of
     # the lattice's n points when both endpoints move, n when one does.
     n = lattice.size
@@ -477,7 +475,8 @@ def nneg_valuation(v: Valuation, complements: Mapping[str, str]) -> Valuation:
 
 def parse_valuation(text: str) -> Valuation:
     """Read 'h:p=[0.2,0.7]; t:p=[0.2,0.7]' or the JSON object form.  A
-    world or an interval named twice is an error in both forms."""
+    world or an interval named twice, or an atom name that a formula
+    cannot spell (syntax.check_atom_name), is an error in both forms."""
     s = text.strip()
     if s.startswith("{"):
         return valuation_from_json(read_json(s))
@@ -497,6 +496,7 @@ def parse_valuation(text: str) -> Valuation:
             raise ValueError(
                 f"expected 'world:atom=[lo,hi]', got {chunk!r}") from None
         key = (world_part.strip(), name.strip())
+        check_atom_name(key[1])
         if key in data:
             raise ValueError(f"duplicate interval for {key}")
         data[key] = Interval(parse_truth(lo_text), parse_truth(hi_text))
@@ -532,6 +532,7 @@ def valuation_from_json(data: dict) -> Valuation:
         if not isinstance(entries, dict):
             raise ValueError(f"world {world!r} must map to an object of intervals")
         for atom, bounds in entries.items():
+            check_atom_name(atom)
             if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
                 raise ValueError(f"atom {atom!r} in world {world!r} must map "
                                  "to a two-element list [lo, hi]")

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 
 from .algebra import (ONE, ZERO, check_truth, format_truth, op_apply, parse_truth,
                       read_json)
-from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, fold, walk
+from .syntax import Atom, Bin, Const, Formula, Neg, StrongNeg, check_atom_name, fold, walk
 
 
 class SignatureError(ValueError):
@@ -114,11 +114,15 @@ def parse_interpretation(text: str) -> Interpretation:
     """Read 'p=0.3, q=7/10' or a JSON object {"p": "0.3", "q": 0.7}.
 
     JSON goes through algebra.read_json, so decimal literals stay exact.
-    An atom named twice is an error in both forms.
+    An atom named twice, or a name that a formula cannot spell
+    (syntax.check_atom_name), is an error in both forms.
     """
     s = text.strip()
     if s.startswith("{"):
-        return Interpretation(read_json(s))
+        data = read_json(s)
+        for name in data:
+            check_atom_name(name)
+        return Interpretation(data)
     pairs: dict[str, Fraction] = {}
     if s:
         for chunk in re.split(r"[,\n]", s):
@@ -128,6 +132,7 @@ def parse_interpretation(text: str) -> Interpretation:
                 raise ValueError(f"expected 'atom=value', got {chunk.strip()!r}")
             name, _, value = chunk.partition("=")
             name = name.strip()
+            check_atom_name(name)
             if name in pairs:
                 raise ValueError(f"atom {name!r} appears twice")
             pairs[name] = parse_truth(value)

@@ -36,14 +36,14 @@ is Horn-shaped at the top value and its least model below I is I, no
 witness exists and nothing is scanned or drawn.  Otherwise the search
 runs unchanged, so the proof changes no verdict, witness or note; a
 sampled "stable" it proves still carries the sampled note.
-check_stable's model test stays semantics.satisfies.  It raises
-StrongNegationError where it evaluates a strong negation, and a
-"not_a_model" verdict, which may stop before one, walks the formula for
-it first: with check_stable_via_star, a formula with ~ is refused
-whatever I is.  semantics.evaluate and fuzzy_reduct
-remain the reference definitions, and the shadow-atom route, the Boolean
-oracle and the program oracle below share no code with the compiled
-program.
+check_stable's model test stays semantics.satisfies.  A model test
+that meets a strong negation raises StrongNegationError, and one that
+stops before it can only answer "not a model"; so check_stable and
+check_stable_via_star refuse a formula with ~ whatever I is, right after
+the signature checks, from the walk of syntax.leaves that reads the
+signature.  semantics.evaluate and fuzzy_reduct remain the reference
+definitions, and the shadow-atom route, the Boolean oracle and the
+program oracle below share no code with the compiled program.
 
 The cross-check routes scan algebra.candidates: the capped product of
 per-atom pools, minus I's own point where the route asks.  It knows
@@ -59,6 +59,7 @@ both before the proof.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -104,11 +105,10 @@ from .syntax import (
     Formula,
     Neg,
     Rule,
-    StrongNeg,
+    atoms,
     conjoin,
     fold,
-    signature_of,
-    walk,
+    leaves,
 )
 
 @dataclass(frozen=True)
@@ -161,19 +161,21 @@ class BoolStabilityVerdict:
 
 def _scan_order(
     f: Formula, i: Mapping[str, Fraction], minimized: Sequence[str] | None
-) -> tuple[tuple[str, ...], list[str]]:
+) -> tuple[tuple[str, ...], list[str], set[str]]:
     """The signature (formula first-occurrence order, then any remaining
-    interpreted atoms) and the minimized atoms in its order, all of them
-    when minimized is None.  Raises SignatureError for a minimized atom
+    interpreted atoms), the minimized atoms in its order, all of them
+    when minimized is None, and the atoms under '~', all from one walk of
+    f.  Raises SignatureError for a minimized atom
     outside the signature and for an atom of f that i leaves out."""
-    sig = signature_of(f, extra=tuple(i))
+    names, _, negated = leaves(f)
+    sig = tuple(dict.fromkeys((*names, *i)))
     scan = _minimized_in(sig, minimized)
     # sig is the union of f's atoms and i's, so it is longer than i
     # exactly when f has an atom that i leaves out.
     if len(sig) > len(i):
         a = next(a for a in sig if a not in i)
         raise SignatureError(f"atom {a!r} is not interpreted")
-    return sig, scan
+    return sig, scan, negated
 
 
 def _minimized_in(sig: Sequence[str], minimized: Sequence[str] | None) -> list[str]:
@@ -193,27 +195,6 @@ def _require_lattice(i: Mapping[str, Fraction], lattice: Lattice) -> None:
                 f"atom {a!r} has value {format_truth(i[a])} outside the "
                 f"1/{lattice.denominator} lattice; exhaustive search needs "
                 "lattice values (use a sampled strategy otherwise)")
-
-
-def _refuse_strong_negation(f: Formula) -> None:
-    """Raise StrongNegationError when f holds a strong negation.  The model
-    test raises it wherever it evaluates one, but a t-norm whose left
-    argument is below 1 never evaluates its right one, so a verdict that
-    I is not a model checks f whole: f is refused whatever I is."""
-    # Class identity, not isinstance, as in syntax.atoms: the walk runs on
-    # every "not_a_model" verdict.
-    stack = [f]
-    push, pop = stack.append, stack.pop
-    while stack:
-        x = pop()
-        cls = x.__class__
-        if cls is Bin:
-            push(x.right)
-            push(x.left)
-        elif cls is Neg:
-            push(x.body)
-        elif cls is StrongNeg:
-            raise StrongNegationError()
 
 
 def _draws(pools: Sequence[Sequence], samples: int, seed: int):
@@ -242,14 +223,14 @@ def find_witness(
     strategy: Strategy = Exhaustive(),
     cap: int = DEFAULT_CANDIDATE_CAP,
     *,
-    _order: tuple[tuple[str, ...], list[str]] | None = None,
+    _order: tuple[tuple[str, ...], list[str], set[str]] | None = None,
 ) -> Interpretation | None:
     """First J strictly below i on the minimized atoms that satisfies the
     reduct of f by i to the threshold; None when the search finds none.
     `_order` is `_scan_order(f, i, minimized)` when the caller has it
     already: check_stable passes it, so a verdict walks f's atoms once."""
     y = check_truth(threshold)
-    sig, scan = _order or _scan_order(f, i, minimized)
+    sig, scan, _ = _order or _scan_order(f, i, minimized)
     # Nothing strictly below i exists when no atom is minimized.
     if not scan:
         return None
@@ -313,12 +294,13 @@ def check_stable(
     strategy: Strategy = Exhaustive(),
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> StabilityVerdict:
-    """Full verdict: the inputs' atoms checked, then modelhood at the
-    threshold, then witness search."""
+    """Full verdict: the inputs' atoms checked, a strong negation
+    refused, then modelhood at the threshold, then witness search."""
     y = check_truth(threshold)
     order = _scan_order(f, i, minimized)
+    if order[2]:
+        raise StrongNegationError()
     if not satisfies(f, i, y):
-        _refuse_strong_negation(f)
         return StabilityVerdict(
             "not_a_model", y, lattice.denominator, strategy,
             note="the interpretation does not reach the threshold")
@@ -355,7 +337,9 @@ def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
     # vals fits the witness scan's copies too: they take one slot fewer.
     reduct = level_plan(prog.capped(checks, moving, prog.slots)[0], moving)
     tests = [slot for slot, _ in bottom]
-    below = {v: prog.below(v) for v in points}  # each value's witness pool
+    # Each model value's witness pool, built when a model first holds it:
+    # a table of every point's pool is quadratic in D on the Fraction domain.
+    below = functools.cache(prog.below)
     work = list(vals)
     found = []
 
@@ -371,7 +355,7 @@ def _stable_points(prog: Program, moving: tuple[int, ...], cut) -> list[tuple]:
                 if vals[k] != least:
                     return False
         work[:] = vals
-        if not witness_in(reduct, moving, [below[vals[k]] for k in moving], work, cut, vals):
+        if not witness_in(reduct, moving, [below(vals[k]) for k in moving], work, cut, vals):
             found.append(tuple(vals[:n]))
         return False
 
@@ -396,7 +380,7 @@ def enumerate_stable(
     accepted and ignored, so that callers which still pass it (the
     benchmark's pool probe) keep working."""
     y = check_truth(threshold)
-    sig = signature_of(f)
+    sig = atoms(f)
     mset = set(_minimized_in(sig, minimized))
     check_cap(lattice.size ** len(sig), cap)  # before compiling the grid
     prog = compile_formula(f, sig, lattice)
@@ -431,16 +415,16 @@ def star_transform(
 ) -> Formula:
     """Rewrite f so that minimized atoms read from their shadow copies,
     keeping every implication tied to its original value via a minimum cap."""
-    for node in walk(f):
-        if isinstance(node, StrongNeg):
-            raise StrongNegationError(
-                "strong negation has no shadow rewrite; eliminate it first")
+    names, _, negated = leaves(f)
+    if negated:
+        raise StrongNegationError(
+            "strong negation has no shadow rewrite; eliminate it first")
     mset = set(minimized)
     for a in mset:
         if a not in fresh:
             raise ValueError(f"no fresh name for minimized atom {a!r}")
     renames = {a: fresh[a] for a in mset}
-    clashes = set(renames.values()) & set(signature_of(f))
+    clashes = set(renames.values()).intersection(names)
     if clashes:
         raise ValueError(f"fresh atoms collide with the signature: {sorted(clashes)}")
 
@@ -471,9 +455,10 @@ def check_stable_via_star(
     minimized atoms whose shadow-extended interpretation satisfies the
     rewritten formula.  Threshold 1 only; cross-checks check_stable."""
     strategy = Exhaustive()
-    sig, scan = _scan_order(f, i, minimized)
+    sig, scan, negated = _scan_order(f, i, minimized)
+    if negated:
+        raise StrongNegationError()
     if not satisfies(f, i, ONE):
-        _refuse_strong_negation(f)
         return StabilityVerdict(
             "not_a_model", ONE, lattice.denominator, strategy,
             note="the interpretation is not a model")
@@ -525,7 +510,7 @@ def boolean_stable_check(
     """Two-valued stability: x satisfies f and no proper sub-assignment on
     the minimized atoms satisfies the classical reduct."""
     check_boolean_shaped(f)
-    _, scan = _scan_order(f, dict.fromkeys(x.signature), minimized)
+    _, scan, _ = _scan_order(f, dict.fromkeys(x.signature), minimized)
     if not bool_satisfies(f, x):
         return BoolStabilityVerdict("not_a_model")
     reduct = classical_reduct(f, x)

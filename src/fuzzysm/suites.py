@@ -79,6 +79,7 @@ from .syntax import (
     StrongNeg,
     atoms,
     fold,
+    leaves,
     parse_formula,
     print_formula,
     program_to_formula,
@@ -518,7 +519,8 @@ def _nneg_shape(rng: random.Random, lattice: Lattice) -> str | None:
     f = gen_formula(_seed(rng), SIG2, max_depth=3, operator_pool=ALL_OPERATORS,
                     allow_strongneg=True, lattice=lattice)
     result = nneg(f)
-    if any(isinstance(n, StrongNeg) for n in walk(result.formula)):
+    names, _, negated = leaves(result.formula)
+    if negated:
         return _cx(formula=print_formula(f), problem="strong negation survived")
     sig = atoms(f)
     if tuple(result.complements) != sig:
@@ -530,7 +532,7 @@ def _nneg_shape(rng: random.Random, lattice: Lattice) -> str | None:
     if result.signature != sig + tuple(result.complements[a] for a in sig):
         return _cx(formula=print_formula(f), problem="signature order",
                    signature=result.signature)
-    if not set(atoms(result.formula)) <= set(result.signature):
+    if not set(names) <= set(result.signature):
         return _cx(formula=print_formula(f), problem="atoms left the signature")
 
 

@@ -27,7 +27,7 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, TypeVar, Union
+from typing import AbstractSet, Callable, Iterator, Sequence, TypeVar, Union
 
 from .algebra import (
     NUMBER_PATTERN,
@@ -212,9 +212,12 @@ def fold(f: Formula, leaf: Callable[[Formula], T],
     return results.pop()
 
 
-def atoms(f: Formula) -> tuple[str, ...]:
-    """Atom names in first-occurrence order (strongly negated ones included)."""
-    seen: dict[str, None] = {}
+def leaves(f: Formula) -> tuple[tuple[str, ...], AbstractSet[str], set[str]]:
+    """One walk over f's leaves: its atom names in first-occurrence order
+    (strongly negated ones included), the names that occur plain, and the
+    names that occur under '~'."""
+    seen: dict[str, bool] = {}  # name -> occurs plain
+    negated: set[str] = set()
     stack = [f]
     push, pop = stack.append, stack.pop
     while stack:
@@ -230,9 +233,21 @@ def atoms(f: Formula) -> tuple[str, ...]:
                 x = x.body
             else:
                 break
-        if cls is Atom or cls is StrongNeg:
-            seen[x.name] = None  # a name seen before keeps its place
-    return tuple(seen)
+        # A name seen before keeps its place.
+        if cls is Atom:
+            seen[x.name] = True
+        elif cls is StrongNeg:
+            seen.setdefault(x.name, False)
+            negated.add(x.name)
+    # Without a '~' every name occurs plain: the keys say so at no cost.
+    plain = {a for a, p in seen.items() if p} if negated else seen.keys()
+    return tuple(seen), plain, negated
+
+
+def atoms(f: Formula) -> tuple[str, ...]:
+    """Atom names in first-occurrence order (strongly negated ones
+    included): the first part of leaves(f)."""
+    return leaves(f)[0]
 
 
 def signature_of(*formulas: Formula, extra: Sequence[str] = ()) -> tuple[str, ...]:
@@ -272,8 +287,9 @@ class ParseError(ValueError):
 # then any single character, catch whatever no token starts with, so every
 # match succeeds after the longest prefix, which has one way through any
 # text: a match is linear in its length.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*(" + "|".join([
-    r"[A-Za-z_][A-Za-z0-9_]*",           # identifiers and keywords
+    _IDENT,                              # identifiers and keywords
     NUMBER_PATTERN,                      # numbers
     r"[&|][lmp]?|-(?:>[rsl]?)?|<-?",     # operators, whole or not
     r"#[^\n]*\Z|\Z",                     # the end
@@ -299,6 +315,17 @@ _LEXICAL_ERRORS = {
     "less": "expected '<-'",
     "char": "unexpected character {!r}",
 }
+
+
+def check_atom_name(name: str) -> None:
+    """Raise ValueError unless a formula can spell name as an atom: an
+    identifier other than the keywords 'not' and 'not_s'.  The readers of
+    interpretations, valuations and atom lists apply it, so that every
+    name they accept can be written in a formula."""
+    if not re.fullmatch(_IDENT, name) or name in ("not", "not_s"):
+        raise ValueError(
+            f"{name!r} is not an atom name: a letter or '_', then letters, "
+            "digits or '_', other than 'not' and 'not_s'")
 
 
 # How deep parentheses, 'not_s' and right-nested implications may nest.

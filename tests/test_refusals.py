@@ -1,5 +1,5 @@
 """Refusals that the rest of the suite never reaches, each pinned to its
-current message: two on the command line, the rest in the library."""
+current message: some on the command line, the rest in the library."""
 import re
 from fractions import Fraction
 
@@ -29,6 +29,29 @@ def test_check_refuses(capsys, argv, err):
     code = main(["check", "--expr", "p", *argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", err)
+
+
+def _not_an_atom_name(name: str) -> str:
+    return (f"error: {name!r} is not an atom name: a letter or '_', then "
+            "letters, digits or '_', other than 'not' and 'not_s'\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check", "--expr", "p", "--interp", "p=1, =0.5"], ""),
+    (["check", "--expr", "p", "--interp", '{"p": 1, "": 0.5}'], ""),
+    (["check", "--expr", "p", "--interp", "p=1", "--minimize", "p, not"], "not"),
+    (["translate", "choice", "--atoms", "a b, =c"], "a b"),
+    (["equilibrium", "--expr", "p", "--enumerate", "--signature", "p, =x"], "=x"),
+    (["equilibrium", "--expr", "p", "--valuation", "h:=[0,1]; t:=[0,1]"], ""),
+    (["equilibrium", "--expr", "p", "--valuation",
+      '{"h": {"p": [0, 1], "not_s": [0, 1]}, "t": {"p": [0, 1]}}'], "not_s"),
+])
+def test_atom_names_a_formula_cannot_spell(capsys, argv, name):
+    """Interpretations, valuations and atom lists take only the names
+    that the formula grammar reads as atoms."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", _not_an_atom_name(name))
 
 
 def test_unknown_strategy_kind():

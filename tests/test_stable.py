@@ -17,6 +17,7 @@ from fuzzysm import (
     Sampled,
     SignatureError,
     StrongNegationError,
+    TruthError,
     boolean_stable_check,
     check_stable,
     check_stable_via_star,
@@ -151,6 +152,35 @@ class TestCheckStable:
         with pytest.raises(StrongNegationError, match="transforms.nneg"):
             check(f, parse_interpretation(interp), minimized=("p",))
 
+    @pytest.mark.parametrize("call", [
+        lambda f, i: check_stable(f, i, lattice=D10, strategy=Sampled(50), cap=5),
+        lambda f, i: check_stable(f, i.updated({"p": F(1, 3)}), lattice=D10),
+        lambda f, i: check_stable(f, i, threshold=F(1, 2), lattice=D10),
+        lambda f, i: check_stable_via_star(f, i, lattice=D10, cap=5),
+        lambda f, i: check_stable_via_star(f, i.updated({"p": F(1, 3)}), lattice=D10),
+    ], ids=["sampled past the cap", "off lattice", "threshold 1/2",
+            "star past the cap", "star off lattice"])
+    def test_strong_negation_refused_before_the_search(self, call):
+        # The refusal follows the signature checks: the cap, the lattice
+        # and the threshold are never reached.
+        with pytest.raises(StrongNegationError, match="transforms.nneg"):
+            call(parse_formula("p &m ~q"), parse_interpretation("p=1, q=0"))
+
+    @pytest.mark.parametrize("check", [check_stable, check_stable_via_star])
+    def test_signature_checked_before_strong_negation(self, check):
+        with pytest.raises(SignatureError, match="^atom 'q' is not interpreted$"):
+            check(parse_formula("p &m ~q"), parse_interpretation("p=1"))
+
+    def test_threshold_checked_before_strong_negation(self):
+        with pytest.raises(TruthError):
+            check_stable(parse_formula("p &m ~q"), parse_interpretation("p=1, q=0"),
+                         threshold=F(3, 2))
+
+    def test_witness_search_refuses_the_cap_before_strong_negation(self):
+        with pytest.raises(ResourceLimitError):
+            find_witness(parse_formula("p &m ~q"), parse_interpretation("p=1, q=0"),
+                         ("p", "q"), lattice=D10, strategy=Sampled(50), cap=5)
+
     def test_default_minimizes_whole_signature(self):
         f = parse_formula("p ->r p")
         v = check_stable(f, parse_interpretation("p=0.5"), lattice=D10)
@@ -281,12 +311,13 @@ class TestCheckStable:
     ])
     def test_one_signature_walk_per_call(self, monkeypatch, strategy, interp,
                                          status, hunts):
-        """The signature is walked once per verdict, and the witness hunt
-        still goes through the module's find_witness, where a tracer
-        counts it."""
+        """f's leaves are walked once per verdict, for the signature and
+        the strong-negation refusal alike, a "not_a_model" verdict
+        included, and the witness hunt still goes through the module's
+        find_witness, where a tracer counts it."""
         walks, calls = [], []
-        atoms, find = fuzzysm.syntax.atoms, fuzzysm.stable.find_witness
-        monkeypatch.setattr(fuzzysm.syntax, "atoms", lambda f: walks.append(f) or atoms(f))
+        leaves, find = fuzzysm.stable.leaves, fuzzysm.stable.find_witness
+        monkeypatch.setattr(fuzzysm.stable, "leaves", lambda f: walks.append(f) or leaves(f))
         monkeypatch.setattr(fuzzysm.stable, "find_witness",
                             lambda *a, **k: calls.append(a) or find(*a, **k))
         f = parse_formula("not_s q ->r p")
@@ -470,6 +501,19 @@ class TestEnumerate:
         monkeypatch.setattr(fuzzysm.stable, "_stable_points", no_scan)
         with pytest.raises(ResourceLimitError):
             enumerate_stable(parse_formula("p &m q &m r &m s"), lattice=D10, cap=1000)
+
+    def test_witness_pools_built_on_first_use(self):
+        # On the Fraction domain a table of every point's witness pool
+        # would hold D^2 / 2 values: 15.6 MiB at D = 2000.
+        f = parse_formula("p ->r (p &p p)")
+        tracemalloc.start()
+        try:
+            models = enumerate_stable(f, lattice=Lattice(2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert models == [Interpretation({"p": F(0)})]
+        assert peak < 2 ** 20
 
     def test_cap_refuses_before_compiling(self):
         # Compiling builds the lattice's D + 1 points; the grid is refused

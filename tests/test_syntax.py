@@ -21,7 +21,7 @@ from fuzzysm import (
     signature_of,
 )
 from fuzzysm.generators import ALL_OPERATORS, gen_formula
-from fuzzysm.syntax import MAX_NESTING, fold
+from fuzzysm.syntax import MAX_NESTING, fold, leaves, walk
 
 F = Fraction
 
@@ -245,6 +245,26 @@ class TestNodes:
     def test_atoms_of_a_deep_conjunction(self):
         names = [f"a{k}" for k in range(5000)]
         assert atoms(conjoin("&m", [Atom(a) for a in names])) == tuple(names)
+
+    def test_leaves_agree_with_walk(self):
+        """leaves' order is atoms', and its plain and negated names are
+        the atoms and the strong negations that walk yields."""
+        seen = 0
+        for seed in range(2000):
+            f = gen_formula(seed, ("p", "q", "r"), max_depth=3,
+                            operator_pool=ALL_OPERATORS, allow_strongneg=True)
+            nodes = list(walk(f))
+            negated = {x.name for x in nodes if isinstance(x, StrongNeg)}
+            if not negated:
+                continue
+            seen += 1
+            assert leaves(f) == (
+                atoms(f), {x.name for x in nodes if isinstance(x, Atom)}, negated)
+            assert atoms(f) == tuple(dict.fromkeys(
+                x.name for x in nodes if isinstance(x, (Atom, StrongNeg))))
+            if seen == 300:
+                break
+        assert seen == 300
 
     def test_fold_calls_in_post_order(self):
         f = parse_formula("not_s (p &m ~q) ->r 0.5")

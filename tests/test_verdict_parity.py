@@ -14,4 +14,4 @@ def test_a_checkout_agrees_with_itself(capsys):
                                 "--count", "150"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.startswith("150 cases, 1002 calls: ") and out.endswith("; 0 cases differ\n")
+    assert out.startswith("150 cases, 1152 calls: ") and out.endswith("; 0 cases differ\n")
