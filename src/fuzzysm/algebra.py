@@ -295,10 +295,16 @@ DEFAULT_CANDIDATE_CAP = 10 ** 7
 
 
 def check_cap(total: int, cap: int) -> None:
-    """Raise ResourceLimitError when `total` candidates exceed `cap`."""
+    """Raise ResourceLimitError when `total` candidates exceed `cap`.  A
+    total too long to print (past sys.get_int_max_str_digits) is named by
+    its nearest power of ten."""
     if total > cap:
+        try:
+            count = str(total)
+        except ValueError:
+            count = f"about 10^{round(math.log10(total))}"
         raise ResourceLimitError(
-            f"{total} candidates exceed the cap of {cap}; "
+            f"{count} candidates exceed the cap of {cap}; "
             "raise the cap to scan them all")
 
 

@@ -371,8 +371,9 @@ def _cmd_equilibrium(args) -> int:
 def _require_atoms(f, names, complaint: str) -> None:
     """Refuse an atom of f outside names: the interval engine would raise
     KeyError on it."""
+    known = set(names)
     for a in atoms(f):
-        if a not in names:
+        if a not in known:
             raise UsageError(f"atom {a!r} {complaint}")
 
 

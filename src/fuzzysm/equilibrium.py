@@ -13,24 +13,44 @@ cross-validate each other in the test suite.  Only the shared formula AST
 and operator registry are common ground.
 
 The interval clauses are implemented exactly as stated, in _pair, which
-n5_evaluate uses: an empty interval (lower above upper) from any clause is
-a hard error, not something to be repaired.  For valuations that respect
-the containment invariant the clauses never produce one, so the model
-tests, which only build such valuations, run no span checks.
+serves only n5_evaluate and is the module's one recursion: an empty
+interval (lower above upper) from any clause is a hard error, not
+something to be repaired.  For valuations that respect the containment
+invariant the clauses never produce one, so the model tests, which only
+build such valuations, run no span checks.
 
 The model tests need one endpoint of f, its h-lower bound, and by the
 clauses that bound reads only the atoms' h-lower bounds, their h-upper
 bounds through '~', and the t-lower bounds of the bodies of not_s and of
-the arguments of implications.  So each test runs two passes of one
-Fraction operation per node: _t_lowers computes the t-lower bounds and
-records those the h-side reads, and _h_lower computes the h-lower bound
-from them.  Every candidate of the h-minimality scan keeps the t-intervals
-of the valuation it widens (preceq), so the scan runs the t-pass once and
-only the h-pass per candidate.
+the arguments of implications.  So each call compiles f once, by an
+explicit stack walk, into a flat program (_program): f's nodes in
+postorder, each an instruction over the atoms' slots or the indices of
+earlier nodes.  Two loops run it, one Fraction operation per node:
+_t_pass gives every node's t-lower bound, as a list indexed like the
+program, and _h_pass every node's h-lower bound, reading that list at
+not_s and at implications.  Every candidate of the h-minimality scan
+keeps the t-intervals of the valuation it widens (preceq), so the scan
+runs the t-pass once and only the h-pass per candidate.
+
+Where h = t on every atom, the h-lower bound of every node equals its
+t-lower bound.  This follows clause by clause, from the leaves up:
+- an atom and '~' read the same pair in both worlds, and a constant is
+  the same point in both;
+- not_s g has h-lower bound 1 minus the t-lower bound of g, which is by
+  definition its own t-lower bound;
+- a monotone connective applies one function to arguments whose bounds
+  are equal in the two worlds;
+- an implication's h-lower bound is the minimum of its function at the
+  arguments' h-lower bounds and its own t-lower bound, and with equal
+  argument bounds both terms are that t-lower bound.
+enumerate_equilibrium scans only such valuations, so its model test is
+the t-pass alone, and only a model runs the h-pass, in its h-minimality
+scan.
 
 Inside evaluation and the h-minimality scan an interval is a plain
 (lower, upper) pair of Fractions, and a valuation a dict from each atom to
-its (h, t) pairs, or to its h-pair alone for the h-pass.  Interval and
+its (h, t) pairs for _pair, and for the passes a sequence of pairs of one
+world by slot, as the scan yields its candidates.  Interval and
 Valuation objects, with their validation, are built only at the public
 boundary: the valuations passed in, the counters and models returned, and
 the intervals that n5_evaluate returns.
@@ -49,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
     DEFAULT_CANDIDATE_CAP,
@@ -179,10 +199,14 @@ def _span(lower: Fraction, upper: Fraction) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
+_STANDARD_NEGATOR_ONLY = ("the two-world interval semantics is defined for "
+                          "the standard negator only")
+
+
 def _pair(env: dict, f: Formula) -> tuple[tuple, tuple]:
     """The (lower, upper) pairs of f at (h, t): all four endpoints of
     every subformula, each pair checked for emptiness.  Only n5_evaluate
-    needs them; the model tests read _t_lowers and _h_lower."""
+    needs them; the model tests run f's flat program (_program)."""
     if isinstance(f, Atom):
         return _at(env, f.name)
     if isinstance(f, Const):
@@ -193,9 +217,7 @@ def _pair(env: dict, f: Formula) -> tuple[tuple, tuple]:
         return _span(1 - hu, 1 - hl), _span(1 - tu, 1 - tl)
     if isinstance(f, Neg):
         if f.op != "not_s":
-            raise ValueError(
-                "the two-world interval semantics is defined for the "
-                "standard negator only")
+            raise ValueError(_STANDARD_NEGATOR_ONLY)
         (bhl, _), (btl, _) = _pair(env, f.body)
         point = (1 - btl, 1 - btl)
         return _span(1 - btl, 1 - bhl), point
@@ -213,51 +235,96 @@ def _pair(env: dict, f: Formula) -> tuple[tuple, tuple]:
             _span(t_lower, fn(ltl, rtu)))
 
 
-def _t_lowers(env: dict, f: Formula, out: dict) -> Fraction:
-    """f's t-lower bound, _pair's clauses at one endpoint; out records it,
-    by node id, at each not_s and each implication, where the h-lower
-    bound reads it.  Nodes are visited in _pair's order, so a missing
-    atom or a foreign negator raises the same error first."""
-    if isinstance(f, Atom):
-        return _at(env, f.name)[1][0]
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, StrongNeg):
-        return 1 - _at(env, f.name)[1][1]
-    if isinstance(f, Neg):
-        if f.op != "not_s":
-            raise ValueError(
-                "the two-world interval semantics is defined for the "
-                "standard negator only")
-        out[id(f)] = lower = 1 - _t_lowers(env, f.body, out)
-        return lower
-    assert isinstance(f, Bin)
-    op = get_operator(f.op)
-    lower = op.fn(_t_lowers(env, f.left, out), _t_lowers(env, f.right, out))
-    if op.family not in _MONOTONE:
-        out[id(f)] = lower
-    return lower
+# The kinds of a flat program's instructions (kind, fn, a, b): an atom,
+# a its slot; a constant, a its value; '~' on the atom of slot a; not_s
+# of the node at index a; a monotone connective or an implication of the
+# nodes at indices a and b, fn the operator's function.
+_ATOM, _CONST, _SNEG, _NOT, _MONO, _IMP = range(6)
 
 
-def _h_lower(h: dict, f: Formula, tl: dict) -> Fraction:
-    """f's h-lower bound, where h maps each atom to its h-pair and tl is
-    _t_lowers' table of f for the t-world, a pass that has already raised
-    any error f's atoms or negators call for.  The bound reads an atom's
-    h-lower bound, its h-upper bound only under '~', and the t-side only
-    through tl, at not_s and implications."""
-    if isinstance(f, Atom):
-        return h[f.name][0]
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, StrongNeg):
-        return 1 - h[f.name][1]
-    if isinstance(f, Neg):
-        return tl[id(f)]
-    op = get_operator(f.op)
-    lower = op.fn(_h_lower(h, f.left, tl), _h_lower(h, f.right, tl))
-    if op.family in _MONOTONE:
-        return lower
-    return min(lower, tl[id(f)])
+def _program(f: Formula, names: Iterable[str]) -> list[tuple]:
+    """f as a flat program: its nodes in postorder, each an instruction
+    whose operands come before it, the root last.  An atom's slot is its
+    place in `names`.  Nodes are checked in _pair's order (a negator
+    before its body, a left subtree before its right sibling), so a
+    missing atom or a foreign negator raises the same error first."""
+    slots = {a: k for k, a in enumerate(names)}
+    code: list[tuple] = []
+    done: list[int] = []  # the indices of finished subtrees, left to right
+    todo: list = [f]  # nodes to visit, and (kind, fn) of nodes to emit
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is tuple:  # a node whose operands are done
+            kind, fn = x
+            if kind == _NOT:
+                ins = (_NOT, None, done.pop(), None)
+            else:
+                right = done.pop()
+                ins = (kind, fn, done.pop(), right)
+        elif cls is Bin:
+            op = get_operator(x.op)
+            kind = _MONO if op.family in _MONOTONE else _IMP
+            todo += ((kind, op.fn), x.right, x.left)
+            continue
+        elif cls is Neg:
+            if x.op != "not_s":
+                raise ValueError(_STANDARD_NEGATOR_ONLY)
+            todo += ((_NOT, None), x.body)
+            continue
+        elif cls is Atom:
+            ins = (_ATOM, None, _at(slots, x.name), None)
+        elif cls is Const:
+            ins = (_CONST, None, x.value, None)
+        else:
+            ins = (_SNEG, None, _at(slots, x.name), None)
+        done.append(len(code))
+        code.append(ins)
+    return code
+
+
+def _t_pass(code: list[tuple], t: Sequence[tuple]) -> list[Fraction]:
+    """The t-lower bound of every node of a flat program, indexed like
+    the program, where t holds the atoms' t-pairs by slot: _pair's clauses
+    at one endpoint, one Fraction operation per node."""
+    tv: list[Fraction] = []
+    push = tv.append
+    for kind, fn, a, b in code:
+        if fn is not None:  # a monotone connective or an implication
+            push(fn(tv[a], tv[b]))
+        elif kind == _ATOM:
+            push(t[a][0])
+        elif kind == _NOT:
+            push(1 - tv[a])
+        elif kind == _SNEG:
+            push(1 - t[a][1])
+        else:
+            push(a)
+    return tv
+
+
+def _h_pass(code: list[tuple], h: Sequence[tuple], tv: list[Fraction]) -> list[Fraction]:
+    """The h-lower bound of every node of a flat program, where h holds
+    the atoms' h-pairs by slot and tv is the t-pass of the program: an
+    atom's h-lower bound, its h-upper bound under '~', and the t-side only
+    through tv, at not_s and at implications."""
+    hv: list[Fraction] = []
+    push = hv.append
+    # tv[len(hv)] is the t-lower bound of the node being computed.
+    for kind, fn, a, b in code:
+        if kind == _MONO:
+            push(fn(hv[a], hv[b]))
+        elif kind == _IMP:
+            push(min(fn(hv[a], hv[b]), tv[len(hv)]))
+        elif kind == _ATOM:
+            push(h[a][0])
+        elif kind == _NOT:
+            push(tv[len(hv)])
+        elif kind == _SNEG:
+            push(1 - h[a][1])
+        else:
+            push(a)
+    return hv
 
 
 def n5_evaluate(v: Valuation, world: str, f: Formula) -> Interval:
@@ -269,9 +336,10 @@ def n5_evaluate(v: Valuation, world: str, f: Formula) -> Interval:
 
 def is_n5_model(v: Valuation, f: Formula) -> bool:
     """The h-lower bound of f reaches 1."""
-    env, tl = _env(v), {}
-    _t_lowers(env, f, tl)
-    return _h_lower({a: h for a, (h, _) in env.items()}, f, tl) == ONE
+    env = _env(v)
+    code = _program(f, env)
+    tv = _t_pass(code, [t for _, t in env.values()])
+    return _h_pass(code, [h for h, _ in env.values()], tv)[-1] == ONE
 
 
 def preceq(candidate: Valuation, v: Valuation) -> bool:
@@ -308,37 +376,38 @@ def _check_on_lattice(v: Valuation, lattice: Lattice) -> None:
                     "lattice")
 
 
-def _h_violation(env: dict, f: Formula, lattice: Lattice, cap: int,
-                 tl: dict | None = None) -> tuple | None:
-    """The h-pairs, in env's atom order, of the first strictly h-wider
-    lattice valuation that is still a model; None when there is none.
-
-    Every candidate keeps env's t-intervals, so _t_lowers' table `tl` is
-    the same for all of them: it is built here once, unless the caller
-    has one, and each candidate runs only _h_lower.
-
-    Per atom the candidates are the lattice intervals that contain the
-    current h-interval, lower ascending then upper ascending: the lattice
-    points up to its lower bound, each paired with those from its upper
-    bound on.  Both runs are counted in integers and checked against the
-    cap before any pair is built, and only their points are built, not
-    the whole lattice."""
+def _h_pools(hs: Sequence[tuple], lattice: Lattice, cap: int) -> list[list[tuple]]:
+    """Per atom of the h-pairs hs, the lattice intervals that contain its
+    h-interval, lower ascending then upper ascending: the lattice points
+    up to its lower bound, each paired with those from its upper bound
+    on.  Both runs are counted in integers and checked against the cap
+    before any pair is built, and only their points are built, not the
+    whole lattice."""
     d = lattice.denominator
     # The points k/d up to x, and (by k -> d - k) those from x on.
     runs = [(lo.numerator * d // lo.denominator + 1,
              (hi.denominator - hi.numerator) * d // hi.denominator + 1)
-            for (lo, hi), _ in env.values()]
+            for lo, hi in hs]
     check_cap(math.prod(a * b for a, b in runs), cap)
     pools = []
     for a, b in runs:
         lows = [Fraction(k, d) for k in range(a)]
         highs = [Fraction(k, d) for k in range(d + 1 - b, d + 1)]
         pools.append([(lo, hi) for lo in lows for hi in highs])
-    if tl is None:
-        tl = {}
-        _t_lowers(env, f, tl)
-    for combo in candidates(pools, cap, skip=tuple(h for h, _ in env.values())):
-        if _h_lower(dict(zip(env, combo)), f, tl) == ONE:
+    return pools
+
+
+def _h_violation(hs: tuple, pools: list[list[tuple]], code: list[tuple],
+                 tv: list[Fraction], cap: int) -> tuple | None:
+    """The h-pairs, by slot, of the first strictly h-wider lattice
+    valuation that is still a model; None when there is none.  hs are
+    the current h-pairs and pools their _h_pools.
+
+    Every candidate keeps the t-intervals, so tv, the t-pass of f's flat
+    program `code`, serves them all, and each candidate runs only the
+    h-pass, over its h-pairs as the scan gives them."""
+    for combo in candidates(pools, cap, skip=hs):
+        if _h_pass(code, combo, tv)[-1] == ONE:
             return combo
     return None
 
@@ -348,7 +417,12 @@ def find_h_violation(
 ) -> Valuation | None:
     """First strictly h-wider lattice valuation that is still a model."""
     _check_on_lattice(v, lattice)
-    hit = _h_violation(_env(v), f, lattice, cap)
+    env = _env(v)
+    hs = tuple(h for h, _ in env.values())
+    pools = _h_pools(hs, lattice, cap)
+    code = _program(f, env)
+    tv = _t_pass(code, [t for _, t in env.values()])
+    hit = _h_violation(hs, pools, code, tv, cap)
     if hit is None:
         return None
     data = dict(v)
@@ -387,8 +461,11 @@ def enumerate_equilibrium(
     """All equilibrium models over the lattice.
 
     Only world-agreeing valuations can qualify, so the scan runs over one
-    interval per atom, shared by both worlds.  An atom named twice in
-    `signature` is scanned once, at its first place.
+    interval per atom, shared by both worlds.  There the h-lower bound of
+    f is its t-lower bound, so a candidate is a model exactly when the
+    t-pass gives f's root 1, and only a model runs the h-pass, in its
+    h-minimality scan.  An atom named twice in `signature` is scanned
+    once, at its first place.
 
     The h-lower bound of f reads an atom's h-lower bound only through a
     plain occurrence and its h-upper bound only through '~', so widening
@@ -411,15 +488,15 @@ def enumerate_equilibrium(
     pools = [[(lo, hi) for lo in (points if a in plain else points[:1])
               for hi in (points if a in negated else points[-1:]) if lo <= hi]
              for a in sig]
+    code = _program(f, sig)
     out = []
     for combo in candidates(pools, cap):
-        env, tl = {a: (iv, iv) for a, iv in zip(sig, combo)}, {}
-        _t_lowers(env, f, tl)
-        if _h_lower(dict(zip(sig, combo)), f, tl) != ONE:
+        tv = _t_pass(code, combo)
+        if tv[-1] != ONE:
             continue
-        if _h_violation(env, f, lattice, cap, tl) is None:
+        if _h_violation(combo, _h_pools(combo, lattice, cap), code, tv, cap) is None:
             data = {}
-            for a, (iv, _) in env.items():
+            for a, iv in zip(sig, combo):
                 data[("h", a)] = data[("t", a)] = Interval(*iv)
             out.append(Valuation(data))
     return out

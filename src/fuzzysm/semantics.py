@@ -239,6 +239,12 @@ def classical_reduct(f: Formula, x: BoolInterpretation) -> Formula:
     """Boolean reduct: unsatisfied subformulas collapse to 0, satisfied
     negations collapse accordingly, satisfied binary nodes are rebuilt."""
     check_boolean_shaped(f)
+    return _classical_reduct(f, x)
+
+
+def _classical_reduct(f: Formula, x: BoolInterpretation) -> Formula:
+    """classical_reduct of an f already checked to be Boolean-shaped.  Its
+    reduct is Boolean-shaped too: f's own nodes and the constants 0 and 1."""
     crisp = _crisp_map(x)
     false, true = Const(ZERO), Const(ONE)
 
@@ -258,4 +264,9 @@ def classical_reduct(f: Formula, x: BoolInterpretation) -> Formula:
 def bool_satisfies(f: Formula, x: BoolInterpretation) -> bool:
     """Two-valued satisfaction of a Boolean-shaped formula."""
     check_boolean_shaped(f)
+    return _bool_holds(f, x)
+
+
+def _bool_holds(f: Formula, x: BoolInterpretation) -> bool:
+    """bool_satisfies of an f already checked to be Boolean-shaped."""
     return evaluate(f, _crisp_map(x)) == ONE

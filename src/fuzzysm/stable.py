@@ -90,9 +90,9 @@ from .semantics import (
     Interpretation,
     SignatureError,
     StrongNegationError,
-    bool_satisfies,
+    _bool_holds,
+    _classical_reduct,
     check_boolean_shaped,
-    classical_reduct,
     evaluate,
     interpretation_to_json,
     satisfies,
@@ -508,18 +508,19 @@ def boolean_stable_check(
     minimized: Sequence[str] | None = None,
 ) -> BoolStabilityVerdict:
     """Two-valued stability: x satisfies f and no proper sub-assignment on
-    the minimized atoms satisfies the classical reduct."""
+    the minimized atoms satisfies the classical reduct.  f's shape is
+    checked once, here: its reduct is Boolean-shaped when f is."""
     check_boolean_shaped(f)
     _, scan, _ = _scan_order(f, dict.fromkeys(x.signature), minimized)
-    if not bool_satisfies(f, x):
+    if not _bool_holds(f, x):
         return BoolStabilityVerdict("not_a_model")
-    reduct = classical_reduct(f, x)
+    reduct = _classical_reduct(f, x)
     pools = [[False, True] if a in x.true_atoms else [False] for a in scan]
     base = tuple(a in x.true_atoms for a in scan)
     for combo in candidates(pools, DEFAULT_CANDIDATE_CAP, skip=base):
         true = (x.true_atoms - set(scan)) | {a for a, v in zip(scan, combo) if v}
         candidate = BoolInterpretation(x.signature, frozenset(true))
-        if bool_satisfies(reduct, candidate):
+        if _bool_holds(reduct, candidate):
             return BoolStabilityVerdict("unstable", witness=candidate)
     return BoolStabilityVerdict("stable")
 

@@ -250,6 +250,12 @@ class TestCandidates:
         with pytest.raises(ResourceLimitError, match="6 candidates exceed the cap of 5"):
             candidates([[0, 1], [0, 1, 2]], 5)
 
+    def test_cap_names_a_count_too_long_to_print(self):
+        # 11^10001 has 10,415 digits, past the int-to-str limit of 4,300.
+        with pytest.raises(ResourceLimitError,
+                           match=r"^about 10\^10415 candidates exceed the cap of 5;"):
+            candidates([range(11)] * 10001, 5)
+
 
 class TestReadJson:
     def test_numbers_are_exact(self):

@@ -596,6 +596,32 @@ class TestDeepInput:
         assert (code, out, err) == (0, "p=1\n", "")
 
 
+class TestDeepChain:
+    """The printed 10000-rule chain of tests/test_deep_inputs.py, checked
+    by the interval engine: its verdict at a broken valuation, and the
+    cap's refusal at the model, whose h-minimality scan is too large."""
+
+    N = 10_000
+    CHAIN = "(1 ->r p0)" + "".join(f" &m (p{k} &m not_s q{k} ->r p{k + 1})"
+                                   for k in range(N))
+    MODEL = {"p0": 1, **{a: int(a[0] == "p") for k in range(N)
+                         for a in (f"q{k}", f"p{k + 1}")}}
+
+    def equilibrium(self, capsys, interp):
+        text = ", ".join(f"{a}={x}" for a, x in interp.items())
+        return run(capsys, "equilibrium", "--expr", self.CHAIN, "--interp", text)
+
+    def test_verdict(self, capsys):
+        lowered = {**self.MODEL, f"p{self.N // 2}": 0}
+        assert self.equilibrium(capsys, lowered) == (
+            0, "status: not_a_model\nnote: the h-lower bound does not reach 1\n", "")
+
+    def test_cap_refusal(self, capsys):
+        assert self.equilibrium(capsys, self.MODEL) == (
+            2, "", "error: about 10^10415 candidates exceed the cap of 10000000; "
+                   "raise the cap to scan them all\n")
+
+
 _FORMULA = "not_s q ->r p"
 _PROGRAM = "p <- not q.\nq <- not p.\n"
 _VALUATION_TEXT = "h:p=[0.2,0.7]; t:p=[0.2,0.7]"

@@ -1,6 +1,7 @@
 """Every formula rewrite on a 10000-rule chain program, far past the
-recursion limit.  Rewrites are compared as text, which names what differs;
-==, hash and repr on the tree itself are checked on their own."""
+recursion limit, and the interval engine's model tests on it.  Rewrites
+are compared as text, which names what differs; ==, hash and repr on the
+tree itself are checked on their own."""
 import re
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ from fuzzysm import (
     BoolInterpretation,
     Interpretation,
     Lattice,
+    ResourceLimitError,
     boolean_embed,
     classical_reduct,
     fuzzy_reduct,
+    is_equilibrium,
+    is_n5_model,
     nneg,
     parse_fasp_program,
     parse_formula,
@@ -20,6 +24,7 @@ from fuzzysm import (
     program_to_formula,
     shadow_names,
     star_transform,
+    valuation_of,
 )
 from fuzzysm.compiled import compile_formula
 
@@ -99,3 +104,27 @@ def test_compile_formula(chain):
     assert len(prog.code) == 1 + 4 * N
     at_model = prog.evaluate([2 if a[0] == "p" else 0 for a in SIGNATURE])
     assert at_model[prog.root] == 2
+
+
+@pytest.fixture(scope="module")
+def model():
+    """The chain's model, every p true and every q false, and a copy with
+    one p in the middle lowered to 0, which breaks the rule deriving it."""
+    i = {a: Fraction(a[0] == "p") for a in SIGNATURE}
+    return valuation_of(i), valuation_of({**i, f"p{N // 2}": Fraction(0)})
+
+
+def test_is_n5_model(chain, model):
+    at_model, lowered = model
+    assert is_n5_model(at_model, chain)
+    assert not is_n5_model(lowered, chain)
+
+
+def test_is_equilibrium(chain, model):
+    at_model, lowered = model
+    assert is_equilibrium(lowered, chain).status == "not_a_model"
+    # Each p0..p10000 at [1, 1] widens to 11 h-intervals over 1/10: the
+    # h-minimality scan has 11^10001 candidates, refused before the first.
+    with pytest.raises(ResourceLimitError,
+                       match=r"^about 10\^10415 candidates exceed the cap"):
+        is_equilibrium(at_model, chain)

@@ -14,7 +14,7 @@ from fuzzysm import equilibrium
 from fuzzysm.algebra import candidates
 from fuzzysm.generators import ALL_OPERATORS, LATTICE_SAFE_OPERATORS, gen_formula
 from fuzzysm.suites import _strongly_negated
-from fuzzysm.syntax import Atom, StrongNeg
+from fuzzysm.syntax import Atom, StrongNeg, fold
 from fuzzysm import (
     EquilibriumVerdict,
     Interval,
@@ -189,8 +189,14 @@ def _nested_env(rng, sig, lattice):
     return env
 
 
+def _postorder(f):
+    """f's subformulas in the order of its flat program's nodes."""
+    return fold(f, lambda x: [x], lambda x, *parts: [g for p in parts for g in p] + [x])
+
+
 class TestLowerBoundPasses:
-    """The model tests read _t_lowers and _h_lower, not _pair."""
+    """The model tests run f's flat program through _t_pass and _h_pass,
+    not _pair."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_agree_with_pair_on_every_subformula(self, d):
@@ -202,18 +208,48 @@ class TestLowerBoundPasses:
             f = gen_formula(1000 * d + k, sig, max_depth=3,
                             operator_pool=ALL_OPERATORS, allow_strongneg=True,
                             lattice=lattice)
-            nodes = list(walk(f))
+            nodes = _postorder(f)
             seen["not_s"] += any(getattr(x, "op", None) == "not_s" for x in nodes)
             seen["~"] += any(isinstance(x, StrongNeg) for x in nodes)
             for _ in range(5):
                 env = _nested_env(rng, sig, lattice)
-                h, tl = {a: hp for a, (hp, _) in env.items()}, {}
-                equilibrium._t_lowers(env, f, tl)
-                # The table of f serves every subformula of f, f included.
-                for g in nodes:
+                code = equilibrium._program(f, env)
+                tv = equilibrium._t_pass(code, [t for _, t in env.values()])
+                hv = equilibrium._h_pass(code, [h for h, _ in env.values()], tv)
+                assert len(code) == len(tv) == len(hv) == len(nodes)
+                # The passes of f's program serve every subformula of f.
+                for g, t_lower, h_lower in zip(nodes, tv, hv):
                     (hlo, _), (tlo, _) = equilibrium._pair(env, g)
-                    assert equilibrium._t_lowers(env, g, {}) == tlo
-                    assert equilibrium._h_lower(h, g, tl) == hlo, print_formula(g)
+                    assert (t_lower, h_lower) == (tlo, hlo), print_formula(g)
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_world_agreeing_t_pass_is_the_h_lower_bound(self, d):
+        """Where h = t the h-lower bound of every node is its t-lower
+        bound, the identity enumerate_equilibrium's model test rests on."""
+        lattice = Lattice(d)
+        points = list(lattice.points())
+        rng = random.Random(-d)
+        seen = {"not_s": 0, "~": 0, "both": 0}
+        for k in range(60):
+            sig = ["p", "q", "r"][:1 + k % 3]
+            f = gen_formula(2000 * d + k, sig, max_depth=3,
+                            operator_pool=ALL_OPERATORS, allow_strongneg=True,
+                            lattice=lattice)
+            nodes = _postorder(f)
+            has = (any(getattr(x, "op", None) == "not_s" for x in nodes),
+                   any(isinstance(x, StrongNeg) for x in nodes))
+            seen["not_s"] += has[0]
+            seen["~"] += has[1]
+            seen["both"] += all(has)
+            code = equilibrium._program(f, sig)
+            for _ in range(5):
+                pairs = [tuple(sorted(rng.choice(points) for _ in range(2))) for _ in sig]
+                env = {a: (pair, pair) for a, pair in zip(sig, pairs)}
+                tv = equilibrium._t_pass(code, pairs)
+                for g, t_lower in zip(nodes, tv):
+                    (hlo, _), _ = equilibrium._pair(env, g)
+                    assert t_lower == hlo, print_formula(g)
         assert min(seen.values()) >= 10, seen
 
     @pytest.mark.parametrize("name", ["negation_loop.fz", "complementary_pair.fz"])

@@ -154,7 +154,7 @@ def test_no_loop_caps_implications():
     assert capping == set()
 
 
-SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "_t_lowers", "_h_lower",
+SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "_t_pass", "_h_pass",
              "run", "witness_in"}
 
 
@@ -273,12 +273,14 @@ def flat(f):
 def test_no_recursive_rewrites():
     """evaluate and value_is_one stay recursive: they are the reference
     definitions, and the deep-chain benchmark input is meant to fail there.
+    In the interval engine only _pair, which serves n5_evaluate, recurses.
     The parser's depth is bounded by syntax.MAX_NESTING."""
     found = {}
-    for module in (syntax, semantics, transforms, stable, compiled):
+    for module in (syntax, semantics, transforms, stable, compiled, equilibrium):
         with open(module.__file__, encoding="utf-8") as fh:
             found[module.__name__] = _recursive_functions(fh.read())
     assert found["fuzzysm.semantics"] == {"evaluate", "value_is_one"}
+    assert found["fuzzysm.equilibrium"] == {"_pair"}
     parser = {name for name in found["fuzzysm.syntax"] if name.startswith("_Parser.")}
     assert parser == {"_Parser.formula", "_Parser.disjunction",
                       "_Parser.conjunction", "_Parser.unary"}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import fuzzysm.semantics
 import fuzzysm.stable
 
 from fuzzysm import (
@@ -597,6 +598,27 @@ class TestBooleanOracle:
         with pytest.raises(ValueError):
             boolean_stable_check(parse_formula("p &m 0.5"),
                                  BoolInterpretation(("p",), frozenset()))
+
+    @pytest.mark.parametrize("true, status, scanned", [
+        ({"p", "r"}, "stable", 3),
+        ({"p", "r", "q"}, "unstable", 2),
+        ({"r"}, "not_a_model", 0),
+    ])
+    def test_one_shape_check_per_verdict(self, monkeypatch, true, status, scanned):
+        """f's Boolean shape is checked once per verdict, not again for
+        its model test, its reduct or each candidate tested on the reduct."""
+        checks, tested = [], []
+        check = fuzzysm.semantics.check_boolean_shaped
+        holds = fuzzysm.stable._bool_holds
+        for module in (fuzzysm.semantics, fuzzysm.stable):
+            monkeypatch.setattr(module, "check_boolean_shaped",
+                                lambda f: checks.append(f) or check(f))
+        monkeypatch.setattr(fuzzysm.stable, "_bool_holds",
+                            lambda f, x: tested.append(x) or holds(f, x))
+        f = parse_formula("(not_s q ->s p) &m (not_s s ->s r)")
+        x = BoolInterpretation(("p", "q", "r", "s"), frozenset(true))
+        assert boolean_stable_check(f, x).status == status
+        assert (checks, len(tested)) == ([f], 1 + scanned)
 
 
 class TestProgramOracle:
