@@ -25,8 +25,10 @@ verdict JSON, counter included), `find_h_violation` and
 `enumerate_equilibrium` on the case's lattice, the last three under the
 case's cap lowered to at most 5,000: so `enumerate_equilibrium` scans
 only where its pruned pool product is that small, and refuses elsewhere
-before building a pool.  The script exits 1 on any difference and shows
-the first few.
+before building a pool.  `enumerate_equilibrium` is asked twice, over
+f's atoms in formula order and reversed, so both sides scan a second
+slot order.  The script exits 1 on any difference and shows the first
+few.
 
 The summary counts the cases on each kernel domain, as `find_witness`
 compiles f at I: tables, integer numerators above the table bound, or
@@ -55,8 +57,8 @@ from fuzzysm import (Exhaustive, Interpretation, Lattice, Sampled, check_stable,
                      check_stable_via_star, enumerate_equilibrium, enumerate_stable,
                      equilibrium_verdict_to_json, find_h_violation, find_witness,
                      interpretation_to_json, is_equilibrium, is_n5_model,
-                     parse_formula, valuation_from_json, valuation_to_json,
-                     verdict_to_json)
+                     parse_formula, signature_of, valuation_from_json,
+                     valuation_to_json, verdict_to_json)
 
 def show(call):
     try:
@@ -96,6 +98,8 @@ for case in json.load(open(sys.argv[2], encoding="utf-8")):
         show(h_violation),
         show(lambda: [valuation_to_json(m) for m in
                       enumerate_equilibrium(f, lattice, cap=eq_cap)]),
+        show(lambda: [valuation_to_json(m) for m in enumerate_equilibrium(
+            f, lattice, signature_of(f)[::-1], cap=eq_cap)]),
     ]
     print(json.dumps(answers))
 """

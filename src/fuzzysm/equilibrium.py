@@ -25,12 +25,21 @@ bounds through '~', and the t-lower bounds of the bodies of not_s and of
 the arguments of implications.  So each call compiles f once, by an
 explicit stack walk, into a flat program (_program): f's nodes in
 postorder, each an instruction over the atoms' slots or the indices of
-earlier nodes.  Two loops run it, one Fraction operation per node:
-_t_pass gives every node's t-lower bound, as a list indexed like the
-program, and _h_pass every node's h-lower bound, reading that list at
-not_s and at implications.  Every candidate of the h-minimality scan
-keeps the t-intervals of the valuation it widens (preceq), so the scan
-runs the t-pass once and only the h-pass per candidate.
+earlier nodes, split into levels by the last slot each node reads,
+directly or through its operands.  Level s + 1 holds the nodes whose
+last slot is s, and level 0 those that read no slot: the constants and
+the subtrees made of them.  One runner per world brings a list of the
+nodes' values, one Fraction operation per node, from one tuple of slot
+values to the next: _t_run gives every node's t-lower bound and _h_run
+every node's h-lower bound, reading the t-values at not_s and at
+implications.  Each reruns only the levels from the first slot where
+the new tuple differs from the one before.  The scans take their
+candidates in product order, where the last slot moves at every step
+and an earlier one only when the slots after it wrap, so most
+candidates rerun the last level alone, and level 0 runs at a scan's
+first candidate only.  Every candidate of the h-minimality scan keeps
+the t-intervals of the valuation it widens (preceq), so the scan runs
+the t-world once and the h-world per candidate.
 
 Where h = t on every atom, the h-lower bound of every node equals its
 t-lower bound.  This follows clause by clause, from the leaves up:
@@ -44,13 +53,16 @@ t-lower bound.  This follows clause by clause, from the leaves up:
   arguments' h-lower bounds and its own t-lower bound, and with equal
   argument bounds both terms are that t-lower bound.
 enumerate_equilibrium scans only such valuations, so its model test is
-the t-pass alone, and only a model runs the h-pass, in its h-minimality
-scan.
+the t-world run alone, and only a model runs the h-world, in its
+h-minimality scan.  Its models' h-pools take their points from the
+lattice points that the call has already built for its own pools, so
+no model builds a Fraction, and each model's pools are dropped after
+its scan.
 
 Inside evaluation and the h-minimality scan an interval is a plain
 (lower, upper) pair of Fractions, and a valuation a dict from each atom to
-its (h, t) pairs for _pair, and for the passes a sequence of pairs of one
-world by slot, as the scan yields its candidates.  Interval and
+its (h, t) pairs for _pair, and for the runners a sequence of pairs of
+one world by slot, as the scan yields its candidates.  Interval and
 Valuation objects, with their validation, are built only at the public
 boundary: the valuations passed in, the counters and models returned, and
 the intervals that n5_evaluate returns.
@@ -184,13 +196,17 @@ def _env(v: Valuation) -> dict:
     return env
 
 
-def _at(env: dict, name: str) -> tuple:
+_NO_INTERVAL = "no interval for atom {!r} in world 'h'"
+_NOT_IN_SIGNATURE = "atom {!r} of the formula is missing from the signature"
+
+
+def _at(env: dict, name: str, missing: str = _NO_INTERVAL) -> tuple:
     try:
         return env[name]
     except KeyError:
         # A valuation holds both worlds of every atom it has, so the
         # h-world is the one found missing first.
-        raise KeyError(f"no interval for atom {name!r} in world 'h'") from None
+        raise KeyError(missing.format(name)) from None
 
 
 def _span(lower: Fraction, upper: Fraction) -> tuple[Fraction, Fraction]:
@@ -242,14 +258,26 @@ def _pair(env: dict, f: Formula) -> tuple[tuple, tuple]:
 _ATOM, _CONST, _SNEG, _NOT, _MONO, _IMP = range(6)
 
 
-def _program(f: Formula, names: Iterable[str]) -> list[tuple]:
-    """f as a flat program: its nodes in postorder, each an instruction
-    whose operands come before it, the root last.  An atom's slot is its
-    place in `names`.  Nodes are checked in _pair's order (a negator
-    before its body, a left subtree before its right sibling), so a
-    missing atom or a foreign negator raises the same error first."""
+def _program(f: Formula, names: Iterable[str],
+             missing: str = _NO_INTERVAL) -> list[list[tuple]]:
+    """f as a flat program, split into levels by the last atom slot each
+    node reads.  The nodes are numbered in postorder, the root last, and
+    each is an instruction whose operands come before it.  Entry s + 1
+    holds, as (node index, instruction) pairs in postorder, the nodes
+    that read slot s, directly or through their operands, and no later
+    slot; entry 0 the nodes that read no slot, the constants and the
+    subtrees made of them.  So a node's operands sit in its level or an
+    earlier one, and running the levels from s + 1 on brings every node
+    up to date after the slots from s on have changed.
+
+    An atom's slot is its place in `names`, which holds no name twice.
+    Nodes are checked in _pair's order (a negator before its body, a
+    left subtree before its right sibling), so a missing atom or a
+    foreign negator raises the same error first; a missing atom's
+    KeyError reads `missing` with its name."""
     slots = {a: k for k, a in enumerate(names)}
-    code: list[tuple] = []
+    levels: list[list[tuple]] = [[] for _ in range(len(slots) + 1)]
+    level: list[int] = []  # each node's level, by node index
     done: list[int] = []  # the indices of finished subtrees, left to right
     todo: list = [f]  # nodes to visit, and (kind, fn) of nodes to emit
     while todo:
@@ -258,10 +286,12 @@ def _program(f: Formula, names: Iterable[str]) -> list[tuple]:
         if cls is tuple:  # a node whose operands are done
             kind, fn = x
             if kind == _NOT:
-                ins = (_NOT, None, done.pop(), None)
+                a = done.pop()
+                ins, at = (_NOT, None, a, None), level[a]
             else:
-                right = done.pop()
-                ins = (kind, fn, done.pop(), right)
+                b = done.pop()
+                a = done.pop()
+                ins, at = (kind, fn, a, b), max(level[a], level[b])
         elif cls is Bin:
             op = get_operator(x.op)
             kind = _MONO if op.family in _MONOTONE else _IMP
@@ -273,58 +303,84 @@ def _program(f: Formula, names: Iterable[str]) -> list[tuple]:
             todo += ((_NOT, None), x.body)
             continue
         elif cls is Atom:
-            ins = (_ATOM, None, _at(slots, x.name), None)
+            slot = _at(slots, x.name, missing)
+            ins, at = (_ATOM, None, slot, None), slot + 1
         elif cls is Const:
-            ins = (_CONST, None, x.value, None)
+            ins, at = (_CONST, None, x.value, None), 0
         else:
-            ins = (_SNEG, None, _at(slots, x.name), None)
-        done.append(len(code))
-        code.append(ins)
-    return code
+            slot = _at(slots, x.name, missing)
+            ins, at = (_SNEG, None, slot, None), slot + 1
+        k = len(level)
+        done.append(k)
+        level.append(at)
+        levels[at].append((k, ins))
+    return levels
 
 
-def _t_pass(code: list[tuple], t: Sequence[tuple]) -> list[Fraction]:
-    """The t-lower bound of every node of a flat program, indexed like
-    the program, where t holds the atoms' t-pairs by slot: _pair's clauses
-    at one endpoint, one Fraction operation per node."""
-    tv: list[Fraction] = []
-    push = tv.append
-    for kind, fn, a, b in code:
-        if fn is not None:  # a monotone connective or an implication
-            push(fn(tv[a], tv[b]))
-        elif kind == _ATOM:
-            push(t[a][0])
-        elif kind == _NOT:
-            push(1 - tv[a])
-        elif kind == _SNEG:
-            push(1 - t[a][1])
-        else:
-            push(a)
-    return tv
+def _blank(levels: list[list[tuple]]) -> list:
+    """A value list for the nodes of a program split into levels."""
+    return [None] * sum(map(len, levels))
 
 
-def _h_pass(code: list[tuple], h: Sequence[tuple], tv: list[Fraction]) -> list[Fraction]:
-    """The h-lower bound of every node of a flat program, where h holds
-    the atoms' h-pairs by slot and tv is the t-pass of the program: an
-    atom's h-lower bound, its h-upper bound under '~', and the t-side only
-    through tv, at not_s and at implications."""
-    hv: list[Fraction] = []
-    push = hv.append
-    # tv[len(hv)] is the t-lower bound of the node being computed.
-    for kind, fn, a, b in code:
-        if kind == _MONO:
-            push(fn(hv[a], hv[b]))
-        elif kind == _IMP:
-            push(min(fn(hv[a], hv[b]), tv[len(hv)]))
-        elif kind == _ATOM:
-            push(h[a][0])
-        elif kind == _NOT:
-            push(tv[len(hv)])
-        elif kind == _SNEG:
-            push(1 - h[a][1])
-        else:
-            push(a)
-    return hv
+def _start(vals: Sequence, prev: Sequence | None) -> int:
+    """The first level to rerun when the slots move from the values prev
+    to vals: s + 1 for the first slot s that holds another object (the
+    scans' candidates share their unchanged pairs with the one before),
+    and 0, every level, when prev is None."""
+    if prev is None:
+        return 0
+    for s, x in enumerate(vals):
+        if x is not prev[s]:
+            return s + 1
+    return len(vals) + 1
+
+
+def _t_run(levels: list[list[tuple]], t: Sequence[tuple], prev: Sequence | None,
+           tv: list) -> Fraction:
+    """Bring tv, the t-lower bound of every node of a program split into
+    levels (indexed by node), from the atoms' t-pairs prev (None: tv
+    holds nothing yet) to the t-pairs t, both by slot, and return the
+    root's.  Only the levels from the first slot where t differs from
+    prev on rerun: _pair's clauses at one endpoint, one Fraction
+    operation per node."""
+    for code in levels[_start(t, prev):]:
+        for k, (kind, fn, a, b) in code:
+            if fn is not None:  # a monotone connective or an implication
+                tv[k] = fn(tv[a], tv[b])
+            elif kind == _ATOM:
+                tv[k] = t[a][0]
+            elif kind == _NOT:
+                tv[k] = 1 - tv[a]
+            elif kind == _SNEG:
+                tv[k] = 1 - t[a][1]
+            else:
+                tv[k] = a
+    return tv[-1]
+
+
+def _h_run(levels: list[list[tuple]], h: Sequence[tuple], prev: Sequence | None,
+           hv: list, tv: list) -> Fraction:
+    """Bring hv, the h-lower bound of every node, from the atoms' h-pairs
+    prev (None: hv holds nothing yet) to the h-pairs h, as _t_run does
+    in the t-world, and return the root's.  tv holds the t-lower bounds
+    of the nodes under one fixed t-world: a node reads an atom's h-lower
+    bound, its h-upper bound under '~', and the t-side only through tv,
+    at not_s and at implications."""
+    for code in levels[_start(h, prev):]:
+        for k, (kind, fn, a, b) in code:
+            if kind == _MONO:
+                hv[k] = fn(hv[a], hv[b])
+            elif kind == _IMP:
+                hv[k] = min(fn(hv[a], hv[b]), tv[k])
+            elif kind == _ATOM:
+                hv[k] = h[a][0]
+            elif kind == _NOT:
+                hv[k] = tv[k]
+            elif kind == _SNEG:
+                hv[k] = 1 - h[a][1]
+            else:
+                hv[k] = a
+    return hv[-1]
 
 
 def n5_evaluate(v: Valuation, world: str, f: Formula) -> Interval:
@@ -337,14 +393,16 @@ def n5_evaluate(v: Valuation, world: str, f: Formula) -> Interval:
 def is_n5_model(v: Valuation, f: Formula) -> bool:
     """The h-lower bound of f reaches 1."""
     env = _env(v)
-    code = _program(f, env)
-    tv = _t_pass(code, [t for _, t in env.values()])
-    return _h_pass(code, [h for h, _ in env.values()], tv)[-1] == ONE
+    levels = _program(f, env)
+    tv = _blank(levels)
+    _t_run(levels, [t for _, t in env.values()], None, tv)
+    return _h_run(levels, [h for h, _ in env.values()], None, _blank(levels), tv) == ONE
 
 
 def preceq(candidate: Valuation, v: Valuation) -> bool:
-    """candidate keeps every t-interval and widens (or keeps) h-intervals."""
-    if candidate.atoms() != v.atoms():
+    """candidate keeps every t-interval and widens (or keeps) h-intervals.
+    The two must cover the same atoms, in any order."""
+    if set(candidate.atoms()) != set(v.atoms()):
         raise ValueError("valuations cover different signatures")
     for a in v.atoms():
         if candidate.at("t", a) != v.at("t", a):
@@ -376,13 +434,15 @@ def _check_on_lattice(v: Valuation, lattice: Lattice) -> None:
                     "lattice")
 
 
-def _h_pools(hs: Sequence[tuple], lattice: Lattice, cap: int) -> list[list[tuple]]:
+def _h_pools(hs: Sequence[tuple], lattice: Lattice, cap: int,
+             points: Sequence[Fraction] | None = None) -> list[list[tuple]]:
     """Per atom of the h-pairs hs, the lattice intervals that contain its
     h-interval, lower ascending then upper ascending: the lattice points
     up to its lower bound, each paired with those from its upper bound
     on.  Both runs are counted in integers and checked against the cap
-    before any pair is built, and only their points are built, not the
-    whole lattice."""
+    before any pair is built.  `points`, when given, holds every lattice
+    point ascending, and the pools take their points from it; otherwise
+    only the runs' points are built, not the whole lattice."""
     d = lattice.denominator
     # The points k/d up to x, and (by k -> d - k) those from x on.
     runs = [(lo.numerator * d // lo.denominator + 1,
@@ -391,24 +451,32 @@ def _h_pools(hs: Sequence[tuple], lattice: Lattice, cap: int) -> list[list[tuple
     check_cap(math.prod(a * b for a, b in runs), cap)
     pools = []
     for a, b in runs:
-        lows = [Fraction(k, d) for k in range(a)]
-        highs = [Fraction(k, d) for k in range(d + 1 - b, d + 1)]
+        if points is None:
+            lows = [Fraction(k, d) for k in range(a)]
+            highs = [Fraction(k, d) for k in range(d + 1 - b, d + 1)]
+        else:
+            lows, highs = points[:a], points[d + 1 - b:]
         pools.append([(lo, hi) for lo in lows for hi in highs])
     return pools
 
 
-def _h_violation(hs: tuple, pools: list[list[tuple]], code: list[tuple],
-                 tv: list[Fraction], cap: int) -> tuple | None:
+def _h_violation(hs: tuple, pools: list[list[tuple]], levels: list[list[tuple]],
+                 tv: list, cap: int) -> tuple | None:
     """The h-pairs, by slot, of the first strictly h-wider lattice
     valuation that is still a model; None when there is none.  hs are
     the current h-pairs and pools their _h_pools.
 
-    Every candidate keeps the t-intervals, so tv, the t-pass of f's flat
-    program `code`, serves them all, and each candidate runs only the
-    h-pass, over its h-pairs as the scan gives them."""
+    Every candidate keeps the t-intervals, so tv, the t-lower bounds of
+    the nodes of f's program `levels`, serves them all.  Each candidate
+    runs only the h-world, over its h-pairs as the scan gives them, and
+    only from the level of the first slot where it differs from the
+    candidate before it."""
+    hv = _blank(levels)
+    prev = None
     for combo in candidates(pools, cap, skip=hs):
-        if _h_pass(code, combo, tv)[-1] == ONE:
+        if _h_run(levels, combo, prev, hv, tv) == ONE:
             return combo
+        prev = combo
     return None
 
 
@@ -420,9 +488,10 @@ def find_h_violation(
     env = _env(v)
     hs = tuple(h for h, _ in env.values())
     pools = _h_pools(hs, lattice, cap)
-    code = _program(f, env)
-    tv = _t_pass(code, [t for _, t in env.values()])
-    hit = _h_violation(hs, pools, code, tv, cap)
+    levels = _program(f, env)
+    tv = _blank(levels)
+    _t_run(levels, [t for _, t in env.values()], None, tv)
+    hit = _h_violation(hs, pools, levels, tv, cap)
     if hit is None:
         return None
     data = dict(v)
@@ -463,9 +532,12 @@ def enumerate_equilibrium(
     Only world-agreeing valuations can qualify, so the scan runs over one
     interval per atom, shared by both worlds.  There the h-lower bound of
     f is its t-lower bound, so a candidate is a model exactly when the
-    t-pass gives f's root 1, and only a model runs the h-pass, in its
-    h-minimality scan.  An atom named twice in `signature` is scanned
-    once, at its first place.
+    t-world run gives f's root 1, and only a model runs the h-world, in
+    its h-minimality scan.  Each candidate reruns only the levels of f's
+    program from the first slot where it differs from the candidate
+    before it.  An atom named twice in `signature` is scanned once, at
+    its first place; an atom of f that `signature` leaves out is a
+    KeyError.
 
     The h-lower bound of f reads an atom's h-lower bound only through a
     plain occurrence and its h-upper bound only through '~', so widening
@@ -488,13 +560,17 @@ def enumerate_equilibrium(
     pools = [[(lo, hi) for lo in (points if a in plain else points[:1])
               for hi in (points if a in negated else points[-1:]) if lo <= hi]
              for a in sig]
-    code = _program(f, sig)
+    levels = _program(f, sig, _NOT_IN_SIGNATURE)
+    tv = _blank(levels)
     out = []
+    prev = None
     for combo in candidates(pools, cap):
-        tv = _t_pass(code, combo)
-        if tv[-1] != ONE:
+        root = _t_run(levels, combo, prev, tv)
+        prev = combo
+        if root != ONE:
             continue
-        if _h_violation(combo, _h_pools(combo, lattice, cap), code, tv, cap) is None:
+        if _h_violation(combo, _h_pools(combo, lattice, cap, points),
+                        levels, tv, cap) is None:
             data = {}
             for a, iv in zip(sig, combo):
                 data[("h", a)] = data[("t", a)] = Interval(*iv)

@@ -195,8 +195,8 @@ def _postorder(f):
 
 
 class TestLowerBoundPasses:
-    """The model tests run f's flat program through _t_pass and _h_pass,
-    not _pair."""
+    """The model tests run f's program through the runners _t_run and
+    _h_run, not _pair."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_agree_with_pair_on_every_subformula(self, d):
@@ -213,11 +213,12 @@ class TestLowerBoundPasses:
             seen["~"] += any(isinstance(x, StrongNeg) for x in nodes)
             for _ in range(5):
                 env = _nested_env(rng, sig, lattice)
-                code = equilibrium._program(f, env)
-                tv = equilibrium._t_pass(code, [t for _, t in env.values()])
-                hv = equilibrium._h_pass(code, [h for h, _ in env.values()], tv)
-                assert len(code) == len(tv) == len(hv) == len(nodes)
-                # The passes of f's program serve every subformula of f.
+                levels = equilibrium._program(f, env)
+                tv, hv = equilibrium._blank(levels), equilibrium._blank(levels)
+                equilibrium._t_run(levels, [t for _, t in env.values()], None, tv)
+                equilibrium._h_run(levels, [h for h, _ in env.values()], None, hv, tv)
+                assert len(tv) == len(hv) == len(nodes)
+                # The runs of f's program serve every subformula of f.
                 for g, t_lower, h_lower in zip(nodes, tv, hv):
                     (hlo, _), (tlo, _) = equilibrium._pair(env, g)
                     assert (t_lower, h_lower) == (tlo, hlo), print_formula(g)
@@ -242,11 +243,12 @@ class TestLowerBoundPasses:
             seen["not_s"] += has[0]
             seen["~"] += has[1]
             seen["both"] += all(has)
-            code = equilibrium._program(f, sig)
+            levels = equilibrium._program(f, sig)
             for _ in range(5):
                 pairs = [tuple(sorted(rng.choice(points) for _ in range(2))) for _ in sig]
                 env = {a: (pair, pair) for a, pair in zip(sig, pairs)}
-                tv = equilibrium._t_pass(code, pairs)
+                tv = equilibrium._blank(levels)
+                equilibrium._t_run(levels, pairs, None, tv)
                 for g, t_lower in zip(nodes, tv):
                     (hlo, _), _ = equilibrium._pair(env, g)
                     assert t_lower == hlo, print_formula(g)
@@ -277,6 +279,139 @@ class TestLowerBoundPasses:
         assert answers() == want
 
 
+def _scrambled(rng, names):
+    """A signature for f's atom names out of formula order: reversed,
+    sometimes with an atom f lacks, and one name given twice."""
+    sig = list(reversed(names)) + ["z"] * (rng.random() < 0.3)
+    if sig:
+        sig.insert(rng.randrange(len(sig) + 1), rng.choice(sig))
+    return sig
+
+
+class TestLevelRuns:
+    """The runners bring every node up to date from the level of the
+    first slot a candidate changes: at every candidate of every scan, in
+    scan order, each node's value is a full run's."""
+
+    def test_levels_hold_the_last_slot_each_node_reads(self):
+        rng = random.Random(3)
+        for k in range(200):
+            f = gen_formula(k, ["p", "q", "r"], max_depth=3, operator_pool=ALL_OPERATORS,
+                            allow_strongneg=True, lattice=Lattice(4))
+            names = list(signature_of(f))
+            rng.shuffle(names)
+            nodes = _postorder(f)
+            levels = equilibrium._program(f, names)
+            assert len(levels) == len(names) + 1
+            assert sorted(k for level in levels for k, _ in level) == list(range(len(nodes)))
+            for at, level in enumerate(levels):
+                order = [k for k, _ in level]
+                assert order == sorted(order)
+                for k, _ in level:
+                    slots = [names.index(a) for a in signature_of(nodes[k])]
+                    assert at == 1 + max(slots, default=-1), print_formula(nodes[k])
+
+    @staticmethod
+    def _checked(monkeypatch, name, starts):
+        """Replace the runner `name` with one that checks every node it
+        leaves against a full run of the same call, and records the first
+        level it reran."""
+        run = getattr(equilibrium, name)
+
+        def checked(levels, vals, prev, out, *tv):
+            root = run(levels, vals, prev, out, *tv)
+            fresh = equilibrium._blank(levels)
+            assert run(levels, vals, None, fresh, *tv) == root
+            assert out == fresh
+            starts.append(equilibrium._start(vals, prev))
+            return root
+
+        monkeypatch.setattr(equilibrium, name, checked)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_world_agreeing_scan(self, monkeypatch, d):
+        lattice = Lattice(d)
+        rng = random.Random(40 + d)
+        starts = []
+        self._checked(monkeypatch, "_t_run", starts)
+        for k in range(12):
+            f = gen_formula(3000 * d + k, ["p", "q"], max_depth=3,
+                            operator_pool=ALL_OPERATORS, allow_strongneg=k % 2 == 0,
+                            lattice=lattice)
+            sig = _scrambled(rng, signature_of(f))
+            models = enumerate_equilibrium(f, lattice, signature=sig)
+            # Another slot order finds the same models.
+            in_order = signature_of(f, extra=sig)
+            assert set(enumerate_equilibrium(f, lattice, signature=in_order)) == set(models)
+        # Most candidates rerun the last slot's level alone.
+        assert starts.count(0) == 2 * 12
+        assert starts.count(2) > starts.count(1) >= 10
+
+    def test_h_scans(self, monkeypatch):
+        starts = []
+        self._checked(monkeypatch, "_h_run", starts)
+        seen = {"not_s": 0, "~": 0, "counter": 0}
+        for d in range(1, 7):
+            lattice = Lattice(d)
+            rng = random.Random(50 + d)
+            for k in range(12):
+                f = gen_formula(4000 * d + k, ["p", "q"], max_depth=3,
+                                operator_pool=ALL_OPERATORS, allow_strongneg=k % 2 == 0,
+                                lattice=lattice)
+                nodes = _postorder(f)
+                seen["not_s"] += any(getattr(x, "op", None) == "not_s" for x in nodes)
+                seen["~"] += any(isinstance(x, StrongNeg) for x in nodes)
+                sig = _scrambled(rng, signature_of(f))
+                enumerate_equilibrium(f, lattice, signature=sig)
+                for _ in range(3):
+                    # The valuation's atoms, and so the scan's slots, out
+                    # of formula order.
+                    env = _nested_env(rng, list(dict.fromkeys(sig)), lattice)
+                    v = Valuation({(w, a): pair for a, (h, t) in env.items()
+                                   for w, pair in (("h", h), ("t", t))})
+                    seen["counter"] += find_h_violation(v, f, lattice) is not None
+                    is_equilibrium(v, f, lattice)
+        assert min(seen.values()) >= 10, seen
+        assert starts.count(2) > starts.count(1) >= 100
+
+    def test_h_pools_take_the_lattice_points(self, monkeypatch):
+        """enumerate_equilibrium hands every model's h-scan the pools of
+        its h-pairs, with every endpoint one of the lattice's own
+        points: no model builds a Fraction."""
+        scans = []  # per h-scan, its h-pairs and their pools
+        real = equilibrium.candidates
+
+        def recording(pools, cap, skip=None):
+            if skip is not None:
+                scans.append((skip, pools))
+            return real(pools, cap, skip)
+
+        monkeypatch.setattr(equilibrium, "candidates", recording)
+        lattice = Lattice(4)
+        ids = set(map(id, lattice.points()))
+        f = parse_formula("(not_s p ->r q) &m (not_s q ->r p)")
+        enumerate_equilibrium(f, lattice)
+        assert len(scans) > 10
+        for hs, pools in scans:
+            assert pools == equilibrium._h_pools(hs, lattice, 10 ** 6)
+            assert all(id(x) in ids for pool in pools for pair in pool for x in pair)
+
+    def test_many_models_hold_one_models_pools(self):
+        # Every (k/1000, 1) is a model of 'p ->r p', with an h-pool of
+        # k + 1 intervals, so keeping every model's pool for the whole
+        # call would take about 60 MiB.  The call builds the lattice's
+        # 1001 points and its own pool of 1001 intervals, and holds one
+        # model's pool at a time.
+        tracemalloc.start()
+        try:
+            models = enumerate_equilibrium(parse_formula("p ->r p"), Lattice(1000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert models == [shared(p=(0, 10))]
+        assert peak < 2 ** 20
+
+
 class TestOrder:
     def test_preceq_widens_h_keeps_t(self):
         v = make(p=((2, 7), (2, 7)))
@@ -294,6 +429,17 @@ class TestOrder:
     def test_signature_mismatch(self):
         with pytest.raises(ValueError, match="different signatures"):
             preceq(shared(p=(0, 10)), shared(q=(0, 10)))
+
+    def test_same_atoms_in_another_order(self):
+        v = parse_valuation("h:p=[0,1]; t:p=[0,1]; h:q=[0,1]; t:q=[0,1]")
+        w = parse_valuation("h:q=[0,1]; t:q=[0,1]; h:p=[0,1]; t:p=[0,1]")
+        assert v == w
+        assert preceq(v, w) and preceq(w, v)
+        assert not prec(v, w) and not prec(w, v)
+        narrow = parse_valuation("h:p=[0,1]; t:p=[0.5,1]; h:q=[0.5,1]; t:q=[0.5,1]")
+        wider = parse_valuation("h:q=[0,1]; t:q=[0.5,1]; h:p=[0,1]; t:p=[0.5,1]")
+        assert prec(wider, narrow)
+        assert not preceq(narrow, wider)
 
 
 class TestIsEquilibrium:
@@ -361,6 +507,12 @@ class TestEnumerate:
         models = enumerate_equilibrium(f, D2, signature=("q", "p", "q", "p"))
         assert models == enumerate_equilibrium(f, D2, signature=("q", "p"))
         assert len(models) == 1 and models[0].atoms() == ("q", "p")
+
+    def test_signature_missing_an_atom_of_f(self):
+        f = parse_formula("p &m not_s ~q")
+        with pytest.raises(KeyError,
+                           match="atom 'q' of the formula is missing from the signature"):
+            enumerate_equilibrium(f, D2, signature=("p", "r"))
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

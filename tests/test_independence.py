@@ -154,7 +154,7 @@ def test_no_loop_caps_implications():
     assert capping == set()
 
 
-SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "_t_pass", "_h_pass",
+SEMANTICS = {"evaluate", "op_apply", "value_is_one", "_pair", "_t_run", "_h_run",
              "run", "witness_in"}
 
 
